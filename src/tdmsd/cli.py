@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import subdivision
 from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 from .domination import gamma, gamma_t
 from .enumeration import enumerate_connected_graphs, enumerate_trees
@@ -35,7 +34,10 @@ def _read_graph(spec: str, fmt: str) -> Graph:
     """Accept a file path, a graph6 literal, or a fixture name."""
     text = None
     if os.path.exists(spec):
-        text = Path(spec).read_text(encoding="utf-8")
+        try:
+            text = Path(spec).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{spec}: not UTF-8 text ({exc.reason})") from None
     if text is None:
         try:
             return fixture_by_name(spec)
@@ -53,6 +55,16 @@ def _read_graph(spec: str, fmt: str) -> Graph:
     if len(first) == 2 and all(tok.isdigit() for tok in first):
         return parse_edge_list(stripped)
     return graph6_decode(stripped.splitlines()[0])
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(obj, out) -> None:
@@ -201,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="file path, graph6 literal, or fixture name")
     p.add_argument("--invariant", required=True,
                    choices=["gamma", "gamma_t", "sd", "msd", "sd_t", "msd_t"])
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--format", choices=["auto", "edge-list", "graph6"], default="auto")
 
     p = sub.add_parser("verify", help="run one theorem sweep")
     p.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", default=None, help="also write the summary JSON here")
 
@@ -250,9 +262,6 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = os.environ.get("TDMSD_CACHE_DIR")
-    if cache_dir:
-        subdivision.enable_persistent_cache(cache_dir)
     try:
         code = _COMMANDS[args.command](args, out)
     except (MalformedInput, UnknownTheorem) as exc:
@@ -261,9 +270,6 @@ def main(argv=None, out=None) -> int:
     except GraphError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    finally:
-        if cache_dir:
-            subdivision.save_persistent_cache(cache_dir)
     return code
 
 

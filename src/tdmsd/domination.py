@@ -195,9 +195,8 @@ def _require_no_isolated(g: Graph) -> None:
             raise IsolatedVertex(f"vertex {v} has degree 0")
 
 
-@lru_cache(maxsize=200_000)
-def gamma_t_value(g: Graph) -> int:
-    """Total domination number, value only."""
+def solve_gamma_t(g: Graph) -> int:
+    """Total domination number, value only, solved afresh on every call."""
     _require_no_isolated(g)
     value = _min_cover_size(_total_covers(g), g.full_mask)
     if value is None:
@@ -205,12 +204,24 @@ def gamma_t_value(g: Graph) -> int:
     return value
 
 
-@lru_cache(maxsize=100_000)
-def gamma_value(g: Graph) -> int:
-    """Domination number, value only."""
+def solve_gamma(g: Graph) -> int:
+    """Domination number, value only, solved afresh on every call."""
     value = _min_cover_size(_closed_covers(g), g.full_mask)
     assert value is not None  # closed neighborhoods always cover
     return value
+
+
+# perfbench calls cache_info() on this, so it stays an lru_cache object
+@lru_cache(maxsize=200_000)
+def gamma_t_value(g: Graph) -> int:
+    """Total domination number, value only (cached)."""
+    return solve_gamma_t(g)
+
+
+@lru_cache(maxsize=100_000)
+def gamma_value(g: Graph) -> int:
+    """Domination number, value only (cached)."""
+    return solve_gamma(g)
 
 
 def gamma_t(g: Graph) -> DominationCertificate:

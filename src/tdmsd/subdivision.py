@@ -3,29 +3,26 @@ numbers, and subdivision numbers over simultaneous edge subsets.
 
 Searches go strictly by increasing subdivision count / subset size, so the
 reported value is the first point at which the recomputed (total) domination
-number strictly increases.  Intermediate values are memoized per canonical
-code within each top-level call; a process-wide persistent cache can be
-loaded for the total-domination variant.
+number strictly increases.  The base value comes from the cached solver;
+every subdivided graph is solved afresh, because a canonical code to key a
+cache by costs more than the solve it would save (and is factorial on
+symmetric graphs), and caching them globally would only raise peak RSS.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
-from .canonical import canonical_code
-from .domination import gamma_t_value, gamma_value
+from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
+from .domination import gamma_t_value, gamma_value, solve_gamma, solve_gamma_t
 from .errors import Disconnected, EdgeNotPresent, TooSmall
 from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
-_MEMO_CODE_CAP = 24
 
-# optional cross-run cache for gamma_t keyed by canonical code (hex)
-_persistent_gamma_t: dict[bytes, int] | None = None
+# perfbench's freshness check reads this; there is no on-disk cache
+_persistent_gamma_t = None
 
 
 @dataclass(frozen=True)
@@ -47,32 +44,6 @@ class SubdivisionResult:
         return self.value is None
 
 
-def _memo_key(h: Graph) -> bytes | None:
-    if h.is_tree() or h.n <= _MEMO_CODE_CAP:
-        return canonical_code(h, cap=max(h.n, _MEMO_CODE_CAP))
-    return None
-
-
-def _memoized(h: Graph, memo: dict[bytes, int], value_fn: Callable[[Graph], int],
-              persist: bool) -> int:
-    key = _memo_key(h)
-    if key is None:
-        return value_fn(h)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if persist and _persistent_gamma_t is not None:
-        hit = _persistent_gamma_t.get(key)
-        if hit is not None:
-            memo[key] = hit
-            return hit
-    value = value_fn(h)
-    memo[key] = value
-    if persist and _persistent_gamma_t is not None:
-        _persistent_gamma_t[key] = value
-    return value
-
-
 def _check_connected(g: Graph, min_n: int) -> None:
     if g.n < min_n:
         raise TooSmall(f"need n >= {min_n}, got n={g.n}")
@@ -80,31 +51,28 @@ def _check_connected(g: Graph, min_n: int) -> None:
         raise Disconnected("subdivision invariants need a connected graph")
 
 
-def _msd_edge(g: Graph, e: Edge, cap: int, value_fn, persist: bool,
-              base: int | None = None, memo: dict | None = None) -> SubdivisionResult:
+def _msd_edge(g: Graph, e: Edge, cap: int, value_fn, solve_fn,
+              base: int | None = None) -> SubdivisionResult:
     u, v = normalize_edge(*e)
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
     if base is None:
         base = value_fn(g)
-    if memo is None:
-        memo = {}
     for t in range(1, cap + 1):
-        after = _memoized(subdivide(g, (u, v), t), memo, value_fn, persist)
+        after = solve_fn(subdivide(g, (u, v), t))
         if after > base:
             return SubdivisionResult(t, ((u, v),), (t,), base, after)
     return SubdivisionResult(None, ((u, v),), (), base, None)
 
 
-def _msd(g: Graph, cap: int, value_fn, persist: bool) -> SubdivisionResult:
+def _msd(g: Graph, cap: int, value_fn, solve_fn) -> SubdivisionResult:
     _check_connected(g, 2)
     base = value_fn(g)
-    memo: dict[bytes, int] = {}
     best: SubdivisionResult | None = None
     for e in g.edges():
         # later edges only need to beat the incumbent
         limit = cap if best is None else best.value - 1
-        r = _msd_edge(g, e, limit, value_fn, persist, base=base, memo=memo)
+        r = _msd_edge(g, e, limit, value_fn, solve_fn, base=base)
         if r.value is not None and (best is None or r.value < best.value):
             best = r
             if best.value == 1:
@@ -114,15 +82,14 @@ def _msd(g: Graph, cap: int, value_fn, persist: bool) -> SubdivisionResult:
     return best
 
 
-def _sd(g: Graph, cap: int | None, value_fn, persist: bool) -> SubdivisionResult:
+def _sd(g: Graph, cap: int | None, value_fn, solve_fn) -> SubdivisionResult:
     _check_connected(g, 3)
     base = value_fn(g)
     edges = g.edges()
     limit = len(edges) if cap is None else min(cap, len(edges))
-    memo: dict[bytes, int] = {}
     for k in range(1, limit + 1):
         for subset in combinations(edges, k):
-            after = _memoized(subdivide_edges(g, subset), memo, value_fn, persist)
+            after = solve_fn(subdivide_edges(g, subset))
             if after > base:
                 return SubdivisionResult(k, subset, (1,) * k, base, after)
     return SubdivisionResult(None, (), (), base, None)
@@ -131,7 +98,7 @@ def _sd(g: Graph, cap: int | None, value_fn, persist: bool) -> SubdivisionResult
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
     _check_connected(g, 2)
-    return _msd_edge(g, e, cap, gamma_t_value, True)
+    return _msd_edge(g, e, cap, gamma_t_value, solve_gamma_t)
 
 
 def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
@@ -140,7 +107,7 @@ def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     Ties pick the lowest normalized edge; the default cap is backed by the
     msd <= 3 bound for connected graphs, but per-edge values can exceed it.
     """
-    return _msd(g, cap, gamma_t_value, True)
+    return _msd(g, cap, gamma_t_value, solve_gamma_t)
 
 
 def sd_gamma_t(g: Graph, cap: int | None = None) -> SubdivisionResult:
@@ -150,44 +117,14 @@ def sd_gamma_t(g: Graph, cap: int | None = None) -> SubdivisionResult:
     Subsets are tried in lexicographic order, so the witness is the first
     achieving subset.  cap=None searches up to all m edges.
     """
-    return _sd(g, cap, gamma_t_value, True)
+    return _sd(g, cap, gamma_t_value, solve_gamma_t)
 
 
 def msd_gamma(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Domination multisubdivision number."""
-    return _msd(g, cap, gamma_value, False)
+    return _msd(g, cap, gamma_value, solve_gamma)
 
 
 def sd_gamma(g: Graph, cap: int | None = None) -> SubdivisionResult:
     """Domination subdivision number."""
-    return _sd(g, cap, gamma_value, False)
-
-
-# -- optional persistent gamma_t cache -------------------------------------
-
-def enable_persistent_cache(directory: str) -> str:
-    """Load (or start) the on-disk gamma_t cache inside ``directory``."""
-    global _persistent_gamma_t
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "gamma_t_cache.json")
-    table: dict[bytes, int] = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        table = {bytes.fromhex(k): int(v) for k, v in raw.items()}
-    _persistent_gamma_t = table
-    return path
-
-
-def save_persistent_cache(directory: str) -> str | None:
-    if _persistent_gamma_t is None:
-        return None
-    path = os.path.join(directory, "gamma_t_cache.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k.hex(): v for k, v in _persistent_gamma_t.items()}, fh)
-    return path
-
-
-def disable_persistent_cache() -> None:
-    global _persistent_gamma_t
-    _persistent_gamma_t = None
+    return _sd(g, cap, gamma_value, solve_gamma)

@@ -54,6 +54,26 @@ def test_compute_parse_error_exits_2():
     assert code == 2
 
 
+def test_compute_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, _ = run_cli("compute", "--input", str(bad), "--invariant", "gamma")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--input", "p6", "--invariant", "sd_t", "--cap", "0"),
+    ("compute", "--input", "p6", "--invariant", "msd_t", "--cap", "-1"),
+    ("verify", "--theorem", "msd-le-3", "--n-max", "4", "--jobs", "0"),
+])
+def test_counts_below_one_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
 def test_compute_precondition_exits_3(tmp_path):
     disconnected = tmp_path / "two_edges.txt"
     disconnected.write_text("4 2\n0 1\n2 3\n")
@@ -163,21 +183,6 @@ def test_fixtures_listing_and_emit():
     code, out = run_cli("fixtures", "--name", "gstar")
     assert code == 0
     assert out.splitlines()[0] == "12 15"
-
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TDMSD_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli("compute", "--input", "p6", "--invariant", "msd_t")
-    assert code == 0
-    cache = tmp_path / "gamma_t_cache.json"
-    assert cache.exists()
-    stored = json.loads(cache.read_text())
-    assert stored
-    code, _ = run_cli("compute", "--input", "p6", "--invariant", "msd_t")
-    assert code == 0
-    from tdmsd import subdivision
-
-    subdivision.disable_persistent_cache()
 
 
 def test_console_script_runs():

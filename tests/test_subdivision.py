@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -150,3 +151,19 @@ def test_base_values_recorded():
     assert r.base_value == gamma_t_value(path(6)) == 4
     r = sd_gamma(path(6))
     assert r.base_value == gamma_value(path(6)) == 2
+
+
+@pytest.mark.parametrize("search, n, expected", [
+    (msd_gamma_t, 10, 2),
+    (sd_gamma_t, 9, 3),
+])
+def test_complete_graphs_skip_the_factorial_canonical_path(search, n, expected):
+    # a canonical code of a near-complete graph is factorial in n; the
+    # searches must solve subdivided graphs without one, and without filling
+    # the global gamma_t cache with them (at most the base graph is added)
+    g = complete(n)
+    size_before = gamma_t_value.cache_info().currsize
+    start = time.perf_counter()
+    assert search(g).value == expected
+    assert time.perf_counter() - start < 5.0
+    assert gamma_t_value.cache_info().currsize - size_before <= 1
