@@ -16,7 +16,7 @@ from pathlib import Path
 from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 from .domination import gamma, gamma_t
 from .enumeration import enumerate_connected_graphs, enumerate_trees
-from .errors import GraphError, MalformedInput, UnknownTheorem
+from .errors import GraphError, MalformedInput, OutOfRange, UnknownTheorem
 from .family import generate_family, is_in_family
 from .fixtures import FIXTURE_NAMES, fixture_by_name
 from .graph import Graph, format_edge_list, parse_edge_list, structure_profile
@@ -134,7 +134,8 @@ def _cmd_verify(args, out) -> int:
     }
     _emit(summary, out)
     if args.out:
-        Path(args.out).write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+        with args.out:
+            args.out.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -221,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--out", default=None, help="also write the summary JSON here")
+    # opened here, so that an unwritable path is a usage error before the sweep
+    p.add_argument("--out", type=argparse.FileType("w", encoding="utf-8"), default=None,
+                   help="also write the summary JSON here")
 
     p = sub.add_parser("family", help="generate family members or test membership")
     fam = p.add_subparsers(dest="family_cmd", required=True)
@@ -264,7 +267,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = _COMMANDS[args.command](args, out)
-    except (MalformedInput, UnknownTheorem) as exc:
+    except (MalformedInput, OutOfRange, UnknownTheorem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GraphError as exc:

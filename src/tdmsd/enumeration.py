@@ -6,9 +6,13 @@ representative at every vertex and deduping by canonical code is exhaustive.
 Full Prufer-sequence enumeration is also provided; it is the independent
 cross-check oracle for small orders (n^(n-2) labeled trees blow up fast).
 
-Connected graphs are enumerated by sweeping all edge subsets of K_n and
-marking whole permutation orbits as seen, which dedupes exactly up to
-isomorphism without canonicalizing each of the ~2M labeled candidates.
+Connected graphs are generated the same way, by vertex extension: every
+connected graph has a non-cut vertex, so taking a non-cut vertex v of largest
+degree, G - v is connected and G arises from its representative by adding v
+joined to some non-empty vertex set.  An extension is kept only when its new
+vertex could be that v (no non-cut vertex has strictly larger degree), and
+what is left is deduped by canonical code (canonical augmentation, McKay,
+J. Algorithms 26, 1998).
 """
 
 from __future__ import annotations
@@ -16,14 +20,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .canonical import canonical_code
 from .errors import OutOfRange
-from .graph import Graph, from_edge_list
+from .graph import Graph, from_edge_list, iter_bits
 
 TREE_ORDER_CAP = 16
 CONNECTED_ORDER_CAP = 7
@@ -34,7 +36,6 @@ class GraphStream:
     """A materialized, deterministic stream of one graph per isomorphism class."""
 
     order: int
-    source: str  # "generated_trees" | "generated_connected" | "file"
     graphs: tuple[Graph, ...] = field(repr=False)
 
     def __iter__(self) -> Iterator[Graph]:
@@ -67,7 +68,7 @@ def enumerate_trees(n: int) -> GraphStream:
     """All free trees of order n, one per isomorphism class, by ascending code."""
     if not 1 <= n <= TREE_ORDER_CAP:
         raise OutOfRange(f"tree enumeration supports 1 <= n <= {TREE_ORDER_CAP}")
-    return GraphStream(order=n, source="generated_trees", graphs=_tree_reps(n))
+    return GraphStream(order=n, graphs=_tree_reps(n))
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> Graph:
@@ -117,58 +118,39 @@ def trees_by_prufer_dedupe(n: int) -> tuple[Graph, ...]:
 
 # -- connected graphs --------------------------------------------------------
 
-def _pair_positions(n: int) -> dict[tuple[int, int], int]:
-    pos = {}
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos[(i, j)] = idx
-            idx += 1
-    return pos
-
-
-def _graph_from_pair_code(n: int, code: int, pairs: list[tuple[int, int]]) -> Graph:
-    edges = [pairs[i] for i in range(len(pairs)) if code >> i & 1]
-    return from_edge_list(n, edges)
-
-
-def _orbit_representatives(n: int, connected_only: bool) -> list[Graph]:
-    pos = _pair_positions(n)
-    pairs = sorted(pos, key=pos.get)
-    npairs = len(pairs)
-    rows = []
-    for perm in permutations(range(n)):
-        row = [0] * npairs
-        for (i, j), p in pos.items():
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            row[p] = 1 << pos[(a, b)]
-        rows.append(row)
-    perm_bits = np.array(rows, dtype=np.int64)
-    seen = np.zeros(1 << npairs, dtype=np.uint8)
-    reps = []
-    for code in range(1 << npairs):
-        if seen[code]:
-            continue
-        bits = [i for i in range(npairs) if code >> i & 1]
-        if bits:
-            orbit = np.bitwise_or.reduce(perm_bits[:, bits], axis=1)
-            seen[orbit] = 1
-        seen[code] = 1
-        g = _graph_from_pair_code(n, code, pairs)
-        if not connected_only or g.is_connected():
-            reps.append(g)
-    return reps
+def _is_non_cut(adj: list[int], v: int) -> bool:
+    """Whether the graph stays connected once vertex v is removed."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        for w in iter_bits(frontier):
+            nxt |= adj[w]
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen == rest
 
 
 @lru_cache(maxsize=None)
 def _connected_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (from_edge_list(1, []),)
-    reps = _orbit_representatives(n, connected_only=True)
-    keyed = sorted((canonical_code(g), g) for g in reps)
-    return tuple(g for _, g in keyed)
+    new = n - 1
+    seen: dict[bytes, Graph] = {}
+    for base in _connected_reps(n - 1):
+        for nbrs in range(1, 1 << new):
+            adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
+            adj.append(nbrs)
+            # keep only extensions whose new vertex is a non-cut vertex of
+            # largest degree among the non-cut vertices
+            deg = nbrs.bit_count()
+            if any(adj[v].bit_count() > deg and _is_non_cut(adj, v) for v in range(new)):
+                continue
+            g = Graph(n, adj)
+            code = canonical_code(g)
+            if code not in seen:
+                seen[code] = g
+    return tuple(seen[code] for code in sorted(seen))
 
 
 def enumerate_connected_graphs(n: int) -> GraphStream:
@@ -177,8 +159,4 @@ def enumerate_connected_graphs(n: int) -> GraphStream:
         raise OutOfRange(
             f"connected enumeration supports 2 <= n <= {CONNECTED_ORDER_CAP}"
         )
-    return GraphStream(order=n, source="generated_connected", graphs=_connected_reps(n))
-
-
-def stream_from_graphs(order: int, graphs: Sequence[Graph]) -> GraphStream:
-    return GraphStream(order=order, source="file", graphs=tuple(graphs))
+    return GraphStream(order=n, graphs=_connected_reps(n))

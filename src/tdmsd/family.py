@@ -17,7 +17,7 @@ from .domination import gamma_t_value, is_total_dominating
 from .errors import NotATree, WrongStatus
 from .graph import Graph, from_edge_list, iter_bits
 
-_FAMILY_CODE_CAP = 32
+FAMILY_ORDER_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,13 @@ def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
     if n_max < 6:
         return ()
     seed = family_seed()
-    seen_labeled = {labeled_tree_code(seed.tree, seed.status, cap=_FAMILY_CODE_CAP)}
+    seen_labeled = {labeled_tree_code(seed.tree, seed.status, cap=FAMILY_ORDER_CAP)}
     queue = [seed]
     members = [seed]
     while queue:
         t = queue.pop(0)
         for child in _children(t, n_max):
-            code = labeled_tree_code(child.tree, child.status, cap=_FAMILY_CODE_CAP)
+            code = labeled_tree_code(child.tree, child.status, cap=FAMILY_ORDER_CAP)
             if code in seen_labeled:
                 continue
             seen_labeled.add(code)
@@ -124,7 +124,7 @@ def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
             members.append(child)
     by_class: dict[bytes, LabeledTree] = {}
     for t in members:
-        code = canonical_code(t.tree, cap=_FAMILY_CODE_CAP)
+        code = canonical_code(t.tree, cap=FAMILY_ORDER_CAP)
         by_class.setdefault(code, t)
     ordered = sorted(by_class.items(), key=lambda kv: (kv[1].n, kv[0]))
     return tuple(t for _, t in ordered)
@@ -133,7 +133,7 @@ def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
 @lru_cache(maxsize=None)
 def _family_codes(n: int) -> frozenset[bytes]:
     return frozenset(
-        canonical_code(t.tree, cap=_FAMILY_CODE_CAP)
+        canonical_code(t.tree, cap=FAMILY_ORDER_CAP)
         for t in generate_family(n)
         if t.n == n
     )
@@ -145,7 +145,7 @@ def is_in_family(g: Graph) -> bool:
         raise NotATree("family membership is defined for trees")
     if g.n < 6:
         return False
-    return canonical_code(g, cap=_FAMILY_CODE_CAP) in _family_codes(g.n)
+    return canonical_code(g, cap=FAMILY_ORDER_CAP) in _family_codes(g.n)
 
 
 def verify_bc_property(t: LabeledTree) -> bool:

@@ -14,26 +14,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .canonical import canonical_code
 from .characterization import (
     lemma2_sufficient,
     lemma14_sufficient_sd_gt_one,
     longest_paths,
     predicts_sd_one,
 )
-from .errors import UnknownTheorem
-from .family import generate_family, verify_bc_property
+from .errors import OutOfRange, UnknownTheorem
+from .family import FAMILY_ORDER_CAP, generate_family, is_in_family, verify_bc_property
 from .fixtures import cycle, path
-from .graph import Graph, structure_profile
+from .graph import MAX_VERTICES, Graph, structure_profile
 from .graph6 import graph6_encode
 from .enumeration import (
     CONNECTED_ORDER_CAP,
+    TREE_ORDER_CAP,
     enumerate_connected_graphs,
     enumerate_trees,
 )
 from .subdivision import msd_gamma_t, sd_gamma_t
-
-_FAMILY_CODE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,16 @@ def _check_tree_sd_eq_msd(t: Graph) -> Record:
     )
 
 
+def _check_family_sd3(t: Graph) -> Record:
+    sd_is_3 = _sd3(t) == 3
+    in_family = is_in_family(t)
+    return Record(
+        graph6_encode(t), sd_is_3 == in_family,
+        "sd_gamma_t == 3 iff tree in family",
+        f"sd3={sd_is_3} family={in_family}",
+    )
+
+
 def _check_sd1_characterization(t: Graph) -> Record:
     predicted = predicts_sd_one(t)
     actual = _sd1(t) == 1
@@ -200,8 +208,7 @@ def _check_path_cycle(n: int) -> list[Record]:
 # -- sweeps -------------------------------------------------------------------
 
 def _sweep_msd_le_3(n_max: int, jobs: int):
-    hi = min(n_max, CONNECTED_ORDER_CAP)
-    return (2, hi), _map_graphs(_check_msd_le_3, _connected(2, hi), jobs)
+    return (2, n_max), _map_graphs(_check_msd_le_3, _connected(2, n_max), jobs)
 
 
 def _sweep_tree_sd_eq_msd(n_max: int, jobs: int):
@@ -209,21 +216,7 @@ def _sweep_tree_sd_eq_msd(n_max: int, jobs: int):
 
 
 def _sweep_family_sd3(n_max: int, jobs: int):
-    family_codes: dict[bytes, Graph] = {}
-    for member in generate_family(n_max):
-        family_codes[canonical_code(member.tree, cap=_FAMILY_CODE_CAP)] = member.tree
-    records = []
-    for n in range(3, n_max + 1):
-        for t in enumerate_trees(n):
-            code = canonical_code(t, cap=_FAMILY_CODE_CAP)
-            sd_is_3 = _sd3(t) == 3
-            in_family = code in family_codes
-            records.append(Record(
-                graph6_encode(t), sd_is_3 == in_family,
-                "sd_gamma_t == 3 iff tree in family",
-                f"sd3={sd_is_3} family={in_family}",
-            ))
-    return (3, n_max), records
+    return (3, n_max), _map_graphs(_check_family_sd3, _trees(3, n_max), jobs)
 
 
 def _sweep_sd1_characterization(n_max: int, jobs: int):
@@ -239,8 +232,7 @@ def _sweep_strong_support(n_max: int, jobs: int):
 
 
 def _sweep_universal(n_max: int, jobs: int):
-    hi = min(n_max, CONNECTED_ORDER_CAP)
-    return (3, hi), _map_graphs(_check_universal, _connected(3, hi), jobs)
+    return (3, n_max), _map_graphs(_check_universal, _connected(3, n_max), jobs)
 
 
 def _sweep_path_cycle(n_max: int, jobs: int):
@@ -251,10 +243,10 @@ def _sweep_path_cycle(n_max: int, jobs: int):
 
 
 def _sweep_lemma2(n_max: int, jobs: int):
-    tree_hi = min(n_max, 12)
-    records = _map_graphs(_check_lemma2, _trees(3, tree_hi), jobs)
+    # trees of every order asked for, plus the connected graphs up to their cap
+    records = _map_graphs(_check_lemma2, _trees(3, n_max), jobs)
     records += _map_graphs(_check_lemma2, _connected(3, min(n_max, CONNECTED_ORDER_CAP)), jobs)
-    return (3, max(tree_hi, min(n_max, CONNECTED_ORDER_CAP))), records
+    return (3, n_max), records
 
 
 def _sweep_lemma14(n_max: int, jobs: int):
@@ -275,11 +267,30 @@ THEOREMS: dict[str, tuple[int, Callable]] = {
 }
 
 
+# the orders each sweep can check: its graph streams' caps, the family's code
+# cap, and for path-cycle-formulas room for the three vertices sd/msd add
+ORDER_RANGES: dict[str, tuple[int, int]] = {
+    "msd-le-3": (2, CONNECTED_ORDER_CAP),
+    "tree-sd-eq-msd": (3, TREE_ORDER_CAP),
+    "family-sd3": (3, TREE_ORDER_CAP),
+    "sd1-characterization": (3, TREE_ORDER_CAP),
+    "bc-minimum": (6, FAMILY_ORDER_CAP),
+    "strong-support": (3, TREE_ORDER_CAP),
+    "universal-vertex": (3, CONNECTED_ORDER_CAP),
+    "path-cycle-formulas": (3, MAX_VERTICES - 3),
+    "lemma2-implies": (3, TREE_ORDER_CAP),
+    "lemma14-implies": (3, TREE_ORDER_CAP),
+}
+
+
 def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -> VerificationReport:
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
     default_n_max, sweep = THEOREMS[theorem_id]
     n_max = default_n_max if n_max is None else n_max
+    lo, hi = ORDER_RANGES[theorem_id]
+    if not lo <= n_max <= hi:
+        raise OutOfRange(f"{theorem_id} checks n_max in {lo}..{hi}, got {n_max}")
     start = time.perf_counter()
     orders, records = sweep(n_max, jobs)
     elapsed = time.perf_counter() - start

@@ -130,6 +130,20 @@ def naive_msd(n, edges, total=True, cap=3):
     return best
 
 
+def naive_graph_classes(n, key):
+    """One edge list per isomorphism class of graphs on n vertices.
+
+    Walks all 2^C(n,2) labeled graphs and keeps the first of each class, two
+    graphs sharing a class when ``key(n, edges)`` agrees on them.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    classes = {}
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        classes.setdefault(key(n, edges), edges)
+    return list(classes.values())
+
+
 def random_connected_edges(n, rng: random.Random, extra_prob=0.3):
     """A random connected graph: random spanning tree plus random extra edges."""
     order = list(range(n))

@@ -74,6 +74,51 @@ def test_counts_below_one_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+def test_every_theorem_default_lies_in_its_order_range():
+    from tdmsd.verify import ORDER_RANGES, THEOREMS
+
+    assert ORDER_RANGES.keys() == THEOREMS.keys()
+    for theorem, (default_n_max, _) in THEOREMS.items():
+        lo, hi = ORDER_RANGES[theorem]
+        assert lo <= default_n_max <= hi, theorem
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "universal-vertex", "--n-max", "9"),
+    ("verify", "--theorem", "msd-le-3", "--n-max", "1"),
+    ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "17"),
+    ("enum", "--kind", "trees", "--n", "40"),
+])
+def test_out_of_range_orders_are_usage_errors(argv, monkeypatch, capsys):
+    from tdmsd import verify as verify_mod
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep started before n_max was checked")
+
+    monkeypatch.setattr(verify_mod, "_map_graphs", no_sweep)
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_out_writes_the_summary(tmp_path):
+    target = tmp_path / "summary.json"
+    code, out = run_cli(
+        "verify", "--theorem", "path-cycle-formulas", "--n-max", "5", "--out", str(target)
+    )
+    assert code == 0
+    assert json.loads(target.read_text()) == last_json(out)
+
+
+def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--theorem", "path-cycle-formulas", "--n-max", "5", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "can't open" in err and "Traceback" not in err
+
+
 def test_compute_precondition_exits_3(tmp_path):
     disconnected = tmp_path / "two_edges.txt"
     disconnected.write_text("4 2\n0 1\n2 3\n")

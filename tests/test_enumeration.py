@@ -5,12 +5,12 @@ from tdmsd import (
     enumerate_connected_graphs,
     enumerate_trees,
     errors,
+    from_edge_list,
     labeled_trees_by_prufer,
     trees_by_prufer_dedupe,
 )
-from tdmsd.enumeration import _orbit_representatives
 
-from oracles import euler_transform, free_tree_count
+from oracles import euler_transform, free_tree_count, naive_graph_classes, naive_is_connected
 
 # free-tree census per order, from the arithmetic recurrence oracle
 TREE_COUNTS = {n: free_tree_count(n) for n in range(1, 15)}
@@ -70,29 +70,39 @@ def test_connected_counts():
 
 
 def test_connected_counts_euler_transform_cross_check():
-    # total graph classes per order must equal the Euler transform of the
-    # connected counts; totals come from the unfiltered orbit sweep
-    connected = [1] + [len(enumerate_connected_graphs(n)) for n in range(2, 6)]
-    totals = [len(_orbit_representatives(n, connected_only=False)) for n in range(1, 6)]
-    assert euler_transform(connected) == totals
-    assert totals == [1, 2, 4, 11, 34]
+    # all graph classes per order (OEIS A000088) are the Euler transform of
+    # the connected counts
+    connected = [1] + [len(enumerate_connected_graphs(n)) for n in range(2, 8)]
+    assert euler_transform(connected) == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def _code(n, edges):
+    return canonical_code(from_edge_list(n, edges))
 
 
 def test_all_graph_classes_closed_under_complement():
-    from tdmsd import from_edge_list
-
     for n in range(2, 6):
-        reps = _orbit_representatives(n, connected_only=False)
-        codes = {canonical_code(g) for g in reps}
-        assert len(codes) == len(reps)
-        for g in reps:
-            comp = from_edge_list(n, [
+        classes = naive_graph_classes(n, _code)
+        codes = {_code(n, edges) for edges in classes}
+        assert len(codes) == len(classes) == [2, 4, 11, 34][n - 2]
+        for edges in classes:
+            comp = [
                 (u, v)
                 for u in range(n)
                 for v in range(u + 1, n)
-                if not g.has_edge(u, v)
-            ])
-            assert canonical_code(comp) in codes
+                if (u, v) not in edges
+            ]
+            assert _code(n, comp) in codes
+
+
+def test_connected_generator_matches_brute_force():
+    for n in range(2, 6):
+        brute = sorted(
+            _code(n, edges)
+            for edges in naive_graph_classes(n, _code)
+            if naive_is_connected(n, edges)
+        )
+        assert [canonical_code(g) for g in enumerate_connected_graphs(n)] == brute
 
 
 def test_every_emitted_graph_is_connected():
