@@ -2,7 +2,9 @@
 and test the tree family, enumerate graphs, and emit fixtures.
 
 Exit codes: 0 success, 1 theorem violated (a counterexample was found and
-must never be swallowed), 2 usage or parse error, 3 precondition violation.
+must never be swallowed), 2 usage or parse error, 3 precondition violation,
+4 internal error (an exception no command expects; one "internal error:" line
+on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _read_graph(spec: str, fmt: str) -> Graph:
@@ -38,6 +41,8 @@ def _read_graph(spec: str, fmt: str) -> Graph:
             text = Path(spec).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedInput(f"{spec}: not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise MalformedInput(f"{spec}: cannot read ({exc.strerror})") from None
     if text is None:
         try:
             return fixture_by_name(spec)
@@ -273,6 +278,9 @@ def main(argv=None, out=None) -> int:
     except GraphError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

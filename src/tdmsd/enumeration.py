@@ -1,8 +1,14 @@
 """Isomorphism-free streams of free trees and small connected graphs.
 
-Trees are generated incrementally: every free tree on n vertices arises by
-attaching a leaf to some tree on n-1 vertices, so extending each canonical
-representative at every vertex and deduping by canonical code is exhaustive.
+Free trees come from the constant-time successor of Wright, Richmond,
+Odlyzko and McKay (SIAM J. Comput. 15(2), 1986) over level sequences: each
+tree is rooted at its center, read as the depths of its vertices in preorder,
+and the successor of Beyer and Hedetniemi (SIAM J. Comput. 9(4), 1980) steps
+to the next rooted tree, skipping those rooted elsewhere.  Each free tree
+comes out exactly once, so no canonical code is computed and no dedupe table
+is kept.  The stream is in that generation order: it starts at the path and
+ends at the star, and vertex i is the i-th vertex of the level sequence (the
+same trees, labels and order as networkx.nonisomorphic_trees).
 Full Prufer-sequence enumeration is also provided; it is the independent
 cross-check oracle for small orders (n^(n-2) labeled trees blow up fast).
 
@@ -27,7 +33,7 @@ from .canonical import canonical_code
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
 
-TREE_ORDER_CAP = 16
+TREE_ORDER_CAP = 18
 CONNECTED_ORDER_CAP = 7
 
 
@@ -47,25 +53,79 @@ class GraphStream:
 
 # -- free trees --------------------------------------------------------------
 
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a level sequence, None after the last.
+
+    p is the position to step down; by default the last vertex deeper than 1.
+    """
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:]
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split(seq: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree (levels lowered by one) and the rest of the tree."""
+    m = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
+
+
+def _next_free(seq: list[int]) -> list[int]:
+    """seq if WROM keeps it as a free tree, else the next sequence it keeps.
+
+    A sequence is kept when the root's first subtree is lower than the rest of
+    the tree, or as high and no larger (by size, then lexicographically); that
+    roots every tree at its center, once.
+    """
+    left, rest = _split(seq)
+    lh, rh = max(left), max(rest)
+    if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+        return seq
+    p = len(left)
+    out = _next_rooted(seq, p)
+    if seq[p] > 2:
+        h = max(_split(out)[0])
+        out[-(h + 1):] = range(1, h + 2)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tree_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (from_edge_list(1, []),)
-    seen: dict[bytes, Graph] = {}
-    for base in _tree_reps(n - 1):
-        for v in range(base.n):
-            adj = list(base.adj) + [0]
-            adj[v] |= 1 << (n - 1)
-            adj[n - 1] = 1 << v
-            t = Graph(n, adj)
-            code = canonical_code(t, cap=TREE_ORDER_CAP)
-            if code not in seen:
-                seen[code] = t
-    return tuple(seen[code] for code in sorted(seen))
+    # trees of one order share their equal adjacency masks, which keeps the
+    # cached tuples smaller than one fresh int per vertex and tree
+    masks: dict[int, int] = {}
+    trees = []
+    # the path rooted at its center
+    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _next_free(seq)
+        adj = [0] * n
+        ancestors: list[int] = []  # ancestors[d] is the latest vertex at depth d
+        for v, depth in enumerate(seq):
+            if depth:
+                del ancestors[depth:]
+                u = ancestors[-1]
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            ancestors.append(v)
+        trees.append(Graph(n, [masks.setdefault(a, a) for a in adj]))
+        seq = _next_rooted(seq)
+    return tuple(trees)
 
 
 def enumerate_trees(n: int) -> GraphStream:
-    """All free trees of order n, one per isomorphism class, by ascending code."""
+    """All free trees of order n, one per isomorphism class, path first, star last."""
     if not 1 <= n <= TREE_ORDER_CAP:
         raise OutOfRange(f"tree enumeration supports 1 <= n <= {TREE_ORDER_CAP}")
     return GraphStream(order=n, graphs=_tree_reps(n))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import MalformedInput, TooSmall
-from .graph import Graph, from_edge_list
+from .graph import MAX_VERTICES, Graph, from_edge_list
 
 
 def path(n: int) -> Graph:
@@ -77,6 +77,9 @@ def fixture_by_name(name: str) -> Graph:
         k = int(m.group(2))
         if k < lo:
             raise MalformedInput(f"{name}: parameter below minimum {lo}")
+        # checked before building, since the edge list of k<huge> alone would not fit
+        if k > MAX_VERTICES:
+            raise MalformedInput(f"{name}: parameter above the {MAX_VERTICES}-vertex cap")
         return builder(k)
     raise MalformedInput(f"unknown fixture {name!r}")
 

@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdmsd import graph6_encode, gstar, path
+from tdmsd import cli
 from tdmsd.cli import main
 from tdmsd.graph import format_edge_list
 
@@ -63,6 +66,95 @@ def test_compute_non_utf8_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_compute_directory_input_is_usage_error(tmp_path, capsys):
+    code, _ = run_cli("compute", "--input", str(tmp_path), "--invariant", "gamma_t")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_oversized_fixture_is_usage_error_before_it_is_built():
+    # built first, k1000 would fail only after listing its 499,500 edges
+    # (TooLarge, exit 3); k<huge> would not fit in memory
+    code, _ = run_cli("compute", "--input", "k1000", "--invariant", "gamma")
+    assert code == 2
+
+
+def test_unexpected_exception_exits_internal(monkeypatch, capsys):
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "compute", broken)
+    code, _ = run_cli("compute", "--input", "p6", "--invariant", "gamma_t")
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def _exit_and_stderr(argv):
+    """Exit code and stderr of one in-process run, argparse exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(list(argv), out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def _graph6_like(draw):
+    # orders up to 12 and bodies within one byte of the right length, so that
+    # every input that parses is small enough to solve at once
+    n = draw(st.integers(1, 12))
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=max(0, need - 1), max_size=need + 1))
+    return chr(n + 63) + body
+
+
+_LITERALS = st.one_of(
+    _graph6_like(),
+    st.text(max_size=20),
+    st.from_regex(r"(p|c|k|star|wheel|gstar)[0-9]{0,3}", fullmatch=True),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _LITERALS))
+def test_fuzzed_compute_input_never_crashes(fuzz_file, data):
+    if isinstance(data, bytes):
+        fuzz_file.write_bytes(data)
+        spec = str(fuzz_file)
+    else:
+        spec = data
+    code, err = _exit_and_stderr(["compute", "--input", spec, "--invariant", "gamma_t"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
+# no verify or family generate: each fragment stays a single quick query
+_TOKENS = [
+    "compute", "enum", "fixtures", "characterize", "family", "test",
+    "--input", "--invariant", "--cap", "--format", "--kind", "--n", "--name",
+    "--list", "--help", "p6", "k4", "gamma_t", "sd_t", "msd", "graph6",
+    "edge-list", "trees", "connected", "0", "-1", "3", "40", "x",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=8))
+def test_fuzzed_argv_never_crashes(argv):
+    code, err = _exit_and_stderr(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--input", "p6", "--invariant", "sd_t", "--cap", "0"),
     ("compute", "--input", "p6", "--invariant", "msd_t", "--cap", "-1"),
@@ -86,7 +178,7 @@ def test_every_theorem_default_lies_in_its_order_range():
 @pytest.mark.parametrize("argv", [
     ("verify", "--theorem", "universal-vertex", "--n-max", "9"),
     ("verify", "--theorem", "msd-le-3", "--n-max", "1"),
-    ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "17"),
+    ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "19"),
     ("enum", "--kind", "trees", "--n", "40"),
 ])
 def test_out_of_range_orders_are_usage_errors(argv, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from tdmsd import (
     labeled_trees_by_prufer,
     trees_by_prufer_dedupe,
 )
+from tdmsd.verify import run_verification
 
 from oracles import euler_transform, free_tree_count, naive_graph_classes, naive_is_connected
 
@@ -40,8 +41,47 @@ def test_every_emitted_tree_is_a_tree_of_right_order():
 def test_tree_stream_deterministic_and_duplicate_free():
     a = [canonical_code(t) for t in enumerate_trees(9)]
     b = [canonical_code(t) for t in enumerate_trees(9)]
-    assert a == b == sorted(a)
+    assert a == b
     assert len(set(a)) == len(a)
+
+
+def test_tree_codes_pairwise_distinct():
+    for n in range(1, 15):
+        codes = {canonical_code(t) for t in enumerate_trees(n)}
+        assert len(codes) == TREE_COUNTS[n], n
+
+
+def _assert_trees_match_networkx(orders):
+    # the same successor, so the same trees with the same labels in the same order
+    nx = pytest.importorskip("networkx")
+    for n in orders:
+        ours = [t.edges() for t in enumerate_trees(n)]
+        theirs = [
+            sorted((min(e), max(e)) for e in g.edges()) for g in nx.nonisomorphic_trees(n)
+        ]
+        assert ours == theirs, n
+
+
+def test_tree_stream_matches_networkx():
+    _assert_trees_match_networkx(range(2, 15))
+
+
+@pytest.mark.slow
+def test_tree_stream_matches_networkx_to_sixteen():
+    _assert_trees_match_networkx(range(15, 17))
+
+
+@pytest.mark.slow
+def test_tree_counts_match_recurrence_to_cap():
+    for n in range(15, 19):
+        assert len(enumerate_trees(n)) == free_tree_count(n), n
+
+
+@pytest.mark.slow
+def test_tree_sd_eq_msd_through_order_sixteen():
+    report = run_verification("tree-sd-eq-msd", 16, jobs=2)
+    assert report.graphs_checked == 32506
+    assert report.failures == ()
 
 
 def test_prufer_total_count():
@@ -119,7 +159,7 @@ def test_connected_stream_deterministic_and_duplicate_free():
 
 def test_out_of_range():
     with pytest.raises(errors.OutOfRange):
-        enumerate_trees(17)
+        enumerate_trees(19)
     with pytest.raises(errors.OutOfRange):
         enumerate_trees(0)
     with pytest.raises(errors.OutOfRange):
