@@ -18,7 +18,7 @@ from pathlib import Path
 from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 from .domination import gamma, gamma_t
 from .enumeration import enumerate_connected_graphs, enumerate_trees
-from .errors import GraphError, MalformedInput, OutOfRange, UnknownTheorem
+from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
 from .family import generate_family, is_in_family
 from .fixtures import FIXTURE_NAMES, fixture_by_name
 from .graph import Graph, format_edge_list, parse_edge_list, structure_profile
@@ -44,9 +44,10 @@ def _read_graph(spec: str, fmt: str) -> Graph:
         except OSError as exc:
             raise MalformedInput(f"{spec}: cannot read ({exc.strerror})") from None
     if text is None:
+        # a fixture name with a bad parameter keeps its own message
         try:
             return fixture_by_name(spec)
-        except MalformedInput:
+        except UnknownFixture:
             pass
         text = spec
     stripped = text.strip()

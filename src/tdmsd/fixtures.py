@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import MalformedInput, TooSmall
+from .errors import MalformedInput, TooSmall, UnknownFixture
 from .graph import MAX_VERTICES, Graph, from_edge_list
 
 
@@ -81,7 +81,7 @@ def fixture_by_name(name: str) -> Graph:
         if k > MAX_VERTICES:
             raise MalformedInput(f"{name}: parameter above the {MAX_VERTICES}-vertex cap")
         return builder(k)
-    raise MalformedInput(f"unknown fixture {name!r}")
+    raise UnknownFixture(f"unknown fixture {name!r}")
 
 
 FIXTURE_NAMES = ("gstar", "p<n>", "c<n>", "k<n>", "star<n>", "wheel<n>")

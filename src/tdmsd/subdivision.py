@@ -3,10 +3,16 @@ numbers, and subdivision numbers over simultaneous edge subsets.
 
 Searches go strictly by increasing subdivision count / subset size, so the
 reported value is the first point at which the recomputed (total) domination
-number strictly increases.  The base value comes from the cached solver;
-every subdivided graph is solved afresh, because a canonical code to key a
-cache by costs more than the solve it would save (and is factorial on
-symmetric graphs), and caching them globally would only raise peak RSS.
+number strictly increases.  The msd search is count-major: every edge at
+t = 1, then every edge at t = 2, and so on, so its first hit is the minimum
+and no incumbent is kept.  The base value comes from the cached solver.
+Subdivided graphs are not cached globally, because a canonical code to key
+such a cache by costs more than the solve it would save (and is factorial on
+symmetric graphs), and the cache would only raise peak RSS.  Instead the
+gamma_t searches take an optional memo keyed by the labeled subdivided
+graph, scoped to one caller's check of one graph: subdivide(g, e, 1) and
+subdivide_edges(g, (e,)) build the same graph, so an sd search and an msd
+search of g sharing a memo solve their t = 1 / k = 1 rows once.
 """
 
 from __future__ import annotations
@@ -51,13 +57,20 @@ def _check_connected(g: Graph, min_n: int) -> None:
         raise Disconnected("subdivision invariants need a connected graph")
 
 
-def _msd_edge(g: Graph, e: Edge, cap: int, value_fn, solve_fn,
-              base: int | None = None) -> SubdivisionResult:
+def _solve(h: Graph, solve_fn, memo: dict[Graph, int] | None) -> int:
+    if memo is None:
+        return solve_fn(h)
+    value = memo.get(h)
+    if value is None:
+        value = memo[h] = solve_fn(h)
+    return value
+
+
+def _msd_edge(g: Graph, e: Edge, cap: int, value_fn, solve_fn) -> SubdivisionResult:
     u, v = normalize_edge(*e)
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
-    if base is None:
-        base = value_fn(g)
+    base = value_fn(g)
     for t in range(1, cap + 1):
         after = solve_fn(subdivide(g, (u, v), t))
         if after > base:
@@ -65,31 +78,30 @@ def _msd_edge(g: Graph, e: Edge, cap: int, value_fn, solve_fn,
     return SubdivisionResult(None, ((u, v),), (), base, None)
 
 
-def _msd(g: Graph, cap: int, value_fn, solve_fn) -> SubdivisionResult:
+def _msd(g: Graph, cap: int, value_fn, solve_fn,
+         memo: dict[Graph, int] | None = None) -> SubdivisionResult:
     _check_connected(g, 2)
     base = value_fn(g)
-    best: SubdivisionResult | None = None
-    for e in g.edges():
-        # later edges only need to beat the incumbent
-        limit = cap if best is None else best.value - 1
-        r = _msd_edge(g, e, limit, value_fn, solve_fn, base=base)
-        if r.value is not None and (best is None or r.value < best.value):
-            best = r
-            if best.value == 1:
-                break
-    if best is None:
-        return SubdivisionResult(None, (), (), base, None)
-    return best
+    edges = g.edges()
+    # count-major: the first count at which any edge succeeds is the minimum
+    # over edges, and the first edge to succeed at it is the lowest such edge
+    for t in range(1, cap + 1):
+        for e in edges:
+            after = _solve(subdivide(g, e, t), solve_fn, memo)
+            if after > base:
+                return SubdivisionResult(t, (e,), (t,), base, after)
+    return SubdivisionResult(None, (), (), base, None)
 
 
-def _sd(g: Graph, cap: int | None, value_fn, solve_fn) -> SubdivisionResult:
+def _sd(g: Graph, cap: int | None, value_fn, solve_fn,
+        memo: dict[Graph, int] | None = None) -> SubdivisionResult:
     _check_connected(g, 3)
     base = value_fn(g)
     edges = g.edges()
     limit = len(edges) if cap is None else min(cap, len(edges))
     for k in range(1, limit + 1):
         for subset in combinations(edges, k):
-            after = solve_fn(subdivide_edges(g, subset))
+            after = _solve(subdivide_edges(g, subset), solve_fn, memo)
             if after > base:
                 return SubdivisionResult(k, subset, (1,) * k, base, after)
     return SubdivisionResult(None, (), (), base, None)
@@ -101,23 +113,28 @@ def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> Subdivisi
     return _msd_edge(g, e, cap, gamma_t_value, solve_gamma_t)
 
 
-def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
+def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP, *,
+                memo: dict[Graph, int] | None = None) -> SubdivisionResult:
     """Total domination multisubdivision number: min of the per-edge values.
 
     Ties pick the lowest normalized edge; the default cap is backed by the
     msd <= 3 bound for connected graphs, but per-edge values can exceed it.
+    memo, if given, maps subdivided graphs to their gamma_t and is read and
+    filled by the search.
     """
-    return _msd(g, cap, gamma_t_value, solve_gamma_t)
+    return _msd(g, cap, gamma_t_value, solve_gamma_t, memo)
 
 
-def sd_gamma_t(g: Graph, cap: int | None = None) -> SubdivisionResult:
+def sd_gamma_t(g: Graph, cap: int | None = None, *,
+               memo: dict[Graph, int] | None = None) -> SubdivisionResult:
     """Total domination subdivision number: smallest k such that some k edges,
     each subdivided once simultaneously, increase gamma_t.
 
     Subsets are tried in lexicographic order, so the witness is the first
-    achieving subset.  cap=None searches up to all m edges.
+    achieving subset.  cap=None searches up to all m edges.  memo is as for
+    msd_gamma_t.
     """
-    return _sd(g, cap, gamma_t_value, solve_gamma_t)
+    return _sd(g, cap, gamma_t_value, solve_gamma_t, memo)
 
 
 def msd_gamma(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:

@@ -8,6 +8,7 @@ compute command via their graph6 strings.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -86,10 +87,13 @@ def _fmt(v: int | None) -> str:
 
 def _map_graphs(fn: Callable[[Graph], Record], graphs: Iterable[Graph], jobs: int) -> list[Record]:
     graphs = list(graphs)
-    if jobs <= 1:
+    # a pool forks all its workers at the first submit, so never ask for more
+    # than there are usable cores or graphs
+    workers = min(jobs, len(os.sched_getaffinity(0)), len(graphs))
+    if workers <= 1:
         return [fn(g) for g in graphs]
-    chunk = max(1, len(graphs) // (jobs * 8) or 1)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(graphs) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, graphs, chunksize=chunk))
 
 
@@ -111,8 +115,10 @@ def _check_msd_le_3(g: Graph) -> Record:
 
 
 def _check_tree_sd_eq_msd(t: Graph) -> Record:
-    sd = _sd3(t)
-    msd = _msd3(t)
+    # one memo per tree: msd's t = 1 row solves the graphs of sd's k = 1 row
+    memo: dict[Graph, int] = {}
+    sd = sd_gamma_t(t, cap=3, memo=memo).value
+    msd = msd_gamma_t(t, cap=3, memo=memo).value
     return Record(
         graph6_encode(t), sd == msd and sd is not None,
         "sd_gamma_t == msd_gamma_t", f"sd={_fmt(sd)} msd={_fmt(msd)}",
@@ -196,8 +202,9 @@ def _check_path_cycle(n: int) -> list[Record]:
     want = path_cycle_formula(n)
     out = []
     for name, g in (("path", path(n)), ("cycle", cycle(n))):
-        sd = sd_gamma_t(g, cap=3).value
-        msd = _msd3(g)
+        memo: dict[Graph, int] = {}
+        sd = sd_gamma_t(g, cap=3, memo=memo).value
+        msd = msd_gamma_t(g, cap=3, memo=memo).value
         out.append(Record(
             graph6_encode(g), sd == want and msd == want,
             f"sd=msd={want} for {name} n={n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",

@@ -130,6 +130,29 @@ def naive_msd(n, edges, total=True, cap=3):
     return best
 
 
+def edge_major_msd(edges, cap, base, solve_subdivided):
+    """The msd search as it was written edge by edge, frozen as a reference.
+
+    ``edges`` are the graph's normalized edges in ascending order, ``base`` its
+    invariant value and ``solve_subdivided(e, t)`` the invariant of the graph
+    with edge ``e`` subdivided ``t`` times.  Each edge tries counts up to the
+    incumbent's value less one, and the search stops at the first value-1 edge.
+    Returns the SubdivisionResult fields (value, witness_edges, witness_t,
+    base_value, increased_value).
+    """
+    best = None
+    for e in edges:
+        limit = cap if best is None else best[0] - 1
+        for t in range(1, limit + 1):
+            after = solve_subdivided(e, t)
+            if after > base:
+                best = (t, (e,), (t,), base, after)
+                break
+        if best is not None and best[0] == 1:
+            break
+    return best if best is not None else (None, (), (), base, None)
+
+
 def naive_graph_classes(n, key):
     """One edge list per isomorphism class of graphs on n vertices.
 

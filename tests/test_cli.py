@@ -80,6 +80,24 @@ def test_oversized_fixture_is_usage_error_before_it_is_built():
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("k100000", "error: k100000: parameter above the 64-vertex cap\n"),
+    ("p0", "error: p0: parameter below minimum 1\n"),
+])
+def test_bad_fixture_parameter_keeps_the_fixture_message(spec, message, capsys):
+    code, _ = run_cli("compute", "--input", spec, "--invariant", "gamma")
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("spec, gamma", [
+    ("gstar", 4), ("p7", 3), ("E?~o", 2), (graph6_encode(path(6)), 2),
+])
+def test_fixture_names_and_graph6_literals_still_resolve(spec, gamma):
+    code, out = run_cli("compute", "--input", spec, "--invariant", "gamma")
+    assert code == 0 and last_json(out)["value"] == gamma
+
+
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):
     def broken(args, out):
         raise RuntimeError("boom")
@@ -247,6 +265,45 @@ def test_verify_deterministic_across_jobs():
         return lines
 
     assert strip_elapsed(out1) == strip_elapsed(out2)
+
+
+def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatch):
+    # a pool forks all of its workers at once, so a fake one that maps
+    # in-process records what was asked of it; no process is started
+    from tdmsd import verify as verify_mod
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    argv = ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "7", "--verbose")
+    _, serial = run_cli(*argv)
+    code, wide = run_cli(*argv, "--jobs", "100000")
+    assert code == 0 and asked == [4]
+    assert [json.loads(ln).get("graph6") for ln in serial.splitlines()[:-1]] == [
+        json.loads(ln).get("graph6") for ln in wide.splitlines()[:-1]
+    ]
+    # three trees of order 5: one worker each
+    verify_mod._map_graphs(verify_mod._check_tree_sd_eq_msd, verify_mod._trees(5, 5), 100000)
+    assert asked == [4, 3]
+    # one usable core: no pool at all
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0})
+    assert run_cli(*argv, "--jobs", "100000")[0] == 0
+    assert asked == [4, 3]
 
 
 def test_verify_unknown_theorem_is_usage_error():

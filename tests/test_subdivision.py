@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -6,6 +7,8 @@ import pytest
 from tdmsd import (
     complete,
     cycle,
+    enumerate_connected_graphs,
+    enumerate_trees,
     errors,
     from_edge_list,
     gamma_t_value,
@@ -22,9 +25,11 @@ from tdmsd import (
     subdivide_edges,
     wheel,
 )
+from tdmsd import subdivision, verify
+from tdmsd.domination import solve_gamma, solve_gamma_t
 from tdmsd.verify import path_cycle_formula
 
-from oracles import naive_msd, naive_sd, random_connected_edges
+from oracles import edge_major_msd, naive_msd, naive_sd, random_connected_edges
 
 
 def test_msd_edge_examples():
@@ -167,3 +172,70 @@ def test_complete_graphs_skip_the_factorial_canonical_path(search, n, expected):
     assert search(g).value == expected
     assert time.perf_counter() - start < 5.0
     assert gamma_t_value.cache_info().currsize - size_before <= 1
+
+
+def _trees_and_graphs():
+    for n in range(2, 11):
+        yield from enumerate_trees(n)
+    for n in range(2, 7):
+        yield from enumerate_connected_graphs(n)
+
+
+@pytest.mark.parametrize("search, base_fn, solve_fn", [
+    (msd_gamma_t, gamma_t_value, solve_gamma_t),
+    (msd_gamma, gamma_value, solve_gamma),
+])
+def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn):
+    # every tree of order <= 10 and every connected graph of order <= 6
+    for g in _trees_and_graphs():
+        for cap in range(1, 5):
+            want = edge_major_msd(
+                g.edges(), cap, base_fn(g), lambda e, t: solve_fn(subdivide(g, e, t)),
+            )
+            assert dataclasses.astuple(search(g, cap)) == want, (g.edges(), cap)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the gamma_t solves of subdivided graphs."""
+    count = [0]
+
+    def counting(g):
+        count[0] += 1
+        return solve_gamma_t(g)
+
+    monkeypatch.setattr(subdivision, "solve_gamma_t", counting)
+    return count
+
+
+def _solves_of(solves, fn, *args, **kwargs):
+    before = solves[0]
+    fn(*args, **kwargs)
+    return solves[0] - before
+
+
+def test_tree_check_gets_msd_free_on_sd_one_trees(solves):
+    sd_one = [t for t in enumerate_trees(9) if sd_gamma_t(t, cap=1).value == 1]
+    assert sd_one
+    for t in sd_one:
+        alone = _solves_of(solves, sd_gamma_t, t, cap=3)
+        assert _solves_of(solves, verify._check_tree_sd_eq_msd, t) <= alone
+
+
+def test_tree_check_keeps_no_memo_between_checks(solves):
+    for t in enumerate_trees(8):
+        first = _solves_of(solves, verify._check_tree_sd_eq_msd, t)
+        assert first > 0
+        assert _solves_of(solves, verify._check_tree_sd_eq_msd, t) == first
+
+
+def test_memo_does_not_change_results():
+    for n in range(3, 11):
+        for t in enumerate_trees(n):
+            memo = {}
+            assert sd_gamma_t(t, cap=3, memo=memo) == sd_gamma_t(t, cap=3)
+            assert msd_gamma_t(t, memo=memo) == msd_gamma_t(t)
+            # a memo filled by the other search first gives the same results
+            memo = {}
+            assert msd_gamma_t(t, cap=4, memo=memo) == msd_gamma_t(t, cap=4)
+            assert sd_gamma_t(t, memo=memo) == sd_gamma_t(t)
