@@ -36,9 +36,6 @@ from .enumeration import (
     GraphStream,
     enumerate_connected_graphs,
     enumerate_trees,
-    labeled_trees_by_prufer,
-    prufer_decode,
-    trees_by_prufer_dedupe,
 )
 from .family import (
     LabeledTree,
@@ -83,7 +80,6 @@ __all__ = [
     "gamma_t_membership_profile", "gamma_t_set_avoiding_leaves",
     "gamma_t_value", "gamma_value", "is_dominating", "is_total_dominating",
     "GraphStream", "enumerate_connected_graphs", "enumerate_trees",
-    "labeled_trees_by_prufer", "prufer_decode", "trees_by_prufer_dedupe",
     "LabeledTree", "apply_operation", "family_seed", "generate_family",
     "is_in_family", "verify_bc_property",
     "complete", "cycle", "fixture_by_name", "gstar", "path", "star", "wheel",

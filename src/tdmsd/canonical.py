@@ -1,10 +1,26 @@
 """Canonical byte codes deciding isomorphism for small graphs.
 
-Trees get a rooted-at-center canonical form; everything else goes through
-vertex-invariant refinement followed by backtracking over the orderings the
-refinement leaves open.  Codes of two graphs are equal iff the graphs are
-isomorphic, and tree codes can never collide with non-tree codes (distinct
-prefixes).
+Trees get a rooted-at-center canonical form.  Every other graph gets the
+smallest adjacency bit string over the leaves of a search tree (McKay and
+Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014):
+
+- the root partition puts vertices in cells by degree, in ascending degree;
+- refinement splits each cell by its vertices' neighbour counts in every
+  cell until the partition is equitable, in an order fixed by those counts;
+- a node whose partition still has a cell of several vertices has one child
+  per vertex of the first such cell, that vertex individualized (moved into
+  a cell of its own in front of the rest) and the partition refined again;
+- a leaf is a partition into single vertices, read as a vertex order.
+
+Every step commutes with relabeling, so the minimum is the same for
+isomorphic graphs.  Two leaves with equal bit strings give an automorphism
+(the map from one leaf's order to the other's).  Before a node individualizes
+a vertex, the automorphisms found so far that fix each individualized vertex
+are checked: if one maps a vertex already tried at that node onto this one,
+the subtree is an image of one already searched and is skipped.  Symmetric
+graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
+many.  Codes of two graphs are equal iff the graphs are isomorphic, and tree
+codes can never collide with non-tree codes (distinct prefixes).
 """
 
 from __future__ import annotations
@@ -51,26 +67,28 @@ def tree_code(g: Graph, labels: str | None = None) -> bytes:
 
 
 def _initial_cells(g: Graph) -> list[list[int]]:
-    n = g.n
-    dists = [g.bfs_distances(v) for v in range(n)]
-    invariant = {}
-    for v in range(n):
-        nbr_degs = tuple(sorted(g.degree(w) for w in iter_bits(g.adj[v])))
-        # -1 marks unreachable; sorting keeps the key deterministic
-        dist_multiset = tuple(sorted(dists[v]))
-        invariant[v] = (g.degree(v), nbr_degs, dist_multiset)
-    cells: dict[tuple, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(invariant[v], []).append(v)
-    return [cells[key] for key in sorted(cells)]
+    """Vertices split by degree, the cells in ascending degree."""
+    cells: dict[int, list[int]] = {}
+    for v in range(g.n):
+        cells.setdefault(g.adj[v].bit_count(), []).append(v)
+    return [cells[d] for d in sorted(cells)]
 
 
 def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    """The coarsest equitable partition finer than cells, in a canonical order.
+
+    Each round splits every cell by the vector of its vertices' neighbour
+    counts in the round's cells, the parts ordered by that vector, until a
+    round splits nothing.
+    """
+    adj = g.adj
     while True:
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
+        masks = []
+        for cell in cells:
+            m = 0
             for v in cell:
-                masks[i] |= 1 << v
+                m |= 1 << v
+            masks.append(m)
         nxt: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -79,50 +97,88 @@ def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
                 continue
             keyed: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                key = tuple((g.adj[v] & m).bit_count() for m in masks)
+                key = tuple(map(int.bit_count, map(adj[v].__and__, masks)))
                 keyed.setdefault(key, []).append(v)
             if len(keyed) > 1:
                 changed = True
-            for key in sorted(keyed):
-                nxt.append(keyed[key])
+                nxt.extend(keyed[key] for key in sorted(keyed))
+            else:
+                nxt.append(cell)
         cells = nxt
         if not changed:
             return cells
 
 
 def _order_bits(g: Graph, order: list[int]) -> int:
-    # upper-triangle adjacency bits of the relabeled graph, row-major
-    pos = [0] * g.n
+    """Upper-triangle adjacency bits of g relabeled by order, row-major.
+
+    Bit 0 is the pair (0, 1), then (0, 2), ..., (1, 2), ...
+    """
+    n = g.n
+    pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     bits = 0
     idx = 0
-    for i in range(g.n):
-        vi = order[i]
-        for j in range(i + 1, g.n):
-            if g.adj[vi] >> order[j] & 1:
-                bits |= 1 << idx
-            idx += 1
+    for i, v in enumerate(order):
+        row = 0
+        for w in iter_bits(g.adj[v]):
+            row |= 1 << pos[w]
+        bits |= row >> (i + 1) << idx
+        idx += n - 1 - i
     return bits
 
 
 def _general_code(g: Graph) -> bytes:
+    """Order byte, then the least leaf bit string of the pruned search, big-endian."""
     best: int | None = None
+    best_order: list[int] = []
+    # automorphisms found so far, each as (image list, mask of its fixed points)
+    autos: list[tuple[list[int], int]] = []
 
-    def descend(cells: list[list[int]]) -> None:
-        nonlocal best
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in sorted(cell):
-                    rest = [w for w in cell if w != v]
-                    split = cells[:i] + [[v], rest] + cells[i + 1 :]
-                    descend(_refine(g, split))
-                return
-        order = [cell[0] for cell in cells]
-        bits = _order_bits(g, order)
-        if best is None or bits < best:
-            best = bits
-    descend(_refine(g, _initial_cells(g)))
+    def descend(cells: list[list[int]], fixed: int) -> None:
+        nonlocal best, best_order
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            order = [cell[0] for cell in cells]
+            bits = _order_bits(g, order)
+            if best is None or bits < best:
+                best, best_order = bits, order
+            elif bits == best:
+                image = [0] * g.n
+                for u, w in zip(best_order, order):
+                    image[u] = w
+                autos.append((image, sum(1 << u for u, w in enumerate(image) if u == w)))
+            return
+        cell = cells[i]
+        # orbits of the automorphisms known to fix every individualized vertex
+        parent = list(range(g.n))
+        absorbed = 0
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        explored: list[int] = []
+        for v in sorted(cell):
+            if explored:
+                for image, fixes in autos[absorbed:]:
+                    if fixes & fixed == fixed:
+                        for x, y in enumerate(image):
+                            rx, ry = find(x), find(y)
+                            if rx != ry:
+                                parent[rx] = ry
+                absorbed = len(autos)
+                root = find(v)
+                if any(find(u) == root for u in explored):
+                    continue
+            explored.append(v)
+            rest = [w for w in cell if w != v]
+            descend(_refine(g, cells[:i] + [[v], rest] + cells[i + 1 :]), fixed | 1 << v)
+
+    descend(_refine(g, _initial_cells(g)), 0)
     assert best is not None
     nbits = g.n * (g.n - 1) // 2
     return bytes([g.n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")

@@ -147,10 +147,16 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_family(args, out) -> int:
     if args.family_cmd == "generate":
+        if args.out:
+            # a path that cannot be a directory is a usage error, found
+            # before any generation work
+            directory = Path(args.out)
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise MalformedInput(f"{args.out}: cannot create directory ({exc.strerror})") from None
         members = generate_family(args.n_max)
         if args.out:
-            directory = Path(args.out)
-            directory.mkdir(parents=True, exist_ok=True)
             for i, member in enumerate(members):
                 body = format_edge_list(member.tree) + f"status: {member.status}\n"
                 (directory / f"member_{i:03d}_n{member.n}.txt").write_text(

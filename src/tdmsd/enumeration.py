@@ -9,8 +9,6 @@ comes out exactly once, so no canonical code is computed and no dedupe table
 is kept.  The stream is in that generation order: it starts at the path and
 ends at the star, and vertex i is the i-th vertex of the level sequence (the
 same trees, labels and order as networkx.nonisomorphic_trees).
-Full Prufer-sequence enumeration is also provided; it is the independent
-cross-check oracle for small orders (n^(n-2) labeled trees blow up fast).
 
 Connected graphs are generated the same way, by vertex extension: every
 connected graph has a non-cut vertex, so taking a non-cut vertex v of largest
@@ -23,11 +21,9 @@ J. Algorithms 26, 1998).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .canonical import canonical_code
 from .errors import OutOfRange
@@ -129,51 +125,6 @@ def enumerate_trees(n: int) -> GraphStream:
     if not 1 <= n <= TREE_ORDER_CAP:
         raise OutOfRange(f"tree enumeration supports 1 <= n <= {TREE_ORDER_CAP}")
     return GraphStream(order=n, graphs=_tree_reps(n))
-
-
-def prufer_decode(seq: Sequence[int], n: int) -> Graph:
-    """Labeled tree on n vertices from a Prufer sequence of length n-2."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return from_edge_list(n, edges)
-
-
-def labeled_trees_by_prufer(n: int) -> Iterator[Graph]:
-    """Every labeled tree on n vertices, one per Prufer sequence."""
-    if n < 1:
-        raise OutOfRange("need n >= 1")
-    if n == 1:
-        yield from_edge_list(1, [])
-        return
-    if n == 2:
-        yield from_edge_list(2, [(0, 1)])
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield prufer_decode(seq, n)
-
-
-def trees_by_prufer_dedupe(n: int) -> tuple[Graph, ...]:
-    """Free trees of order n via full Prufer enumeration plus canonical dedupe.
-
-    Exponential in n; intended as a small-order cross-check of _tree_reps.
-    """
-    seen: dict[bytes, Graph] = {}
-    for t in labeled_trees_by_prufer(n):
-        code = canonical_code(t, cap=TREE_ORDER_CAP)
-        if code not in seen:
-            seen[code] = t
-    return tuple(seen[code] for code in sorted(seen))
 
 
 # -- connected graphs --------------------------------------------------------

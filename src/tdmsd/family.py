@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .canonical import canonical_code, labeled_tree_code
 from .domination import gamma_t_value, is_total_dominating
-from .errors import NotATree, WrongStatus
+from .errors import NotATree, OutOfRange, WrongStatus
 from .graph import Graph, from_edge_list, iter_bits
 
 FAMILY_ORDER_CAP = 32
@@ -107,6 +107,9 @@ def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
     variant (and hence no descendant) can be lost; the output then keeps the
     first representative of each unlabeled class.
     """
+    if n_max > FAMILY_ORDER_CAP:
+        # checked first: the closure would run up to the cap before failing
+        raise OutOfRange(f"family generation supports n_max <= {FAMILY_ORDER_CAP}")
     if n_max < 6:
         return ()
     seed = family_seed()

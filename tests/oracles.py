@@ -6,6 +6,7 @@ no pruning, deliberately sharing no code with the package's search routines.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import deque
@@ -153,6 +154,45 @@ def edge_major_msd(edges, cap, base, solve_subdivided):
     return best if best is not None else (None, (), (), base, None)
 
 
+def prufer_decode(seq, n):
+    """Edges of the labeled tree on n vertices with Prufer sequence seq."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def labeled_trees_by_prufer(n):
+    """Edge lists of every labeled tree on n >= 1 vertices, one per Prufer sequence."""
+    if n <= 2:
+        yield [(0, 1)] if n == 2 else []
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        yield prufer_decode(seq, n)
+
+
+def trees_by_prufer_dedupe(n, key):
+    """One edge list per free tree of order n, by full Prufer enumeration.
+
+    Two labeled trees share a class when ``key(n, edges)`` agrees on them.
+    There are n^(n-2) labeled trees, so this is for small orders only.
+    """
+    classes = {}
+    for edges in labeled_trees_by_prufer(n):
+        classes.setdefault(key(n, edges), edges)
+    return list(classes.values())
+
+
 def naive_graph_classes(n, key):
     """One edge list per isomorphism class of graphs on n vertices.
 
@@ -232,3 +272,48 @@ def euler_transform(connected_counts):
     for k in range(1, n_max + 1):
         b[k] = sum(c[j] * b[k - j] for j in range(1, k + 1)) // k
     return b[1:]
+
+
+def unpruned_general_code(n, edges):
+    """The general canonical code searched over every leaf, frozen as a reference.
+
+    Vertices start in cells by degree; refinement splits each cell by its
+    vertices' neighbour counts in every cell, round by round; the search
+    individualizes each vertex of the first non-singleton cell in turn; and
+    the code is the smallest upper-triangle adjacency bit string over all
+    leaves.  No automorphism prunes the search.
+    """
+    adj = adjacency(n, edges)
+
+    def refine(cells):
+        while True:
+            nxt = []
+            for cell in cells:
+                parts = {}
+                for v in cell:
+                    key = tuple(len(adj[v] & set(c)) for c in cells)
+                    parts.setdefault(key, []).append(v)
+                nxt.extend(parts[key] for key in sorted(parts))
+            if len(nxt) == len(cells):
+                return cells
+            cells = nxt
+
+    def leaf_bits(order):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return sum(1 << k for k, (i, j) in enumerate(pairs) if order[j] in adj[order[i]])
+
+    def leaves(cells):
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    rest = [w for w in cell if w != v]
+                    yield from leaves(refine(cells[:i] + [[v], rest] + cells[i + 1:]))
+                return
+        yield leaf_bits([cell[0] for cell in cells])
+
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(len(adj[v]), []).append(v)
+    best = min(leaves(refine([by_degree[d] for d in sorted(by_degree)])))
+    nbits = n * (n - 1) // 2
+    return bytes([n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")

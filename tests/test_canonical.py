@@ -1,13 +1,17 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
-from tdmsd import canonical_code, errors, from_edge_list, path, star
-from tdmsd.canonical import labeled_tree_code, tree_centers
-from tdmsd.enumeration import prufer_decode
+from tdmsd import canonical_code, complete, cycle, errors, from_edge_list, path, star
+from tdmsd.canonical import _general_code, labeled_tree_code, tree_centers
 
-from oracles import random_graph_edges
+from oracles import (
+    prufer_decode,
+    random_graph_edges,
+    unpruned_general_code,
+)
 
 
 def test_code_invariant_under_relabeling():
@@ -22,7 +26,7 @@ def test_code_separates_p4_from_star():
 def test_two_tree_shapes_on_four_vertices():
     # every Prufer sequence of length 2 over 4 labels, deduped
     codes = {
-        canonical_code(prufer_decode(seq, 4))
+        canonical_code(from_edge_list(4, prufer_decode(seq, 4)))
         for seq in product(range(4), repeat=2)
     }
     assert len(codes) == 2
@@ -77,3 +81,116 @@ def test_codes_injective_on_small_connected_classes():
         stream = enumerate_connected_graphs(n)
         codes = {canonical_code(g) for g in stream}
         assert len(codes) == len(stream) == classes
+
+
+def _complete_bipartite(a, b):
+    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _hypercube(d):
+    return from_edge_list(1 << d, [(v, v | 1 << k) for v in range(1 << d) for k in range(d)
+                                   if not v >> k & 1])
+
+
+PETERSEN = from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)])
+
+
+def _relabelings(g, rng, count=2):
+    yield g
+    for _ in range(count):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g.relabel(perm)
+
+
+def _assert_matches_unpruned(g, rng):
+    # relabelings move the search's first leaf, which is not the least one
+    # on graphs whose leaves are not all images of each other
+    for h in _relabelings(g, rng):
+        expected = unpruned_general_code(h.n, h.edges())
+        assert _general_code(h) == expected, h.edges()
+        if not h.is_tree():
+            assert canonical_code(h) == b"G" + expected, h.edges()
+
+
+def _cycles(*sizes):
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return from_edge_list(start, edges)
+
+
+def test_pruned_code_matches_unpruned_reference_on_connected_graphs():
+    from tdmsd import enumerate_connected_graphs
+
+    rng = random.Random(3)
+    _assert_matches_unpruned(from_edge_list(1, []), rng)
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            _assert_matches_unpruned(g, rng)
+
+
+def test_pruned_code_matches_unpruned_reference_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        g = from_edge_list(n, random_graph_edges(n, rng, rng.uniform(0.2, 0.8)))
+        _assert_matches_unpruned(g, rng)
+
+
+def test_pruned_code_matches_unpruned_reference_on_symmetric_graphs():
+    graphs = [complete(n) for n in range(1, 8)] + [cycle(n) for n in range(3, 11)]
+    graphs += [_complete_bipartite(3, 3), _complete_bipartite(4, 4), PETERSEN]
+    # regular, so refinement splits nothing, yet not vertex-transitive
+    graphs += [_cycles(3, 4), _cycles(3, 5), _cycles(3, 3, 4)]
+    rng = random.Random(5)
+    for g in graphs:
+        _assert_matches_unpruned(g, rng)
+
+
+def test_codes_agree_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+
+    def both(n, edges):
+        h = nx.empty_graph(n)
+        h.add_edges_from(edges)
+        return from_edge_list(n, edges), h
+
+    rng = random.Random(11)
+    isomorphic = 0
+    for _ in range(300):
+        # same order and size, small enough that many pairs are isomorphic
+        # without being equal
+        n = rng.randrange(2, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        m = rng.randrange(len(pairs) + 1)
+        (g, gx), (h, hx) = both(n, rng.sample(pairs, m)), both(n, rng.sample(pairs, m))
+        same = nx.is_isomorphic(gx, hx)
+        assert (canonical_code(g) == canonical_code(h)) == same, (g.edges(), h.edges())
+        isomorphic += same
+    assert 30 < isomorphic < 270
+
+
+@pytest.mark.parametrize("name, g", [
+    ("K16", complete(16)),
+    ("empty16", from_edge_list(16, [])),
+    ("8K2", from_edge_list(16, [(2 * i, 2 * i + 1) for i in range(8)])),
+    ("C16", cycle(16)),
+    ("K8,8", _complete_bipartite(8, 8)),
+    ("Q4", _hypercube(4)),
+    ("Petersen", PETERSEN),
+])
+def test_symmetric_graphs_skip_the_factorial_code_path(name, g):
+    rng = random.Random(name)
+    codes = []
+    for _ in range(2):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        start = time.perf_counter()
+        codes.append(canonical_code(h))
+        assert time.perf_counter() - start < 5
+    assert codes[0] == codes[1] == canonical_code(g)

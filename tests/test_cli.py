@@ -5,12 +5,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tdmsd import graph6_encode, gstar, path
 from tdmsd import cli
 from tdmsd.cli import main
 from tdmsd.graph import format_edge_list
+from tdmsd.verify import THEOREMS
 
 
 def run_cli(*argv):
@@ -171,6 +172,74 @@ def test_fuzzed_argv_never_crashes(argv):
     code, err = _exit_and_stderr(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+# orders each sweep checks in well under a second; the connected theorems
+# check every connected graph up to min(n_max, 7)
+_QUICK_N_MAX = {theorem: 6 if theorem in ("msd-le-3", "universal-vertex", "lemma2-implies")
+                else 9 for theorem in THEOREMS}
+_BAD_COUNTS = ["-1", "0", "x", "", "1e3", "100000"]
+
+
+@st.composite
+def _verify_or_family_argv(draw, out_file, out_dir):
+    """verify or family generate, its option fragments in any order.
+
+    --n-max is at most the theorem's quick order or a bad count that argparse
+    or the order check rejects before any work.  Optional fragments may
+    repeat, and one token may be dropped.
+    """
+    if draw(st.booleans()):
+        command = ["verify"]
+        theorem = draw(st.sampled_from(sorted(THEOREMS) + ["nope"]))
+        top = _QUICK_N_MAX.get(theorem, 9)
+        n_max = draw(st.one_of(st.integers(-1, top).map(str), st.sampled_from(_BAD_COUNTS)))
+        required = [["--theorem", theorem], ["--n-max", n_max]]
+        optional = [["--jobs", draw(st.sampled_from(["1", "0", "-1", "x"]))],
+                    ["--verbose"], ["--out", draw(st.sampled_from([out_file, out_dir]))]]
+    else:
+        command = ["family", "generate"]
+        n_max = draw(st.one_of(st.integers(-1, 14).map(str), st.sampled_from(_BAD_COUNTS)))
+        required = [["--n-max", n_max]]
+        optional = [["--out", draw(st.sampled_from([out_dir, out_file]))]]
+    fragments = required + draw(st.lists(st.sampled_from(optional), max_size=3))
+    argv = command + [tok for frag in draw(st.permutations(fragments)) for tok in frag]
+    # dropping a token leaves an option without its value or a stray value
+    if draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-out")
+    return str(root / "report.jsonl"), str(root / "members")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_verify_and_family_argv_never_crash(fuzz_outputs, data):
+    argv = data.draw(_verify_or_family_argv(*fuzz_outputs))
+    assume("--n-max" in argv)  # a default order would run a full sweep
+    code, err = _exit_and_stderr(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
+def test_family_generate_out_on_a_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, _ = run_cli("family", "generate", "--n-max", "8", "--out", str(target))
+    assert code == 2
+    assert "cannot create directory" in capsys.readouterr().err
+
+
+def test_family_generate_above_the_code_cap_is_a_usage_error(capsys):
+    from tdmsd.family import FAMILY_ORDER_CAP
+
+    code, _ = run_cli("family", "generate", "--n-max", str(FAMILY_ORDER_CAP + 1))
+    assert code == 2
+    assert f"n_max <= {FAMILY_ORDER_CAP}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,12 +6,23 @@ from tdmsd import (
     enumerate_trees,
     errors,
     from_edge_list,
-    labeled_trees_by_prufer,
-    trees_by_prufer_dedupe,
 )
+from tdmsd import enumeration
 from tdmsd.verify import run_verification
 
-from oracles import euler_transform, free_tree_count, naive_graph_classes, naive_is_connected
+from oracles import (
+    euler_transform,
+    free_tree_count,
+    labeled_trees_by_prufer,
+    naive_graph_classes,
+    naive_is_connected,
+    trees_by_prufer_dedupe,
+)
+
+
+def _code(n, edges):
+    return canonical_code(from_edge_list(n, edges))
+
 
 # free-tree census per order, from the arithmetic recurrence oracle
 TREE_COUNTS = {n: free_tree_count(n) for n in range(1, 15)}
@@ -90,7 +101,7 @@ def test_prufer_total_count():
 
 def _assert_prufer_matches_wrom(n):
     # the two generation methods must agree exactly on their overlap
-    assert {canonical_code(t) for t in trees_by_prufer_dedupe(n)} == {
+    assert {_code(n, edges) for edges in trees_by_prufer_dedupe(n, _code)} == {
         canonical_code(t) for t in enumerate_trees(n)
     }, n
 
@@ -120,8 +131,16 @@ def test_connected_counts_euler_transform_cross_check():
     assert euler_transform(connected) == [1, 2, 4, 11, 34, 156, 1044]
 
 
-def _code(n, edges):
-    return canonical_code(from_edge_list(n, edges))
+@pytest.mark.slow
+def test_connected_order_eight_count_and_codes():
+    # OEIS A001349 at n = 8; with the lower orders, the Euler transform must
+    # give all 12,346 graph classes of order 8 (OEIS A000088)
+    reps = enumeration._connected_reps(8)
+    assert len(reps) == 11117
+    assert len({canonical_code(g) for g in reps}) == 11117
+    assert all(g.n == 8 and g.is_connected() for g in reps)
+    connected = [1] + [len(enumeration._connected_reps(n)) for n in range(2, 9)]
+    assert euler_transform(connected)[-1] == 12346
 
 
 def test_all_graph_classes_closed_under_complement():
