@@ -32,11 +32,7 @@ from .domination import (
     is_dominating,
     is_total_dominating,
 )
-from .enumeration import (
-    GraphStream,
-    enumerate_connected_graphs,
-    enumerate_trees,
-)
+from .enumeration import enumerate_connected_graphs, enumerate_trees
 from .family import (
     LabeledTree,
     apply_operation,
@@ -79,7 +75,7 @@ __all__ = [
     "all_min_total_dominating_sets", "gamma", "gamma_t",
     "gamma_t_membership_profile", "gamma_t_set_avoiding_leaves",
     "gamma_t_value", "gamma_value", "is_dominating", "is_total_dominating",
-    "GraphStream", "enumerate_connected_graphs", "enumerate_trees",
+    "enumerate_connected_graphs", "enumerate_trees",
     "LabeledTree", "apply_operation", "family_seed", "generate_family",
     "is_in_family", "verify_bc_property",
     "complete", "cycle", "fixture_by_name", "gstar", "path", "star", "wheel",

@@ -240,22 +240,19 @@ def gamma(g: Graph) -> DominationCertificate:
 
 @lru_cache(maxsize=50_000)
 def _all_min_tds_masks(g: Graph) -> tuple[int, ...]:
+    # every min-set enumeration comes through here, so the cap holds for all
+    if g.n > ENUMERATION_CAP:
+        raise TooLarge(f"n={g.n} above the enumeration cap {ENUMERATION_CAP}")
     value = gamma_t_value(g)
     return tuple(_covers_of_size(_total_covers(g), g.full_mask, value, g.full_mask, False))
 
 
-def all_min_total_dominating_sets(g: Graph, cap: int = ENUMERATION_CAP) -> list[frozenset[int]]:
+def all_min_total_dominating_sets(g: Graph) -> list[frozenset[int]]:
     """The complete, duplicate-free list of minimum total dominating sets."""
-    if g.n > cap:
-        raise TooLarge(f"n={g.n} above the enumeration cap {cap}")
-    _require_no_isolated(g)
     return [frozenset(iter_bits(m)) for m in _all_min_tds_masks(g)]
 
 
-def gamma_t_membership_profile(g: Graph, cap: int = ENUMERATION_CAP) -> MembershipProfile:
-    if g.n > cap:
-        raise TooLarge(f"n={g.n} above the enumeration cap {cap}")
-    _require_no_isolated(g)
+def gamma_t_membership_profile(g: Graph) -> MembershipProfile:
     masks = _all_min_tds_masks(g)
     union = 0
     inter = g.full_mask

@@ -21,9 +21,7 @@ J. Algorithms 26, 1998).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
 
 from .canonical import canonical_code
 from .errors import OutOfRange
@@ -31,20 +29,6 @@ from .graph import Graph, from_edge_list, iter_bits
 
 TREE_ORDER_CAP = 18
 CONNECTED_ORDER_CAP = 7
-
-
-@dataclass(frozen=True)
-class GraphStream:
-    """A materialized, deterministic stream of one graph per isomorphism class."""
-
-    order: int
-    graphs: tuple[Graph, ...] = field(repr=False)
-
-    def __iter__(self) -> Iterator[Graph]:
-        return iter(self.graphs)
-
-    def __len__(self) -> int:
-        return len(self.graphs)
 
 
 # -- free trees --------------------------------------------------------------
@@ -120,11 +104,11 @@ def _tree_reps(n: int) -> tuple[Graph, ...]:
     return tuple(trees)
 
 
-def enumerate_trees(n: int) -> GraphStream:
+def enumerate_trees(n: int) -> tuple[Graph, ...]:
     """All free trees of order n, one per isomorphism class, path first, star last."""
     if not 1 <= n <= TREE_ORDER_CAP:
         raise OutOfRange(f"tree enumeration supports 1 <= n <= {TREE_ORDER_CAP}")
-    return GraphStream(order=n, graphs=_tree_reps(n))
+    return _tree_reps(n)
 
 
 # -- connected graphs --------------------------------------------------------
@@ -164,10 +148,10 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
     return tuple(seen[code] for code in sorted(seen))
 
 
-def enumerate_connected_graphs(n: int) -> GraphStream:
+def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs of order n up to isomorphism, by ascending code."""
     if not 2 <= n <= CONNECTED_ORDER_CAP:
         raise OutOfRange(
             f"connected enumeration supports 2 <= n <= {CONNECTED_ORDER_CAP}"
         )
-    return GraphStream(order=n, graphs=_connected_reps(n))
+    return _connected_reps(n)

@@ -114,17 +114,14 @@ def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
         return ()
     seed = family_seed()
     seen_labeled = {labeled_tree_code(seed.tree, seed.status, cap=FAMILY_ORDER_CAP)}
-    queue = [seed]
     members = [seed]
-    while queue:
-        t = queue.pop(0)
+    # breadth first: the loop also visits the children it appends
+    for t in members:
         for child in _children(t, n_max):
             code = labeled_tree_code(child.tree, child.status, cap=FAMILY_ORDER_CAP)
-            if code in seen_labeled:
-                continue
-            seen_labeled.add(code)
-            queue.append(child)
-            members.append(child)
+            if code not in seen_labeled:
+                seen_labeled.add(code)
+                members.append(child)
     by_class: dict[bytes, LabeledTree] = {}
     for t in members:
         code = canonical_code(t.tree, cap=FAMILY_ORDER_CAP)

@@ -1,9 +1,8 @@
 """Exhaustive theorem sweeps over generated graph families.
 
 Each sweep walks a deterministic stream of non-isomorphic graphs, evaluates
-one theorem predicate per graph (or one set comparison per order), and
-returns a report whose failure records can be replayed through the CLI's
-compute command via their graph6 strings.
+one theorem predicate per graph, and returns a report whose failure records
+can be replayed through the CLI's compute command via their graph6 strings.
 """
 
 from __future__ import annotations
@@ -107,6 +106,18 @@ def _connected(lo: int, hi: int) -> Iterable[Graph]:
         yield from enumerate_connected_graphs(n)
 
 
+def _paths_and_cycles(lo: int, hi: int) -> Iterable[Graph]:
+    for n in range(lo, hi + 1):
+        yield path(n)
+        yield cycle(n)
+
+
+def _trees_then_connected(lo: int, hi: int) -> Iterable[Graph]:
+    # trees of every order asked for, plus the connected graphs up to their cap
+    yield from _trees(lo, hi)
+    yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP))
+
+
 # -- per-graph checks (module level so they pickle for worker pools) ---------
 
 def _check_msd_le_3(g: Graph) -> Record:
@@ -198,113 +209,69 @@ def _check_bc(member) -> Record:
     return Record(graph6_encode(member.tree), ok, "B|C is a minimum total dominating set", str(ok))
 
 
-def _check_path_cycle(n: int) -> list[Record]:
-    want = path_cycle_formula(n)
-    out = []
-    for name, g in (("path", path(n)), ("cycle", cycle(n))):
-        memo: dict[Graph, int] = {}
-        sd = sd_gamma_t(g, cap=3, memo=memo).value
-        msd = msd_gamma_t(g, cap=3, memo=memo).value
-        out.append(Record(
-            graph6_encode(g), sd == want and msd == want,
-            f"sd=msd={want} for {name} n={n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",
-        ))
-    return out
+def _check_path_cycle(g: Graph) -> Record:
+    want = path_cycle_formula(g.n)
+    name = "path" if g.is_tree() else "cycle"
+    memo: dict[Graph, int] = {}
+    sd = sd_gamma_t(g, cap=3, memo=memo).value
+    msd = msd_gamma_t(g, cap=3, memo=memo).value
+    return Record(
+        graph6_encode(g), sd == want and msd == want,
+        f"sd=msd={want} for {name} n={g.n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",
+    )
 
 
-# -- sweeps -------------------------------------------------------------------
+# -- the theorem table --------------------------------------------------------
 
-def _sweep_msd_le_3(n_max: int, jobs: int):
-    return (2, n_max), _map_graphs(_check_msd_le_3, _connected(2, n_max), jobs)
+@dataclass(frozen=True)
+class Theorem:
+    """One sweep: a check per item of graphs(lo, n_max), for n_max in lo..hi.
 
+    hi is the graph streams' cap, the family's code cap, or for
+    path-cycle-formulas room for the three vertices sd/msd add.  A serial
+    sweep ignores jobs: it is too short for a worker pool to pay off.
+    """
 
-def _sweep_tree_sd_eq_msd(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_tree_sd_eq_msd, _trees(3, n_max), jobs)
-
-
-def _sweep_family_sd3(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_family_sd3, _trees(3, n_max), jobs)
-
-
-def _sweep_sd1_characterization(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_sd1_characterization, _trees(3, n_max), jobs)
-
-
-def _sweep_bc(n_max: int, jobs: int):
-    return (6, n_max), [_check_bc(m) for m in generate_family(n_max)]
+    check: Callable[..., Record]
+    graphs: Callable[[int, int], Iterable]
+    lo: int
+    default: int
+    hi: int
+    serial: bool = False
 
 
-def _sweep_strong_support(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_strong_support, _trees(3, n_max), jobs)
-
-
-def _sweep_universal(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_universal, _connected(3, n_max), jobs)
-
-
-def _sweep_path_cycle(n_max: int, jobs: int):
-    records = []
-    for n in range(3, n_max + 1):
-        records.extend(_check_path_cycle(n))
-    return (3, n_max), records
-
-
-def _sweep_lemma2(n_max: int, jobs: int):
-    # trees of every order asked for, plus the connected graphs up to their cap
-    records = _map_graphs(_check_lemma2, _trees(3, n_max), jobs)
-    records += _map_graphs(_check_lemma2, _connected(3, min(n_max, CONNECTED_ORDER_CAP)), jobs)
-    return (3, n_max), records
-
-
-def _sweep_lemma14(n_max: int, jobs: int):
-    return (3, n_max), _map_graphs(_check_lemma14, _trees(3, n_max), jobs)
-
-
-THEOREMS: dict[str, tuple[int, Callable]] = {
-    "msd-le-3": (7, _sweep_msd_le_3),
-    "tree-sd-eq-msd": (14, _sweep_tree_sd_eq_msd),
-    "family-sd3": (14, _sweep_family_sd3),
-    "sd1-characterization": (12, _sweep_sd1_characterization),
-    "bc-minimum": (14, _sweep_bc),
-    "strong-support": (14, _sweep_strong_support),
-    "universal-vertex": (7, _sweep_universal),
-    "path-cycle-formulas": (16, _sweep_path_cycle),
-    "lemma2-implies": (12, _sweep_lemma2),
-    "lemma14-implies": (12, _sweep_lemma14),
-}
-
-
-# the orders each sweep can check: its graph streams' caps, the family's code
-# cap, and for path-cycle-formulas room for the three vertices sd/msd add
-ORDER_RANGES: dict[str, tuple[int, int]] = {
-    "msd-le-3": (2, CONNECTED_ORDER_CAP),
-    "tree-sd-eq-msd": (3, TREE_ORDER_CAP),
-    "family-sd3": (3, TREE_ORDER_CAP),
-    "sd1-characterization": (3, TREE_ORDER_CAP),
-    "bc-minimum": (6, FAMILY_ORDER_CAP),
-    "strong-support": (3, TREE_ORDER_CAP),
-    "universal-vertex": (3, CONNECTED_ORDER_CAP),
-    "path-cycle-formulas": (3, MAX_VERTICES - 3),
-    "lemma2-implies": (3, TREE_ORDER_CAP),
-    "lemma14-implies": (3, TREE_ORDER_CAP),
+THEOREMS: dict[str, Theorem] = {
+    "msd-le-3": Theorem(_check_msd_le_3, _connected, 2, 7, CONNECTED_ORDER_CAP),
+    "tree-sd-eq-msd": Theorem(_check_tree_sd_eq_msd, _trees, 3, 14, TREE_ORDER_CAP),
+    "family-sd3": Theorem(_check_family_sd3, _trees, 3, 14, TREE_ORDER_CAP),
+    "sd1-characterization": Theorem(_check_sd1_characterization, _trees, 3, 12, TREE_ORDER_CAP),
+    "bc-minimum": Theorem(
+        _check_bc, lambda lo, hi: generate_family(hi), 6, 14, FAMILY_ORDER_CAP, serial=True,
+    ),
+    "strong-support": Theorem(_check_strong_support, _trees, 3, 14, TREE_ORDER_CAP),
+    "universal-vertex": Theorem(_check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP),
+    "path-cycle-formulas": Theorem(
+        _check_path_cycle, _paths_and_cycles, 3, 16, MAX_VERTICES - 3, serial=True,
+    ),
+    "lemma2-implies": Theorem(_check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP),
+    "lemma14-implies": Theorem(_check_lemma14, _trees, 3, 12, TREE_ORDER_CAP),
 }
 
 
 def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -> VerificationReport:
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-    default_n_max, sweep = THEOREMS[theorem_id]
-    n_max = default_n_max if n_max is None else n_max
-    lo, hi = ORDER_RANGES[theorem_id]
-    if not lo <= n_max <= hi:
-        raise OutOfRange(f"{theorem_id} checks n_max in {lo}..{hi}, got {n_max}")
+    th = THEOREMS[theorem_id]
+    n_max = th.default if n_max is None else n_max
+    if not th.lo <= n_max <= th.hi:
+        raise OutOfRange(f"{theorem_id} checks n_max in {th.lo}..{th.hi}, got {n_max}")
     start = time.perf_counter()
-    orders, records = sweep(n_max, jobs)
+    records = _map_graphs(th.check, th.graphs(th.lo, n_max), 1 if th.serial else jobs)
     elapsed = time.perf_counter() - start
     failures = tuple(r for r in records if not r.ok)
     return VerificationReport(
         theorem_id=theorem_id,
-        orders_checked=orders,
+        orders_checked=(th.lo, n_max),
         graphs_checked=len(records),
         failures=failures,
         elapsed=elapsed,

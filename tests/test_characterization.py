@@ -125,3 +125,11 @@ def test_failing_set_is_a_witness():
                     s = report.failing_set
                     assert is_total_dominating(t, s)
                     assert len(s) == gamma_t_value(t)
+
+
+def test_min_set_predicates_keep_the_enumeration_cap():
+    # both read the minimum sets directly; the cap must hold for them too
+    with pytest.raises(errors.TooLarge):
+        inner_edge_condition(path(21), (1, 2))
+    with pytest.raises(errors.TooLarge):
+        lemma14_sufficient_sd_gt_one(path(21))

@@ -254,12 +254,8 @@ def test_counts_below_one_are_usage_errors(argv):
 
 
 def test_every_theorem_default_lies_in_its_order_range():
-    from tdmsd.verify import ORDER_RANGES, THEOREMS
-
-    assert ORDER_RANGES.keys() == THEOREMS.keys()
-    for theorem, (default_n_max, _) in THEOREMS.items():
-        lo, hi = ORDER_RANGES[theorem]
-        assert lo <= default_n_max <= hi, theorem
+    for theorem, th in THEOREMS.items():
+        assert th.lo <= th.default <= th.hi, theorem
 
 
 @pytest.mark.parametrize("argv", [
@@ -336,9 +332,13 @@ def test_verify_deterministic_across_jobs():
     assert strip_elapsed(out1) == strip_elapsed(out2)
 
 
-def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatch):
-    # a pool forks all of its workers at once, so a fake one that maps
-    # in-process records what was asked of it; no process is started
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A fake pool that maps in-process and records the workers asked of it.
+
+    A pool forks all of its workers at once, so the fake shows what would
+    have been started; no process is.
+    """
     from tdmsd import verify as verify_mod
 
     asked = []
@@ -358,6 +358,13 @@ def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatc
             return map(fn, items)
 
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatch, serial_pool):
+    from tdmsd import verify as verify_mod
+
+    asked = serial_pool
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     argv = ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "7", "--verbose")
     _, serial = run_cli(*argv)
@@ -382,18 +389,45 @@ def test_verify_unknown_theorem_is_usage_error():
 
 
 def test_verify_counterexample_exits_1(monkeypatch):
-    # no real theorem fails, so stub a sweep that reports one failure
+    # no real theorem fails, so stub a theorem whose check fails
     from tdmsd import verify as verify_mod
 
-    def broken_sweep(n_max, jobs):
-        rec = verify_mod.Record("A_", False, "something", "otherwise")
-        return (2, 2), [rec]
+    def broken_check(g):
+        return verify_mod.Record(graph6_encode(g), False, "something", "otherwise")
 
-    monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", (7, broken_sweep))
+    broken = verify_mod.Theorem(broken_check, lambda lo, hi: [path(2)], 2, 2, 2)
+    monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", broken)
     code, out = run_cli("verify", "--theorem", "msd-le-3")
     assert code == 1
     rec = last_json(out)
     assert not rec["ok"] and rec["failures"][0]["graph6"] == "A_"
+    assert rec["graphs_checked"] == 1
+
+
+# graphs each theorem checks at its quick order, frozen from the sweeps as
+# they ran before the theorem table
+_QUICK_GRAPHS_CHECKED = {
+    "msd-le-3": 142, "tree-sd-eq-msd": 93, "family-sd3": 93,
+    "sd1-characterization": 93, "bc-minimum": 2, "strong-support": 93,
+    "universal-vertex": 141, "path-cycle-formulas": 14, "lemma2-implies": 153,
+    "lemma14-implies": 93,
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_theorem_sweeps_its_orders_alike_at_any_jobs(theorem, monkeypatch, serial_pool):
+    from tdmsd import verify as verify_mod
+
+    n = _QUICK_N_MAX[theorem]
+    serial = verify_mod.run_verification(theorem, n, 1)
+    assert serial.orders_checked == (THEOREMS[theorem].lo, n)
+    assert serial.graphs_checked == _QUICK_GRAPHS_CHECKED[theorem]
+    assert serial.ok
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    wide = verify_mod.run_verification(theorem, n, 2)
+    assert wide.records == serial.records
+    # these two take less time than a pool costs, so they never start one
+    assert serial_pool == ([] if theorem in ("bc-minimum", "path-cycle-formulas") else [2])
 
 
 def test_family_generate_and_test(tmp_path):
