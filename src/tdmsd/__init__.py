@@ -56,6 +56,7 @@ from .graph import (
 )
 from .graph6 import graph6_decode, graph6_encode
 from .subdivision import (
+    SearchState,
     SubdivisionResult,
     msd_gamma,
     msd_gamma_t,
@@ -83,7 +84,7 @@ __all__ = [
     "parse_edge_list", "private_neighborhood", "structure_profile",
     "subdivide", "subdivide_edges",
     "graph6_decode", "graph6_encode",
-    "SubdivisionResult", "msd_gamma", "msd_gamma_t", "msd_gamma_t_edge",
-    "sd_gamma", "sd_gamma_t",
+    "SearchState", "SubdivisionResult", "msd_gamma", "msd_gamma_t",
+    "msd_gamma_t_edge", "sd_gamma", "sd_gamma_t",
     "VerificationReport", "path_cycle_formula", "run_verification",
 ]

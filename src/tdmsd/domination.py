@@ -47,8 +47,9 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
-def _greedy_cover_size(covers: tuple[int, ...], full: int) -> int | None:
+def _greedy_cover(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
     covered = 0
+    chosen = 0
     count = 0
     while covered != full:
         best_gain = 0
@@ -61,55 +62,63 @@ def _greedy_cover_size(covers: tuple[int, ...], full: int) -> int | None:
         if best_gain == 0:
             return None
         covered |= covers[best_u]
+        chosen |= 1 << best_u
         count += 1
-    return count
+    return count, chosen
 
 
-def _min_cover_size(covers: tuple[int, ...], full: int) -> int | None:
-    """Exact minimum number of vertices whose cover sets union to ``full``.
+def _min_cover(covers: tuple[int, ...], full: int,
+               upper: int | None = None) -> tuple[int, int] | None:
+    """A minimum set of vertices whose cover sets union to ``full``, as
+    (size, vertex mask); None if no set covers ``full``.
 
     covers[u] is the element mask vertex u covers; the relation is symmetric
     (u covers v iff v covers u), so candidate covers of element v are the
-    set bits of covers[v].
+    set bits of covers[v].  upper, if given, is a vertex mask known to cover
+    ``full``: the search starts from it in place of the greedy bound, and
+    returns it when nothing smaller covers.
     """
     n = len(covers)
-    for v in iter_bits(full):
-        if covers[v] == 0:
-            return None
-    upper = _greedy_cover_size(covers, full)
     if upper is None:
-        return None
-    best = upper
+        start = _greedy_cover(covers, full)
+        if start is None:
+            return None
+        best, best_mask = start
+    else:
+        best, best_mask = upper.bit_count(), upper
 
-    def dfs(count: int, covered: int, banned: int) -> None:
-        nonlocal best
+    def dfs(count: int, covered: int, banned: int, chosen: int) -> None:
+        nonlocal best, best_mask
         # unit propagation: elements with a single remaining candidate
         while True:
             if covered == full:
                 if count < best:
                     best = count
+                    best_mask = chosen
                 return
             if count + 1 >= best:
                 return
-            branch_v = -1
             branch_cands = 0
             branch_width = n + 1
-            forced = -1
-            for v in iter_bits(full & ~covered):
-                cands = covers[v] & ~banned
+            forced = 0
+            rest = full & ~covered
+            while rest:
+                low = rest & -rest
+                cands = covers[low.bit_length() - 1] & ~banned
                 if cands == 0:
                     return
                 w = cands.bit_count()
                 if w == 1:
-                    forced = cands.bit_length() - 1
+                    forced = cands
                     break
                 if w < branch_width:
                     branch_width = w
-                    branch_v = v
                     branch_cands = cands
-            if forced >= 0:
+                rest ^= low
+            if forced:
                 count += 1
-                covered |= covers[forced]
+                covered |= covers[forced.bit_length() - 1]
+                chosen |= forced
                 continue
             break
         uncovered = full & ~covered
@@ -126,14 +135,17 @@ def _min_cover_size(covers: tuple[int, ...], full: int) -> int | None:
         if count + lower >= best:
             return
         block = banned
-        for u in iter_bits(branch_cands):
-            dfs(count + 1, covered | covers[u], block)
-            block |= 1 << u
+        rest = branch_cands
+        while rest:
+            low = rest & -rest
+            dfs(count + 1, covered | covers[low.bit_length() - 1], block, chosen | low)
+            block |= low
             if count + 1 >= best:
                 break
+            rest ^= low
 
-    dfs(0, 0, 0)
-    return best
+    dfs(0, 0, 0, 0)
+    return best, best_mask
 
 
 def _covers_of_size(
@@ -198,17 +210,17 @@ def _require_no_isolated(g: Graph) -> None:
 def solve_gamma_t(g: Graph) -> int:
     """Total domination number, value only, solved afresh on every call."""
     _require_no_isolated(g)
-    value = _min_cover_size(_total_covers(g), g.full_mask)
-    if value is None:
+    found = _min_cover(_total_covers(g), g.full_mask)
+    if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")
-    return value
+    return found[0]
 
 
 def solve_gamma(g: Graph) -> int:
     """Domination number, value only, solved afresh on every call."""
-    value = _min_cover_size(_closed_covers(g), g.full_mask)
-    assert value is not None  # closed neighborhoods always cover
-    return value
+    found = _min_cover(_closed_covers(g), g.full_mask)
+    assert found is not None  # closed neighborhoods always cover
+    return found[0]
 
 
 # perfbench calls cache_info() on this, so it stays an lru_cache object

@@ -31,7 +31,7 @@ from .enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
 )
-from .subdivision import msd_gamma_t, sd_gamma_t
+from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ def _check_msd_le_3(g: Graph) -> Record:
 
 
 def _check_tree_sd_eq_msd(t: Graph) -> Record:
-    # one memo per tree: msd's t = 1 row solves the graphs of sd's k = 1 row
-    memo: dict[Graph, int] = {}
+    # one state per tree: msd shares the covers and solves sd found
+    memo = SearchState()
     sd = sd_gamma_t(t, cap=3, memo=memo).value
     msd = msd_gamma_t(t, cap=3, memo=memo).value
     return Record(
@@ -212,7 +212,7 @@ def _check_bc(member) -> Record:
 def _check_path_cycle(g: Graph) -> Record:
     want = path_cycle_formula(g.n)
     name = "path" if g.is_tree() else "cycle"
-    memo: dict[Graph, int] = {}
+    memo = SearchState()
     sd = sd_gamma_t(g, cap=3, memo=memo).value
     msd = msd_gamma_t(g, cap=3, memo=memo).value
     return Record(

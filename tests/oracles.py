@@ -154,6 +154,26 @@ def edge_major_msd(edges, cap, base, solve_subdivided):
     return best if best is not None else (None, (), (), base, None)
 
 
+def subset_major_sd(edges, cap, base, solve_subdivided):
+    """The sd search as it was written before it kept minimum covers, frozen
+    as a reference: it solves every subset it tries.
+
+    ``edges`` are the graph's normalized edges in ascending order, ``cap`` the
+    largest subset size (None for all m edges), ``base`` the graph's invariant
+    value and ``solve_subdivided(subset)`` the invariant of the graph with
+    every edge of ``subset`` subdivided once.  Subsets go by size, then
+    lexicographically, and the first one to increase the invariant is the
+    witness.  Returns the SubdivisionResult fields.
+    """
+    limit = len(edges) if cap is None else min(cap, len(edges))
+    for k in range(1, limit + 1):
+        for subset in itertools.combinations(edges, k):
+            after = solve_subdivided(subset)
+            if after > base:
+                return (k, subset, (1,) * k, base, after)
+    return (None, (), (), base, None)
+
+
 def prufer_decode(seq, n):
     """Edges of the labeled tree on n vertices with Prufer sequence seq."""
     degree = [1] * n

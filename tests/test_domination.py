@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tdmsd import (
     all_min_total_dominating_sets,
@@ -19,6 +20,7 @@ from tdmsd import (
     path,
     star,
 )
+from tdmsd.domination import _closed_covers, _min_cover, _total_covers
 
 from oracles import (
     naive_all_min_tds,
@@ -186,3 +188,48 @@ def test_avoiding_leaves_always_exists_for_non_stars():
         assert not any(g.degree(v) == 1 for v in s)
         checked += 1
     assert checked > 30
+
+
+@st.composite
+def cover_problems_with_a_cover(draw):
+    """Total or closed cover sets of an isolate-free graph of order <= 12,
+    and a vertex mask that covers every vertex."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    touched = {x for e in edges for x in e}
+    for v in range(n):
+        if v not in touched:
+            w = draw(st.integers(0, n - 2))
+            edges.append((v, w if w < v else w + 1))
+    g = from_edge_list(n, edges)
+    covers = draw(st.sampled_from((_total_covers, _closed_covers)))(g)
+    upper = draw(st.integers(0, g.full_mask))
+    covered = 0
+    for u in range(n):
+        if upper >> u & 1:
+            covered |= covers[u]
+    for v in range(n):
+        if not covered >> v & 1:
+            u = draw(st.sampled_from([w for w in range(n) if covers[v] >> w & 1]))
+            upper |= 1 << u
+            covered |= covers[u]
+    return covers, g.full_mask, upper
+
+
+def _covered_by(covers, mask):
+    covered = 0
+    for u in range(len(covers)):
+        if mask >> u & 1:
+            covered |= covers[u]
+    return covered
+
+
+@given(cover_problems_with_a_cover())
+def test_cover_search_seeded_with_any_cover_finds_the_minimum(problem):
+    covers, full, upper = problem
+    size, mask = _min_cover(covers, full)
+    assert mask.bit_count() == size and _covered_by(covers, mask) == full
+    seeded_size, seeded_mask = _min_cover(covers, full, upper)
+    assert seeded_size == size
+    assert seeded_mask.bit_count() == size and _covered_by(covers, seeded_mask) == full

@@ -26,10 +26,17 @@ from tdmsd import (
     wheel,
 )
 from tdmsd import subdivision, verify
-from tdmsd.domination import solve_gamma, solve_gamma_t
+from tdmsd.domination import _min_cover, solve_gamma, solve_gamma_t
+from tdmsd.subdivision import SearchState
 from tdmsd.verify import path_cycle_formula
 
-from oracles import edge_major_msd, naive_msd, naive_sd, random_connected_edges
+from oracles import (
+    edge_major_msd,
+    naive_msd,
+    naive_sd,
+    random_connected_edges,
+    subset_major_sd,
+)
 
 
 def test_msd_edge_examples():
@@ -195,16 +202,70 @@ def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn)
             assert dataclasses.astuple(search(g, cap)) == want, (g.edges(), cap)
 
 
+def _sd_reference(g, cap, base_fn, solve_fn, solved):
+    def solve_subdivided(subset):
+        if subset not in solved:
+            solved[subset] = solve_fn(subdivide_edges(g, subset))
+        return solved[subset]
+
+    return subset_major_sd(g.edges(), cap, base_fn(g), solve_subdivided)
+
+
+@pytest.mark.parametrize("search, base_fn, solve_fn", [
+    (sd_gamma_t, gamma_t_value, solve_gamma_t),
+    (sd_gamma, gamma_value, solve_gamma),
+])
+def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn):
+    # every tree of order <= 10 and every connected graph of order <= 6
+    for g in _trees_and_graphs():
+        if g.n < 3:
+            continue
+        solved = {}
+        for cap in range(1, 5):
+            want = _sd_reference(g, cap, base_fn, solve_fn, solved)
+            assert dataclasses.astuple(search(g, cap)) == want, (g.edges(), cap)
+
+
+def test_sd_and_msd_sharing_one_state_match_the_references():
+    # either search may fill the state first; the other must not be misled
+    for g in _trees_and_graphs():
+        if g.n < 3:
+            continue
+        sd_want = _sd_reference(g, 3, gamma_t_value, solve_gamma_t, {})
+        msd_want = edge_major_msd(
+            g.edges(), 4, gamma_t_value(g), lambda e, t: solve_gamma_t(subdivide(g, e, t)),
+        )
+        state = SearchState()
+        assert dataclasses.astuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
+        assert dataclasses.astuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
+        state = SearchState()
+        assert dataclasses.astuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
+        assert dataclasses.astuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
+
+
+def test_state_serves_one_graph():
+    state = SearchState()
+    sd_gamma_t(path(5), memo=state)
+    with pytest.raises(ValueError):
+        msd_gamma_t(path(6), memo=state)
+    assert msd_gamma_t(path(5), memo=state) == msd_gamma_t(path(5))
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts the gamma_t solves of subdivided graphs."""
+    """Counts the solves of subdivided graphs.
+
+    Each of them starts from a repaired known cover as its upper bound; the
+    one solve that seeds a search state has none and is not counted.
+    """
     count = [0]
 
-    def counting(g):
-        count[0] += 1
-        return solve_gamma_t(g)
+    def counting(covers, full, upper=None):
+        if upper is not None:
+            count[0] += 1
+        return _min_cover(covers, full, upper)
 
-    monkeypatch.setattr(subdivision, "solve_gamma_t", counting)
+    monkeypatch.setattr(subdivision, "_min_cover", counting)
     return count
 
 
@@ -232,10 +293,18 @@ def test_tree_check_keeps_no_memo_between_checks(solves):
 def test_memo_does_not_change_results():
     for n in range(3, 11):
         for t in enumerate_trees(n):
-            memo = {}
+            memo = SearchState()
             assert sd_gamma_t(t, cap=3, memo=memo) == sd_gamma_t(t, cap=3)
             assert msd_gamma_t(t, memo=memo) == msd_gamma_t(t)
-            # a memo filled by the other search first gives the same results
-            memo = {}
+            # a state filled by the other search first gives the same results
+            memo = SearchState()
             assert msd_gamma_t(t, cap=4, memo=memo) == msd_gamma_t(t, cap=4)
             assert sd_gamma_t(t, memo=memo) == sd_gamma_t(t)
+
+
+def test_tree_check_subdivided_solves_are_pinned(solves):
+    # 4,712 at the search that solved every subdivided graph it met; known
+    # minimum covers settle the rest, so skipping or harvesting less raises it
+    for t in verify._trees(3, 12):
+        verify._check_tree_sd_eq_msd(t)
+    assert solves[0] == 3293
