@@ -20,7 +20,8 @@ are checked: if one maps a vertex already tried at that node onto this one,
 the subtree is an image of one already searched and is skipped.  Symmetric
 graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
 many.  Codes of two graphs are equal iff the graphs are isomorphic, and tree
-codes can never collide with non-tree codes (distinct prefixes).
+codes can never collide with non-tree codes (distinct prefixes).  Tree codes
+take any order; the search runs on at most GENERAL_CODE_CAP vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from .errors import TooLarge
 from .graph import Graph, iter_bits
 
-DEFAULT_CAP = 16
+GENERAL_CODE_CAP = 16
 
 
 def tree_centers(g: Graph) -> tuple[int, ...]:
@@ -184,17 +185,15 @@ def _general_code(g: Graph) -> bytes:
     return bytes([g.n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
-def canonical_code(g: Graph, cap: int = DEFAULT_CAP) -> bytes:
+def canonical_code(g: Graph) -> bytes:
     """Byte code equal across exactly the isomorphic relabelings of g."""
-    if g.n > cap:
-        raise TooLarge(f"n={g.n} above the canonical-code cap {cap}")
     if g.is_tree():
         return b"T" + tree_code(g)
+    if g.n > GENERAL_CODE_CAP:
+        raise TooLarge(f"n={g.n} above the canonical-code cap {GENERAL_CODE_CAP} for non-trees")
     return b"G" + _general_code(g)
 
 
-def labeled_tree_code(g: Graph, labels: str, cap: int = DEFAULT_CAP) -> bytes:
+def labeled_tree_code(g: Graph, labels: str) -> bytes:
     """Canonical form of a vertex-labeled tree (label-preserving isomorphism)."""
-    if g.n > cap:
-        raise TooLarge(f"n={g.n} above the canonical-code cap {cap}")
     return b"L" + tree_code(g, labels)

@@ -180,22 +180,13 @@ def lemma14_sufficient_sd_gt_one(t: Graph) -> bool:
 
 # -- longest paths -----------------------------------------------------------
 
-def _tree_path(t: Graph, a: int, b: int) -> tuple[int, ...]:
-    # unique path in a tree, by parent pointers from a BFS
-    parent = {a: -1}
-    frontier = [a]
-    while frontier and b not in parent:
-        nxt = []
-        for v in frontier:
-            for w in iter_bits(t.adj[v]):
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+def _tree_path(t: Graph, a: int, to_b: list[int]) -> tuple[int, ...]:
+    # the unique path from a to b in a tree, each step to the neighbour one
+    # closer to b, given every vertex's distance to b
+    path = [a]
+    for d in range(to_b[a] - 1, -1, -1):
+        path.append(next(w for w in iter_bits(t.adj[path[-1]]) if to_b[w] == d))
+    return tuple(path)
 
 
 def longest_paths(t: Graph) -> tuple[tuple[int, ...], ...]:
@@ -208,7 +199,7 @@ def longest_paths(t: Graph) -> tuple[tuple[int, ...], ...]:
     for a in range(t.n):
         for b in range(a + 1, t.n):
             if dists[a][b] == diam:
-                out.append(_tree_path(t, a, b))
+                out.append(_tree_path(t, a, dists[b]))
     return tuple(out)
 
 
@@ -224,5 +215,6 @@ def longest_path(t: Graph) -> tuple[int, ...]:
     da = t.bfs_distances(a)
     ecc = max(da)
     b = min(v for v in range(t.n) if da[v] == ecc)
-    path = _tree_path(t, *sorted((a, b)))
-    return path
+    # the path from the smaller endpoint to the larger
+    path = _tree_path(t, b, da)
+    return path if b < a else path[::-1]

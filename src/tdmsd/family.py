@@ -17,7 +17,7 @@ from .domination import gamma_t_value, is_total_dominating
 from .errors import NotATree, OutOfRange, WrongStatus
 from .graph import Graph, from_edge_list, iter_bits
 
-FAMILY_ORDER_CAP = 32
+FAMILY_ORDER_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -99,53 +99,45 @@ def _children(t: LabeledTree, n_max: int):
 
 
 @lru_cache(maxsize=None)
-def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
-    """All members with at most n_max vertices, one per isomorphism class of
-    the underlying tree, in (order, canonical code) order.
+def _class_table(n_max: int) -> dict[bytes, LabeledTree]:
+    """The canonical code of each member's tree with at most n_max vertices,
+    mapped to the first member of its class, in (order, code) order.
 
     Closure dedupes on the status-labeled canonical form so that no labeled
-    variant (and hence no descendant) can be lost; the output then keeps the
-    first representative of each unlabeled class.
+    variant (and hence no descendant) can be lost.
     """
     if n_max > FAMILY_ORDER_CAP:
-        # checked first: the closure would run up to the cap before failing
-        raise OutOfRange(f"family generation supports n_max <= {FAMILY_ORDER_CAP}")
+        # checked first: the closure grows too fast to finish above the cap
+        raise OutOfRange(f"family generation supports n_max <= {FAMILY_ORDER_CAP}, got {n_max}")
     if n_max < 6:
-        return ()
+        return {}
     seed = family_seed()
-    seen_labeled = {labeled_tree_code(seed.tree, seed.status, cap=FAMILY_ORDER_CAP)}
+    seen_labeled = {labeled_tree_code(seed.tree, seed.status)}
     members = [seed]
     # breadth first: the loop also visits the children it appends
     for t in members:
         for child in _children(t, n_max):
-            code = labeled_tree_code(child.tree, child.status, cap=FAMILY_ORDER_CAP)
+            code = labeled_tree_code(child.tree, child.status)
             if code not in seen_labeled:
                 seen_labeled.add(code)
                 members.append(child)
     by_class: dict[bytes, LabeledTree] = {}
     for t in members:
-        code = canonical_code(t.tree, cap=FAMILY_ORDER_CAP)
-        by_class.setdefault(code, t)
-    ordered = sorted(by_class.items(), key=lambda kv: (kv[1].n, kv[0]))
-    return tuple(t for _, t in ordered)
+        by_class.setdefault(canonical_code(t.tree), t)
+    return dict(sorted(by_class.items(), key=lambda kv: (kv[1].n, kv[0])))
 
 
-@lru_cache(maxsize=None)
-def _family_codes(n: int) -> frozenset[bytes]:
-    return frozenset(
-        canonical_code(t.tree, cap=FAMILY_ORDER_CAP)
-        for t in generate_family(n)
-        if t.n == n
-    )
+def generate_family(n_max: int) -> tuple[LabeledTree, ...]:
+    """All members with at most n_max vertices, one per isomorphism class of
+    the underlying tree, in (order, canonical code) order."""
+    return tuple(_class_table(n_max).values())
 
 
 def is_in_family(g: Graph) -> bool:
     """Whether the (unlabeled) tree is a member; statuses are existential."""
     if not g.is_tree():
         raise NotATree("family membership is defined for trees")
-    if g.n < 6:
-        return False
-    return canonical_code(g, cap=FAMILY_ORDER_CAP) in _family_codes(g.n)
+    return canonical_code(g) in _class_table(g.n)
 
 
 def verify_bc_property(t: LabeledTree) -> bool:

@@ -48,12 +48,15 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
         self.n = n
         self.adj = tuple(adj)
-        self.m = sum(a.bit_count() for a in self.adj) // 2
+
+    @property
+    def m(self) -> int:
+        return sum(map(int.bit_count, self.adj)) // 2
 
     @property
     def full_mask(self) -> int:

@@ -157,17 +157,18 @@ def _check_sd1_characterization(t: Graph) -> Record:
 
 
 def _check_lemma2(g: Graph) -> Record:
-    fires = lemma2_sufficient(g)
-    ok = (not fires) or _sd1(g) == 1
-    detail = "not fired" if not fires else f"sd1={_sd1(g) == 1}"
-    return Record(graph6_encode(g), ok, "lemma2 => sd_gamma_t == 1", detail)
+    if not lemma2_sufficient(g):
+        return Record(graph6_encode(g), True, "lemma2 => sd_gamma_t == 1", "not fired")
+    sd_is_1 = _sd1(g) == 1
+    return Record(graph6_encode(g), sd_is_1, "lemma2 => sd_gamma_t == 1", f"sd1={sd_is_1}")
 
 
 def _check_lemma14(t: Graph) -> Record:
-    fires = lemma14_sufficient_sd_gt_one(t)
-    ok = (not fires) or _sd1(t) is None
-    detail = "not fired" if not fires else ("sd>1" if _sd1(t) is None else "sd=1")
-    return Record(graph6_encode(t), ok, "lemma14 => sd_gamma_t > 1", detail)
+    if not lemma14_sufficient_sd_gt_one(t):
+        return Record(graph6_encode(t), True, "lemma14 => sd_gamma_t > 1", "not fired")
+    sd_gt_1 = _sd1(t) is None
+    detail = "sd>1" if sd_gt_1 else "sd=1"
+    return Record(graph6_encode(t), sd_gt_1, "lemma14 => sd_gamma_t > 1", detail)
 
 
 def _check_universal(g: Graph) -> Record:
@@ -227,7 +228,7 @@ def _check_path_cycle(g: Graph) -> Record:
 class Theorem:
     """One sweep: a check per item of graphs(lo, n_max), for n_max in lo..hi.
 
-    hi is the graph streams' cap, the family's code cap, or for
+    hi is the graph streams' cap, the family's order cap, or for
     path-cycle-formulas room for the three vertices sd/msd add.  A serial
     sweep ignores jobs: it is too short for a worker pool to pay off.
     """

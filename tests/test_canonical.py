@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from tdmsd import canonical_code, complete, cycle, errors, from_edge_list, path, star
-from tdmsd.canonical import _general_code, labeled_tree_code, tree_centers
+from tdmsd.canonical import _general_code, labeled_tree_code, tree_centers, tree_code
 
 from oracles import (
     prufer_decode,
@@ -45,9 +45,11 @@ def test_code_invariance_random_relabelings():
 
 
 def test_code_cap():
+    # trees have no cap; the general search keeps its 16-vertex guard
+    assert canonical_code(path(40)) == b"T" + tree_code(path(40))
+    assert labeled_tree_code(path(40), "A" * 40)[:1] == b"L"
     with pytest.raises(errors.TooLarge):
-        canonical_code(path(17))
-    assert canonical_code(path(17), cap=17)
+        canonical_code(cycle(17))
 
 
 def test_tree_centers():

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -238,6 +239,16 @@ def test_family_generate_above_the_code_cap_is_a_usage_error(capsys):
     from tdmsd.family import FAMILY_ORDER_CAP
 
     code, _ = run_cli("family", "generate", "--n-max", str(FAMILY_ORDER_CAP + 1))
+    assert code == 2
+    assert f"n_max <= {FAMILY_ORDER_CAP}" in capsys.readouterr().err
+
+
+def test_family_test_above_the_cap_is_a_usage_error_at_once(capsys):
+    from tdmsd.family import FAMILY_ORDER_CAP
+
+    start = time.process_time()
+    code, _ = run_cli("family", "test", "--input", "p32")
+    assert time.process_time() - start < 0.5
     assert code == 2
     assert f"n_max <= {FAMILY_ORDER_CAP}" in capsys.readouterr().err
 

@@ -95,6 +95,15 @@ def test_tree_sd_eq_msd_through_order_sixteen():
     assert report.failures == ()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", ["tree-sd-eq-msd", "family-sd3", "strong-support"])
+def test_tree_theorems_through_order_eighteen(theorem):
+    # every free tree of orders 3..18, the tree generator's cap
+    report = run_verification(theorem, 18, jobs=2)
+    assert report.graphs_checked == 205002
+    assert report.failures == ()
+
+
 def test_prufer_total_count():
     assert sum(1 for _ in labeled_trees_by_prufer(5)) == 5 ** 3
 

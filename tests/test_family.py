@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tdmsd import (
@@ -13,6 +15,8 @@ from tdmsd import (
     star,
     verify_bc_property,
 )
+from tdmsd.enumeration import TREE_ORDER_CAP
+from tdmsd.family import FAMILY_ORDER_CAP
 
 
 def test_seed_is_p6_with_statuses():
@@ -31,14 +35,14 @@ def test_o1_at_center_gives_nine_vertex_spider():
     assert t.status == "CBAABCABC"
     # both central anchors give the same unlabeled tree
     t2 = apply_operation(seed, "O1", 3)
-    assert canonical_code(t.tree, cap=32) == canonical_code(t2.tree, cap=32)
+    assert canonical_code(t.tree) == canonical_code(t2.tree)
 
 
 def test_o2_at_end_leaf_gives_p10():
     seed = family_seed()
     t = apply_operation(seed, "O2", 0)
     assert t.n == 10
-    assert canonical_code(t.tree, cap=32) == canonical_code(path(10), cap=32)
+    assert canonical_code(t.tree) == canonical_code(path(10))
 
 
 def test_operation_status_preconditions():
@@ -109,4 +113,21 @@ def test_commuting_operations_give_isomorphic_trees():
     # two operations anchored at distinct pre-existing vertices commute
     a = apply_operation(apply_operation(seed, "O1", 2), "O2", 0)
     b = apply_operation(apply_operation(seed, "O2", 0), "O1", 2)
-    assert canonical_code(a.tree, cap=32) == canonical_code(b.tree, cap=32)
+    assert canonical_code(a.tree) == canonical_code(b.tree)
+
+
+def test_membership_above_the_cap_fails_before_any_closure_work():
+    start = time.process_time()
+    with pytest.raises(errors.OutOfRange, match=f"n_max <= {FAMILY_ORDER_CAP}"):
+        is_in_family(path(FAMILY_ORDER_CAP + 1))
+    assert time.process_time() - start < 0.5
+
+
+def test_family_cap_covers_every_tree_order():
+    # family-sd3 asks is_in_family about trees of every order it sweeps
+    assert TREE_ORDER_CAP <= FAMILY_ORDER_CAP
+
+
+def test_membership_below_the_seed_order_is_false():
+    assert generate_family(5) == ()
+    assert not any(is_in_family(path(n)) for n in range(1, 6))
