@@ -19,14 +19,15 @@ a vertex, the automorphisms found so far that fix each individualized vertex
 are checked: if one maps a vertex already tried at that node onto this one,
 the subtree is an image of one already searched and is skipped.  Symmetric
 graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
-many.  Codes of two graphs are equal iff the graphs are isomorphic, and tree
+many.  ``automorphisms`` returns the automorphisms the search found, which
+generate the graph's group; the connected-graph generator prunes by them.  Codes of two graphs are equal iff the graphs are isomorphic, and tree
 codes can never collide with non-tree codes (distinct prefixes).  Tree codes
 take any order; the search runs on at most GENERAL_CODE_CAP vertices.
 """
 
 from __future__ import annotations
 
-from .errors import TooLarge
+from .errors import NotATree, TooLarge
 from .graph import Graph, iter_bits
 
 GENERAL_CODE_CAP = 16
@@ -34,6 +35,9 @@ GENERAL_CODE_CAP = 16
 
 def tree_centers(g: Graph) -> tuple[int, ...]:
     """The one or two middle vertices of a tree, by iterative leaf peeling."""
+    # peeling a graph with a cycle would run out of leaves and never stop
+    if not g.is_tree():
+        raise NotATree("centers computed on trees")
     n = g.n
     if n <= 2:
         return tuple(range(n))
@@ -130,8 +134,9 @@ def _order_bits(g: Graph, order: list[int]) -> int:
     return bits
 
 
-def _general_code(g: Graph) -> bytes:
-    """Order byte, then the least leaf bit string of the pruned search, big-endian."""
+def _search(g: Graph) -> tuple[int, list[list[int]]]:
+    """The least leaf bit string of the pruned search, and the automorphisms
+    it found on the way, each as an image list."""
     best: int | None = None
     best_order: list[int] = []
     # automorphisms found so far, each as (image list, mask of its fixed points)
@@ -181,8 +186,25 @@ def _general_code(g: Graph) -> bytes:
 
     descend(_refine(g, _initial_cells(g)), 0)
     assert best is not None
+    return best, [image for image, _ in autos]
+
+
+def _general_code(g: Graph) -> bytes:
+    """Order byte, then the least leaf bit string of the pruned search, big-endian."""
+    best, _ = _search(g)
     nbits = g.n * (g.n - 1) // 2
     return bytes([g.n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
+
+
+def automorphisms(g: Graph) -> list[list[int]]:
+    """Automorphisms of g, as image lists, that generate its automorphism group.
+
+    They are the ones the code search finds, for trees and non-trees alike;
+    the identity is never listed, so an asymmetric graph gets none.
+    """
+    if g.n > GENERAL_CODE_CAP:
+        raise TooLarge(f"n={g.n} above the automorphism search cap {GENERAL_CODE_CAP}")
+    return _search(g)[1]
 
 
 def canonical_code(g: Graph) -> bytes:

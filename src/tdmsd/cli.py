@@ -15,16 +15,16 @@ import os
 import sys
 from pathlib import Path
 
-from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 from .domination import gamma, gamma_t
-from .enumeration import enumerate_connected_graphs, enumerate_trees
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
-from .family import generate_family, is_in_family
 from .fixtures import FIXTURE_NAMES, fixture_by_name
 from .graph import Graph, format_edge_list, parse_edge_list, structure_profile
 from .graph6 import graph6_decode, graph6_encode
 from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
-from .verify import THEOREMS, run_verification
+
+# Only compute's dependencies are imported here.  Each other command imports
+# what it runs, so that `tdmsd compute` loads no sweep, family or enumeration
+# code (nor verify's process pool).
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -73,6 +73,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _theorem_id(text: str) -> str:
+    from .verify import THEOREMS
+
+    if text not in THEOREMS:
+        valid = ", ".join(map(repr, sorted(THEOREMS)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {valid})")
+    return text
+
+
 def _emit(obj, out) -> None:
     print(json.dumps(obj, sort_keys=True), file=out)
 
@@ -118,6 +127,8 @@ def _cmd_compute(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .verify import run_verification
+
     report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs)
     if args.verbose:
         for rec in report.records:
@@ -146,6 +157,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_family(args, out) -> int:
+    from .family import generate_family, is_in_family
+
     if args.family_cmd == "generate":
         if args.out:
             # a path that cannot be a directory is a usage error, found
@@ -176,6 +189,8 @@ def _cmd_family(args, out) -> int:
 
 
 def _cmd_characterize(args, out) -> int:
+    from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
+
     g = _read_graph(args.input, args.format)
     leaf = leaf_condition(g)
     inner = [
@@ -193,6 +208,8 @@ def _cmd_characterize(args, out) -> int:
 
 
 def _cmd_enum(args, out) -> int:
+    from .enumeration import enumerate_connected_graphs, enumerate_trees
+
     stream = (
         enumerate_trees(args.n)
         if args.kind == "trees"
@@ -230,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["auto", "edge-list", "graph6"], default="auto")
 
     p = sub.add_parser("verify", help="run one theorem sweep")
-    p.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
+    p.add_argument("--theorem", required=True, type=_theorem_id, help="a theorem id")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")

@@ -16,14 +16,19 @@ degree, G - v is connected and G arises from its representative by adding v
 joined to some non-empty vertex set.  An extension is kept only when its new
 vertex could be that v (no non-cut vertex has strictly larger degree), and
 what is left is deduped by canonical code (canonical augmentation, McKay,
-J. Algorithms 26, 1998).
+J. Algorithms 26, 1998).  Neighbour sets are tried in ascending order, and
+only the least set of each orbit under the base's automorphisms is extended:
+an automorphism carrying one set to another extends to an isomorphism of the
+two extensions, which pass or fail the non-cut test alike.  The first
+extension of each class is thus never skipped, and the stream is the same as
+without the pruning.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .canonical import canonical_code
+from .canonical import automorphisms, canonical_code
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
 
@@ -126,6 +131,21 @@ def _is_non_cut(adj: list[int], v: int) -> bool:
     return seen == rest
 
 
+def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:
+    """Mark every image of the vertex set mask under the group autos generate."""
+    reached[mask] = 1
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for image in autos:
+            out = 0
+            for v in iter_bits(m):
+                out |= 1 << image[v]
+            if not reached[out]:
+                reached[out] = 1
+                stack.append(out)
+
+
 @lru_cache(maxsize=None)
 def _connected_reps(n: int) -> tuple[Graph, ...]:
     if n == 1:
@@ -133,7 +153,12 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
     new = n - 1
     seen: dict[bytes, Graph] = {}
     for base in _connected_reps(n - 1):
+        autos = automorphisms(base)
+        reached = bytearray(1 << new)
         for nbrs in range(1, 1 << new):
+            if reached[nbrs]:
+                continue
+            _mark_orbit(nbrs, autos, reached)
             adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
             adj.append(nbrs)
             # keep only extensions whose new vertex is a non-cut vertex of

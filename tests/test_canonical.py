@@ -1,11 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 import time
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
 from tdmsd import canonical_code, complete, cycle, errors, from_edge_list, path, star
-from tdmsd.canonical import _general_code, labeled_tree_code, tree_centers, tree_code
+from tdmsd.canonical import (
+    _general_code,
+    automorphisms,
+    labeled_tree_code,
+    tree_centers,
+    tree_code,
+)
 
 from oracles import (
     prufer_decode,
@@ -50,6 +60,8 @@ def test_code_cap():
     assert labeled_tree_code(path(40), "A" * 40)[:1] == b"L"
     with pytest.raises(errors.TooLarge):
         canonical_code(cycle(17))
+    with pytest.raises(errors.TooLarge):
+        automorphisms(cycle(17))
 
 
 def test_tree_centers():
@@ -196,3 +208,62 @@ def test_symmetric_graphs_skip_the_factorial_code_path(name, g):
         codes.append(canonical_code(h))
         assert time.perf_counter() - start < 5
     assert codes[0] == codes[1] == canonical_code(g)
+
+
+def test_labeled_tree_code_on_a_cycle_raises_instead_of_hanging():
+    # leaf peeling on a graph with a cycle once ran out of leaves and never stopped
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from tdmsd import cycle, errors, labeled_tree_code\n"
+        "try:\n"
+        "    labeled_tree_code(cycle(5), 'AAAAA')\n"
+        "except errors.NotATree:\n"
+        "    print('NotATree')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.stdout.strip() == "NotATree", proc.stderr
+
+
+@pytest.mark.parametrize("g", [cycle(4), from_edge_list(4, [(0, 1), (2, 3)]),
+                               from_edge_list(3, [(0, 1)])])
+def test_tree_centers_rejects_non_trees(g):
+    with pytest.raises(errors.NotATree):
+        tree_centers(g)
+
+
+def _group_order(gens, n):
+    identity = tuple(range(n))
+    seen = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for gen in gens:
+            q = tuple(gen[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+def _brute_group_order(g):
+    return sum(
+        all(g.adj[p[v]] == sum(1 << p[w] for w in range(g.n) if g.adj[v] >> w & 1)
+            for v in range(g.n))
+        for p in permutations(range(g.n))
+    )
+
+
+def test_found_automorphisms_generate_the_whole_group():
+    from tdmsd import enumerate_connected_graphs, enumerate_trees
+
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    graphs += [g for n in range(6, 8) for g in enumerate_trees(n)]
+    graphs += [complete(6), cycle(6), star(6)]
+    for g in graphs:
+        gens = automorphisms(g)
+        for image in gens:
+            assert sorted(image) == list(range(g.n))
+            assert g.relabel(image) == g
+        assert _group_order(gens, g.n) == _brute_group_order(g)

@@ -393,10 +393,13 @@ def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatc
     assert asked == [4, 3]
 
 
-def test_verify_unknown_theorem_is_usage_error():
+def test_verify_unknown_theorem_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--theorem", "nonexistent")
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nonexistent'" in err
+    assert all(repr(theorem) in err for theorem in THEOREMS)
 
 
 def test_verify_counterexample_exits_1(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tdmsd import (
@@ -7,7 +9,7 @@ from tdmsd import (
     errors,
     from_edge_list,
 )
-from tdmsd import enumeration
+from tdmsd import enumeration, graph6_encode
 from tdmsd.verify import run_verification
 
 from oracles import (
@@ -150,6 +152,43 @@ def test_connected_order_eight_count_and_codes():
     assert all(g.n == 8 and g.is_connected() for g in reps)
     connected = [1] + [len(enumeration._connected_reps(n)) for n in range(2, 9)]
     assert euler_transform(connected)[-1] == 12346
+    assert _stream_digest(reps) == CONNECTED_STREAM_SHA256[8]
+
+
+# sha256 of each order's graph6 strings, one per line in stream order, taken
+# before the generator pruned extensions by the base's automorphisms; the
+# pruning must leave every representative and its labels as they were
+CONNECTED_STREAM_SHA256 = {
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "ff2d82289efa0ff461f01b6392475c14443f4eaec80a874bbe26aed794860082",
+    4: "e56c01ebb70a617c91be005234aef5da0725d152e7aa8928dc6da84366dad926",
+    5: "36abe6322b1b57973f7523e2840d9db1f2ac5a3bffe377f85cb633531875f9fc",
+    6: "2f5ab06c740bf6352f77172bfec1f90c65ec728ad336c6d739eff8cd17cb68d0",
+    7: "9a05e723cbfa59b9eb2703811b87743b664d26f6ab9ecefb7991274fdb774027",
+    8: "f4483d0501ddbbb0e0b7341491ffff1615ad09e68ffe009e888510044a6b1894",
+}
+
+
+def _stream_digest(graphs):
+    return hashlib.sha256("\n".join(map(graph6_encode, graphs)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_connected_stream_is_frozen(n):
+    assert _stream_digest(enumerate_connected_graphs(n)) == CONNECTED_STREAM_SHA256[n]
+
+
+def test_connected_generator_codes_one_extension_per_orbit(monkeypatch):
+    # order 7 from the cached order-6 bases: 1,908 extensions pass the non-cut
+    # test, and 1,157 of them are the least of their orbit under the base's
+    # automorphisms; only those are coded
+    enumerate_connected_graphs(6)
+    calls = []
+    code = enumeration.canonical_code
+    monkeypatch.setattr(enumeration, "canonical_code", lambda g: calls.append(g) or code(g))
+    reps = enumeration._connected_reps.__wrapped__(7)
+    assert len(calls) == 1157
+    assert reps == enumerate_connected_graphs(7)
 
 
 def test_all_graph_classes_closed_under_complement():
