@@ -16,11 +16,11 @@ from .errors import Disconnected, NotATree, NotInnerEdge, TooSmall
 from .graph import (
     Edge,
     Graph,
+    inner_edges,
     iter_bits,
     leaves_mask,
     normalize_edge,
     private_neighborhood_mask,
-    structure_profile,
 )
 
 
@@ -106,7 +106,7 @@ def predicts_sd_one(t: Graph) -> bool:
         return True
     return any(
         inner_edge_condition(t, e).holds
-        for e in structure_profile(t).inner_edges
+        for e in inner_edges(t)
     )
 
 
@@ -126,7 +126,7 @@ def lemma2_sufficient(g: Graph) -> bool:
         return True
     return any(
         u in profile.in_none and v in profile.in_none
-        for u, v in structure_profile(g).inner_edges
+        for u, v in inner_edges(g)
     )
 
 
@@ -172,7 +172,7 @@ def lemma14_sufficient_sd_gt_one(t: Graph) -> bool:
     for leaf in iter_bits(lv):
         if not any(m >> leaf & 1 for m in masks):
             return False
-    for u, v in structure_profile(t).inner_edges:
+    for u, v in inner_edges(t):
         if not any(_lemma14_edge_ok(t, u, v, m) for m in masks):
             return False
     return True

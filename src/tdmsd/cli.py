@@ -18,7 +18,7 @@ from pathlib import Path
 from .domination import gamma, gamma_t
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
 from .fixtures import FIXTURE_NAMES, fixture_by_name
-from .graph import Graph, format_edge_list, parse_edge_list, structure_profile
+from .graph import Graph, format_edge_list, inner_edges, parse_edge_list
 from .graph6 import graph6_decode, graph6_encode
 from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
 
@@ -195,7 +195,7 @@ def _cmd_characterize(args, out) -> int:
     leaf = leaf_condition(g)
     inner = [
         {"edge": list(e), "holds": inner_edge_condition(g, e).holds}
-        for e in structure_profile(g).inner_edges
+        for e in inner_edges(g)
     ]
     _emit({
         "graph6": graph6_encode(g),

@@ -101,12 +101,15 @@ def _min_cover(covers: tuple[int, ...], full: int,
             branch_cands = 0
             branch_width = n + 1
             forced = 0
+            # every vertex that covers an uncovered element, banned ones aside
+            useful = 0
             rest = full & ~covered
             while rest:
                 low = rest & -rest
                 cands = covers[low.bit_length() - 1] & ~banned
                 if cands == 0:
                     return
+                useful |= cands
                 w = cands.bit_count()
                 if w == 1:
                     forced = cands
@@ -122,15 +125,14 @@ def _min_cover(covers: tuple[int, ...], full: int,
                 continue
             break
         uncovered = full & ~covered
+        # covers are symmetric, so no vertex outside useful gains anything
         max_gain = 0
-        for u in range(n):
-            if banned >> u & 1:
-                continue
-            gain = (covers[u] & uncovered).bit_count()
+        while useful:
+            low = useful & -useful
+            gain = (covers[low.bit_length() - 1] & uncovered).bit_count()
             if gain > max_gain:
                 max_gain = gain
-        if max_gain == 0:
-            return
+            useful ^= low
         lower = -(-uncovered.bit_count() // max_gain)
         if count + lower >= best:
             return

@@ -256,6 +256,12 @@ def leaves_mask(g: Graph) -> int:
     return bits
 
 
+def inner_edges(g: Graph) -> tuple[Edge, ...]:
+    """The edges with no leaf end, sorted."""
+    lv = leaves_mask(g)
+    return tuple((u, v) for u, v in g.edges() if not (lv >> u | lv >> v) & 1)
+
+
 def structure_profile(g: Graph) -> StructureProfile:
     lv = leaves_mask(g)
     supports = 0
@@ -266,13 +272,7 @@ def structure_profile(g: Graph) -> StructureProfile:
             supports |= 1 << v
         if k >= 2:
             strong |= 1 << v
-    pendant = []
-    inner = []
-    for u, v in g.edges():
-        if (lv >> u & 1) or (lv >> v & 1):
-            pendant.append((u, v))
-        else:
-            inner.append((u, v))
+    pendant = tuple((u, v) for u, v in g.edges() if (lv >> u | lv >> v) & 1)
     connected = g.is_connected()
     diameter: int | None = None
     if connected:
@@ -286,8 +286,8 @@ def structure_profile(g: Graph) -> StructureProfile:
         leaves=frozenset(iter_bits(lv)),
         supports=frozenset(iter_bits(supports)),
         strong_supports=frozenset(iter_bits(strong)),
-        pendant_edges=tuple(pendant),
-        inner_edges=tuple(inner),
+        pendant_edges=pendant,
+        inner_edges=inner_edges(g),
         diameter=diameter,
     )
 

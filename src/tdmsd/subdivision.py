@@ -5,7 +5,8 @@ Searches go strictly by increasing subdivision count / subset size, so the
 reported value is the first point at which the recomputed (total) domination
 number strictly increases.  The msd search is count-major: every edge at
 t = 1, then every edge at t = 2, and so on, so its first hit is the minimum
-and no incumbent is kept.
+and no incumbent is kept.  Each count or subset size is one row of
+subdivided graphs.
 
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a SearchState:
@@ -14,23 +15,29 @@ exact solve of g.  A subdivided graph H that one of those covers still
 covers has a number of at most gamma(g), so it is settled without a solve.
 Any other H is solved exactly, from the best known cover repaired for H as
 the upper bound, and a minimum cover of H of size gamma(g) that uses no new
-vertex is a minimum cover of g, so it joins the list.  Every skip and every
-bound rests on a cover checked against H, so the values stay exact.
+vertex is a minimum cover of g, so it joins the list.
+
+In the sd search, a cover of H of size gamma(g) that does use a new vertex
+is kept under its edge subset, for one row: it is lifted to each subset of
+the next row that holds one more edge, and tested there after g's covers.
+(Lifting the cover of e subdivided t - 1 times to t times, the msd analogue,
+never covered the graph it was offered to in any sweep, so msd does not.)
+Every skip and every bound rests on a cover checked against H, so the
+values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
 than the solves they save (and are factorial on symmetric graphs).  The sd
 and msd searches of g may share one state: subdivide(g, e, 1) and
-subdivide_edges(g, (e,)) build the same graph, so their t = 1 / k = 1 rows
-are settled once, and each search starts from the covers the other found.
+subdivide_edges(g, (e,)) build the same graph, so the state records how
+their common first row ended, and the second search builds none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
-from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooSmall
@@ -40,6 +47,17 @@ MSD_DEFAULT_CAP = 3
 
 # perfbench's freshness check reads this; there is no on-disk cache
 _persistent_gamma_t = None
+
+
+def __getattr__(name: str):
+    # perfbench's traced units wrap subdivision.canonical_code; resolving it
+    # on first access keeps canonical out of the modules tdmsd compute loads
+    if name == "canonical_code":
+        from .canonical import canonical_code
+
+        globals()[name] = canonical_code
+        return canonical_code
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -61,125 +79,169 @@ class SubdivisionResult:
         return self.value is None
 
 
-def _check_connected(g: Graph, min_n: int) -> None:
-    if g.n < min_n:
-        raise TooSmall(f"need n >= {min_n}, got n={g.n}")
-    if not g.is_connected():
-        raise Disconnected("subdivision invariants need a connected graph")
-
-
 class SearchState:
     """What the searches of one graph learn, shared for as long as the caller
     keeps the state.
 
-    base is the graph's (total) domination number and covers a list of its
-    minimum (total) dominating sets, as vertex masks; values maps each
-    subdivided graph solved so far to its number.  A new state is empty and
-    binds to the first graph a search uses it for.
+    base is the graph's (total) domination number, covers a list of its
+    minimum (total) dominating sets as vertex masks, and edges its edge
+    list.  row_one is how the row of single subdivisions ended: None before
+    any search ran it, () if no edge raises the number, else (e, value) for
+    the first edge that does.  row_one_covers maps (e,) to a kept cover of
+    that row's graph, for the second row of the sd search.  A new state is
+    empty and binds to the first graph a search uses it for.
     """
 
-    __slots__ = ("graph", "closed", "base", "covers", "values")
+    __slots__ = ("graph", "closed", "base", "covers", "edges", "row_one", "row_one_covers")
 
     def __init__(self) -> None:
         self.graph: Graph | None = None
         self.closed = False
         self.base = 0
         self.covers: list[int] = []
-        self.values: dict[Graph, int] = {}
+        self.edges: list[Edge] = []
+        self.row_one: tuple | None = None
+        self.row_one_covers: dict[tuple[Edge, ...], int] = {}
 
 
 def _cover_sets(g: Graph, closed: bool) -> tuple[int, ...]:
     return _closed_covers(g) if closed else _total_covers(g)
 
 
-def _bind(g: Graph, closed: bool, memo: SearchState | None) -> SearchState:
+def _bind(g: Graph, closed: bool, memo: SearchState | None, min_n: int) -> SearchState:
+    if g.n < min_n:
+        raise TooSmall(f"need n >= {min_n}, got n={g.n}")
     state = SearchState() if memo is None else memo
     if state.graph is None:
+        if not g.is_connected():
+            raise Disconnected("subdivision invariants need a connected graph")
         # g is connected with n >= 2, so it has no isolated vertex
         state.base, cover = _min_cover(_cover_sets(g, closed), g.full_mask)
         state.graph, state.closed, state.covers = g, closed, [cover]
+        state.edges = g.edges()
     elif state.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
     return state
 
 
-def _increase(state: SearchState, h: Graph) -> int | None:
-    """The number of h, a subdivision of state.graph, if it exceeds the base.
+def _increase(state: SearchState, h: Graph, lifted=()) -> tuple[int | None, int]:
+    """(number of h if it exceeds the base, else None; a cover to keep).
 
-    A known minimum cover of the graph that still covers h shows that h's
-    number is at most the base, without a solve.  Otherwise the cover that
-    leaves the fewest vertices of h uncovered, repaired with the highest
-    candidate of each vertex still uncovered, bounds the exact search.  A
-    minimum cover of h of the base size inside the original vertices is a
-    minimum cover of the graph too, so it joins the known covers: subdividing
-    adds no edge between original vertices, so what covers an original vertex
-    in h covers it in the graph.
+    h is a subdivision of state.graph, and lifted yields covers kept for the
+    graphs one row down, relabelled for h.  A known minimum cover of the
+    graph, or else a lifted cover, that still covers h shows that h's number
+    is at most the base, without a solve.  Otherwise the cover that leaves
+    the fewest vertices of h uncovered, repaired with the highest candidate
+    of each vertex still uncovered, bounds the exact search.  A minimum
+    cover of h of the base size inside the original vertices is a minimum
+    cover of the graph too, so it joins the known covers: subdividing adds
+    no edge between original vertices, so what covers an original vertex in
+    h covers it in the graph.  A cover of h of the base size that uses a new
+    vertex, lifted or solved, is returned for the caller to keep.
     """
-    value = state.values.get(h)
-    if value is None:
-        covers = _cover_sets(h, state.closed)
-        full = h.full_mask
-        upper = 0
-        left = full
-        for cover in state.covers:
-            covered = 0
-            rest = cover
-            while rest:
-                low = rest & -rest
-                covered |= covers[low.bit_length() - 1]
-                rest ^= low
-            missed = full & ~covered
-            if not missed:
-                return None
-            if missed.bit_count() < left.bit_count():
-                upper, left = cover, missed
-        while left:
-            u = covers[(left & -left).bit_length() - 1].bit_length() - 1
-            upper |= 1 << u
-            left &= ~covers[u]
-        value, cover = _min_cover(covers, full, upper)
-        if value == state.base and not cover >> state.graph.n:
-            state.covers.append(cover)
-        state.values[h] = value
-    return value if value > state.base else None
+    covers = _cover_sets(h, state.closed)
+    full = h.full_mask
+    n = state.graph.n
+    upper = 0
+    left = full
+    for cover in chain(state.covers, lifted):
+        covered = 0
+        rest = cover
+        while rest:
+            low = rest & -rest
+            covered |= covers[low.bit_length() - 1]
+            rest ^= low
+        missed = full & ~covered
+        if not missed:
+            return None, cover if cover >> n else 0
+        if missed.bit_count() < left.bit_count():
+            upper, left = cover, missed
+    while left:
+        u = covers[(left & -left).bit_length() - 1].bit_length() - 1
+        upper |= 1 << u
+        left &= ~covers[u]
+    value, cover = _min_cover(covers, full, upper)
+    if value > state.base:
+        return value, 0
+    if cover >> n:
+        return None, cover
+    state.covers.append(cover)
+    return None, 0
+
+
+def _row_one(state: SearchState, build) -> tuple:
+    """state.row_one, running the row with build(e) if no search has yet."""
+    if state.row_one is None:
+        hit = ()
+        for e in state.edges:
+            after, keep = _increase(state, build(e))
+            if after is not None:
+                hit = (e, after)
+                break
+            if keep:
+                state.row_one_covers[(e,)] = keep
+        state.row_one = hit
+    return state.row_one
+
+
+def _lift_subsets(kept: dict, subset: tuple[Edge, ...], n: int):
+    # the graph of subset less its i-th edge numbers the new vertices after
+    # position i one lower, so its bits from n + i up move up by one
+    for i in range(len(subset)):
+        cover = kept.get(subset[:i] + subset[i + 1:])
+        if cover:
+            low = cover & ((1 << (n + i)) - 1)
+            yield low | (cover ^ low) << 1
 
 
 def _msd(g: Graph, cap: int, closed: bool, memo: SearchState | None) -> SubdivisionResult:
-    _check_connected(g, 2)
-    state = _bind(g, closed, memo)
-    edges = g.edges()
+    state = _bind(g, closed, memo, 2)
+    if cap >= 1:
+        hit = _row_one(state, lambda e: subdivide(g, e, 1))
+        if hit:
+            e, after = hit
+            return SubdivisionResult(1, (e,), (1,), state.base, after)
     # count-major: the first count at which any edge succeeds is the minimum
     # over edges, and the first edge to succeed at it is the lowest such edge
-    for t in range(1, cap + 1):
-        for e in edges:
-            after = _increase(state, subdivide(g, e, t))
+    for t in range(2, cap + 1):
+        for e in state.edges:
+            after, _ = _increase(state, subdivide(g, e, t))
             if after is not None:
                 return SubdivisionResult(t, (e,), (t,), state.base, after)
     return SubdivisionResult(None, (), (), state.base, None)
 
 
 def _sd(g: Graph, cap: int | None, closed: bool, memo: SearchState | None) -> SubdivisionResult:
-    _check_connected(g, 3)
-    state = _bind(g, closed, memo)
-    edges = g.edges()
+    state = _bind(g, closed, memo, 3)
+    edges = state.edges
     limit = len(edges) if cap is None else min(cap, len(edges))
-    for k in range(1, limit + 1):
+    if limit >= 1:
+        hit = _row_one(state, lambda e: subdivide_edges(g, (e,)))
+        if hit:
+            e, after = hit
+            return SubdivisionResult(1, (e,), (1,), state.base, after)
+    kept = state.row_one_covers
+    for k in range(2, limit + 1):
+        row = {}
         for subset in combinations(edges, k):
-            after = _increase(state, subdivide_edges(g, subset))
+            lifted = _lift_subsets(kept, subset, g.n) if kept else ()
+            after, keep = _increase(state, subdivide_edges(g, subset), lifted)
             if after is not None:
                 return SubdivisionResult(k, subset, (1,) * k, state.base, after)
+            if keep:
+                row[subset] = keep
+        kept = row
     return SubdivisionResult(None, (), (), state.base, None)
 
 
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
-    _check_connected(g, 2)
+    state = _bind(g, False, None, 2)
     u, v = normalize_edge(*e)
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
-    state = _bind(g, False, None)
     for t in range(1, cap + 1):
-        after = _increase(state, subdivide(g, (u, v), t))
+        after, _ = _increase(state, subdivide(g, (u, v), t))
         if after is not None:
             return SubdivisionResult(t, ((u, v),), (t,), state.base, after)
     return SubdivisionResult(None, ((u, v),), (), state.base, None)

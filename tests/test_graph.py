@@ -16,6 +16,7 @@ from tdmsd import (
     subdivide_edges,
 )
 from tdmsd.fixtures import GSTAR_EDGES, cycle
+from tdmsd.graph import inner_edges
 
 from oracles import naive_diameter, random_connected_edges, random_graph_edges
 import random
@@ -122,6 +123,13 @@ def test_structure_profile_gstar():
     assert not prof.is_tree
     assert prof.diameter == naive_diameter(12, GSTAR_EDGES)
     assert prof.diameter == 4
+
+
+def test_inner_edges_have_no_leaf_end():
+    assert inner_edges(path(4)) == ((1, 2),)
+    assert inner_edges(star(4)) == ()
+    assert inner_edges(cycle(5)) == tuple(cycle(5).edges())
+    assert inner_edges(path(2)) == ()
 
 
 def test_structure_profile_properties():

@@ -33,8 +33,24 @@ def test_compute_loads_no_sweep_module():
     loaded = set(json.loads(out))
     assert "tdmsd.subdivision" in loaded
     for name in ("tdmsd.verify", "tdmsd.enumeration", "tdmsd.family",
-                 "tdmsd.characterization", "concurrent.futures.process"):
+                 "tdmsd.characterization", "tdmsd.canonical", "concurrent.futures.process"):
         assert name not in loaded, name
+
+
+def test_subdivision_resolves_canonical_code_on_first_access():
+    # the binding perfbench's traced units wrap is still there when asked for
+    out = _fresh_python(
+        "import sys\n"
+        "from tdmsd import subdivision\n"
+        "assert 'tdmsd.canonical' not in sys.modules\n"
+        "from tdmsd import canonical\n"
+        "print(subdivision.canonical_code is canonical.canonical_code)\n"
+    )
+    assert out.split() == ["True"]
+    from tdmsd import subdivision
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(subdivision, "no_such_name")
 
 
 def test_package_import_loads_no_submodule():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -251,6 +252,22 @@ def test_state_serves_one_graph():
     assert msd_gamma_t(path(5), memo=state) == msd_gamma_t(path(5))
 
 
+def test_bound_state_still_checks_the_order():
+    # msd binds a state to K2, which sd must still refuse
+    state = SearchState()
+    assert msd_gamma_t(path(2), memo=state).value == 3
+    with pytest.raises(errors.TooSmall):
+        sd_gamma_t(path(2), memo=state)
+
+
+@pytest.mark.parametrize("search", [sd_gamma_t, msd_gamma_t])
+def test_fresh_state_refuses_a_disconnected_graph(search):
+    state = SearchState()
+    with pytest.raises(errors.Disconnected):
+        search(from_edge_list(4, [(0, 1), (2, 3)]), memo=state)
+    assert state.graph is None
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Counts the solves of subdivided graphs.
@@ -291,20 +308,71 @@ def test_tree_check_keeps_no_memo_between_checks(solves):
 
 
 def test_memo_does_not_change_results():
-    for n in range(3, 11):
-        for t in enumerate_trees(n):
-            memo = SearchState()
-            assert sd_gamma_t(t, cap=3, memo=memo) == sd_gamma_t(t, cap=3)
-            assert msd_gamma_t(t, memo=memo) == msd_gamma_t(t)
-            # a state filled by the other search first gives the same results
-            memo = SearchState()
-            assert msd_gamma_t(t, cap=4, memo=memo) == msd_gamma_t(t, cap=4)
-            assert sd_gamma_t(t, memo=memo) == sd_gamma_t(t)
+    # every tree of order 3..10 and every connected graph of order 3..6
+    for g in _trees_and_graphs():
+        if g.n < 3:
+            continue
+        memo = SearchState()
+        assert sd_gamma_t(g, cap=3, memo=memo) == sd_gamma_t(g, cap=3)
+        assert msd_gamma_t(g, memo=memo) == msd_gamma_t(g)
+        # a state filled by the other search first gives the same results
+        memo = SearchState()
+        assert msd_gamma_t(g, cap=4, memo=memo) == msd_gamma_t(g, cap=4)
+        assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
 
 
 def test_tree_check_subdivided_solves_are_pinned(solves):
-    # 4,712 at the search that solved every subdivided graph it met; known
-    # minimum covers settle the rest, so skipping or harvesting less raises it
+    # 4,712 at the search that solved every subdivided graph it met, 3,293
+    # with known minimum covers of the tree alone; those and the covers lifted
+    # from the row below settle the rest, so skipping, harvesting or lifting
+    # less raises it
     for t in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert solves[0] == 3293
+    assert solves[0] == 2732
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per subdivided graph built: the count t of a subdivide call,
+    the edge tuple of a subdivide_edges call."""
+    built = []
+    by_count, by_subset = subdivision.subdivide, subdivision.subdivide_edges
+
+    def counting(g, e, t):
+        built.append(t)
+        return by_count(g, e, t)
+
+    def counting_edges(g, edges):
+        built.append(tuple(edges))
+        return by_subset(g, edges)
+
+    monkeypatch.setattr(subdivision, "subdivide", counting)
+    monkeypatch.setattr(subdivision, "subdivide_edges", counting_edges)
+    return built
+
+
+def test_tree_check_builds_each_single_subdivision_once(builds):
+    # sd runs the row of single subdivisions first, and msd reads how it
+    # ended: msd builds graphs at t >= 2 only
+    for t in verify._trees(3, 10):
+        verify._check_tree_sd_eq_msd(t)
+    counts = [b for b in builds if isinstance(b, int)]
+    assert counts and 1 not in counts
+
+
+def test_tree_check_subdivided_graphs_built_are_pinned(builds):
+    # 7,696 when msd rebuilt the row of single subdivisions sd had settled
+    for t in verify._trees(3, 12):
+        verify._check_tree_sd_eq_msd(t)
+    assert len(builds) == 4712
+
+
+def test_tree_check_records_are_frozen():
+    # sha256 of every record of the tree check to order 12, one line each,
+    # taken before the searches shared their first row and lifted covers
+    records = verify.run_verification("tree-sd-eq-msd", 12).records
+    lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
+    assert len(records) == 985
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "236216eb797e9d23881bdfad0b86c6ec9ded0a2560dd4110c9a7f4bf6c438634"
+    )
