@@ -9,7 +9,7 @@ be unsound given the quantifier structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domination import _all_min_tds_masks, gamma_t_membership_profile
 from .errors import Disconnected, NotATree, NotInnerEdge, TooSmall
@@ -24,8 +24,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeConditionReport:
+class EdgeConditionReport(NamedTuple):
     edge: Edge
     holds: bool
     failing_set: frozenset[int] | None

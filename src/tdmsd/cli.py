@@ -24,7 +24,7 @@ from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
 
 # Only compute's dependencies are imported here.  Each other command imports
 # what it runs, so that `tdmsd compute` loads no sweep, family or enumeration
-# code (nor verify's process pool).
+# code.
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1

@@ -8,8 +8,8 @@ witnesses are always the lexicographically smallest minimum set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import Disconnected, IsolatedVertex, IsStar, NotFound, TooLarge, TooSmall
 from .graph import Graph, iter_bits, leaves_mask, mask_of, structure_profile
@@ -17,15 +17,13 @@ from .graph import Graph, iter_bits, leaves_mask, mask_of, structure_profile
 ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(NamedTuple):
     value: int
     witness: frozenset[int]
     kind: str  # "domination" | "total_domination"
 
 
-@dataclass(frozen=True)
-class MembershipProfile:
+class MembershipProfile(NamedTuple):
     """Which vertices appear in some / every / no minimum total dominating set."""
 
     in_some: frozenset[int]

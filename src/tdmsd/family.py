@@ -9,8 +9,8 @@ means some member has the same underlying tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .canonical import canonical_code, labeled_tree_code
 from .domination import gamma_t_value, is_total_dominating
@@ -20,8 +20,7 @@ from .graph import Graph, from_edge_list, iter_bits
 FAMILY_ORDER_CAP = 24
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(NamedTuple):
     """A tree plus one status character per vertex, 'A', 'B' or 'C'."""
 
     tree: Graph

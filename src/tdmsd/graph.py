@@ -8,8 +8,7 @@ which makes them safe to share across parallel workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EdgeNotPresent,
@@ -233,8 +232,7 @@ def private_neighborhood(g: Graph, u: int, d: Iterable[int]) -> frozenset[int]:
     return frozenset(iter_bits(private_neighborhood_mask(g, u, d_mask)))
 
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(NamedTuple):
     """Degree-one structure and global shape facts about one graph."""
 
     is_connected: bool

@@ -8,29 +8,22 @@ from .graph import Graph, from_edge_list
 _HEADER = ">>graph6<<"
 
 
-def _pair_bits(g: Graph):
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
-    for j in range(1, g.n):
-        for i in range(j):
-            yield g.adj[i] >> j & 1
+# the character of each 6-bit group whose first pair is its lowest bit (graph6
+# writes the first pair as the high bit of the group)
+_CHAR = tuple(chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64))
 
 
 def graph6_encode(g: Graph) -> str:
     if g.n > 62:
         raise TooLarge("graph6 single-byte order encoding needs n <= 62")
-    out = [chr(g.n + 63)]
-    group = 0
+    # the column-major upper triangle (0,1), (0,2), (1,2), (0,3), ... as one
+    # integer, pair k at bit k: column j is adj[j]'s bits below j
+    bits = 0
     width = 0
-    for bit in _pair_bits(g):
-        group = group << 1 | bit
-        width += 1
-        if width == 6:
-            out.append(chr(group + 63))
-            group = 0
-            width = 0
-    if width:
-        out.append(chr((group << (6 - width)) + 63))
-    return "".join(out)
+    for j in range(1, g.n):
+        bits |= (g.adj[j] & ((1 << j) - 1)) << width
+        width += j
+    return chr(g.n + 63) + "".join([_CHAR[bits >> k & 63] for k in range(0, width, 6)])
 
 
 def graph6_decode(line: str) -> Graph:

@@ -35,8 +35,8 @@ their common first row ended, and the second search builds none of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
@@ -60,8 +60,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SubdivisionResult:
+class SubdivisionResult(NamedTuple):
     """Outcome of one subdivision-number search.
 
     value is None when every count/subset up to the cap failed to increase

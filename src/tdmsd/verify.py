@@ -3,16 +3,18 @@
 Each sweep walks a deterministic stream of non-isomorphic graphs, evaluates
 one theorem predicate per graph, and returns a report whose failure records
 can be replayed through the CLI's compute command via their graph6 strings.
+
+With jobs > 1 the stream is split among forked workers by stride.  A worker
+inherits the graphs and the check, so neither is pickled; its records are,
+on their way back.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .characterization import (
     lemma2_sufficient,
@@ -34,16 +36,14 @@ from .enumeration import (
 from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     graph6: str
     ok: bool
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem_id: str
     orders_checked: tuple[int, int]
     graphs_checked: int
@@ -86,14 +86,89 @@ def _fmt(v: int | None) -> str:
 
 def _map_graphs(fn: Callable[[Graph], Record], graphs: Iterable[Graph], jobs: int) -> list[Record]:
     graphs = list(graphs)
-    # a pool forks all its workers at the first submit, so never ask for more
-    # than there are usable cores or graphs
+    # every worker is a process of its own, so never start more than there
+    # are usable cores or graphs
     workers = min(jobs, len(os.sched_getaffinity(0)), len(graphs))
     if workers <= 1:
         return [fn(g) for g in graphs]
-    chunk = max(1, len(graphs) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, graphs, chunksize=chunk))
+    return _fork_map(fn, graphs, workers)
+
+
+def _fork_map(fn: Callable[[Graph], Record], graphs: list[Graph], workers: int) -> list[Record]:
+    """[fn(g) for g in graphs], computed by `workers` forked children.
+
+    Worker w checks graphs[w::workers].  It inherits the list, so no graph is
+    pickled; only its records come back, pickled over its own pipe.  An
+    exception raised by fn comes back instead and is raised here with its
+    own type.  tdmsd starts no thread, so forking is safe.
+    """
+    import pickle
+    import signal
+
+    pids: list[int] = []
+    pipes: list[int] = []
+    replies: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(fn, graphs[w::workers], pipes, wr)
+            finally:
+                os.close(wr)
+            pids.append(pid)
+        for r in pipes:
+            with open(r, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+    finally:
+        for r in pipes:
+            os.close(r)
+        for w, pid in enumerate(pids):
+            if w >= len(replies):
+                # the parent stopped before this worker's reply was in
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    out: list = [None] * len(graphs)
+    for w, (reply, status) in enumerate(zip(replies, statuses)):
+        if status:
+            # a worker exits 0 exactly when its whole reply was written
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"verify worker {w} of {workers} ended without a result "
+                               f"({how}, wait status {status})")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        out[w::workers] = value
+    return out
+
+
+def _worker(
+    fn: Callable[[Graph], Record], graphs: list[Graph], inherited: list[int], wr: int,
+) -> NoReturn:
+    # in a forked child, which must never return into the caller's stack:
+    # os._exit also skips the parent's atexit handlers and stdio buffers (an
+    # open --out file among them), which the parent flushes itself
+    import pickle
+
+    status = 1
+    try:
+        # read ends held only by the parent, so that a worker whose parent
+        # died gets EPIPE instead of blocking on a full pipe
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = pickle.dumps((True, [fn(g) for g in graphs]))
+        except BaseException as exc:  # sent to the parent, which raises it
+            reply = pickle.dumps((False, exc))
+        with open(wr, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _trees(lo: int, hi: int) -> Iterable[Graph]:
@@ -118,7 +193,7 @@ def _trees_then_connected(lo: int, hi: int) -> Iterable[Graph]:
     yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP))
 
 
-# -- per-graph checks (module level so they pickle for worker pools) ---------
+# -- per-graph checks (a worker pickles the Records back, never a check) ----
 
 def _check_msd_le_3(g: Graph) -> Record:
     value = _msd3(g)
@@ -224,13 +299,12 @@ def _check_path_cycle(g: Graph) -> Record:
 
 # -- the theorem table --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One sweep: a check per item of graphs(lo, n_max), for n_max in lo..hi.
 
     hi is the graph streams' cap, the family's order cap, or for
     path-cycle-formulas room for the three vertices sd/msd add.  A serial
-    sweep ignores jobs: it is too short for a worker pool to pay off.
+    sweep ignores jobs: it is too short for forked workers to pay off.
     """
 
     check: Callable[..., Record]

@@ -337,3 +337,23 @@ def unpruned_general_code(n, edges):
     best = min(leaves(refine([by_degree[d] for d in sorted(by_degree)])))
     nbits = n * (n - 1) // 2
     return bytes([n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
+
+
+def bitwise_graph6(n, edges):
+    """graph6 one bit at a time: the column-major upper triangle, packed six
+    bits per character, high bit first, the last group padded with zeros."""
+    adj = adjacency(n, edges)
+    out = [chr(n + 63)]
+    group = 0
+    width = 0
+    for j in range(1, n):
+        for i in range(j):
+            group = group << 1 | (i in adj[j])
+            width += 1
+            if width == 6:
+                out.append(chr(group + 63))
+                group = 0
+                width = 0
+    if width:
+        out.append(chr((group << (6 - width)) + 63))
+    return "".join(out)

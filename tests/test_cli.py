@@ -345,30 +345,19 @@ def test_verify_deterministic_across_jobs():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """A fake pool that maps in-process and records the workers asked of it.
-
-    A pool forks all of its workers at once, so the fake shows what would
-    have been started; no process is.
+    """A stand-in for the forked workers that maps in-process and records the
+    workers asked of it; no process is started.
     """
     from tdmsd import verify as verify_mod
 
     asked = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def serial_fork_map(fn, graphs, workers):
+        assert 2 <= workers <= len(graphs)
+        asked.append(workers)
+        return [fn(g) for g in graphs]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            assert chunksize >= 1
-            return map(fn, items)
-
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify_mod, "_fork_map", serial_fork_map)
     return asked
 
 
@@ -387,7 +376,7 @@ def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatc
     # three trees of order 5: one worker each
     verify_mod._map_graphs(verify_mod._check_tree_sd_eq_msd, verify_mod._trees(5, 5), 100000)
     assert asked == [4, 3]
-    # one usable core: no pool at all
+    # one usable core: no worker at all
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0})
     assert run_cli(*argv, "--jobs", "100000")[0] == 0
     assert asked == [4, 3]
@@ -440,7 +429,7 @@ def test_theorem_sweeps_its_orders_alike_at_any_jobs(theorem, monkeypatch, seria
     monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     wide = verify_mod.run_verification(theorem, n, 2)
     assert wide.records == serial.records
-    # these two take less time than a pool costs, so they never start one
+    # these two take less time than forking workers costs, so they never fork
     assert serial_pool == ([] if theorem in ("bc-minimum", "path-cycle-formulas") else [2])
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdmsd import (
+    enumerate_connected_graphs,
+    enumerate_trees,
     errors,
     from_edge_list,
     graph6_decode,
@@ -12,11 +14,21 @@ from tdmsd import (
     path,
 )
 
-from oracles import random_graph_edges
+from oracles import bitwise_graph6, random_graph_edges
 
 
 def test_k2_encodes_to_known_string():
     assert graph6_encode(from_edge_list(2, [(0, 1)])) == "A_"
+
+
+def test_encode_matches_the_bitwise_encoder():
+    graphs = [g for n in range(1, 11) for g in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(62)
+    graphs += [from_edge_list(1, []), from_edge_list(2, []), from_edge_list(2, [(0, 1)]),
+               from_edge_list(62, random_graph_edges(62, rng, 0.5))]
+    for g in graphs:
+        assert graph6_encode(g) == bitwise_graph6(g.n, g.edges()), g.edges()
 
 
 def test_round_trip_is_labeled_identity():

@@ -33,7 +33,23 @@ def test_compute_loads_no_sweep_module():
     loaded = set(json.loads(out))
     assert "tdmsd.subdivision" in loaded
     for name in ("tdmsd.verify", "tdmsd.enumeration", "tdmsd.family",
-                 "tdmsd.characterization", "tdmsd.canonical", "concurrent.futures.process"):
+                 "tdmsd.characterization", "tdmsd.canonical", "concurrent.futures.process",
+                 "dataclasses"):
+        assert name not in loaded, name
+
+
+def test_serial_sweep_loads_no_process_or_dataclass_machinery():
+    out = _fresh_python(
+        "import io, json, sys\n"
+        "from tdmsd import cli\n"
+        "from tdmsd.verify import run_verification\n"
+        "assert cli.main(['compute', '--input', 'k4', '--invariant', 'msd_t'], io.StringIO()) == 0\n"
+        "assert run_verification('msd-le-3', 4, jobs=1).ok\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = set(json.loads(out))
+    assert "tdmsd.verify" in loaded
+    for name in ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "logging"):
         assert name not in loaded, name
 
 

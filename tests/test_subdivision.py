@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import time
@@ -200,7 +199,7 @@ def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn)
             want = edge_major_msd(
                 g.edges(), cap, base_fn(g), lambda e, t: solve_fn(subdivide(g, e, t)),
             )
-            assert dataclasses.astuple(search(g, cap)) == want, (g.edges(), cap)
+            assert tuple(search(g, cap)) == want, (g.edges(), cap)
 
 
 def _sd_reference(g, cap, base_fn, solve_fn, solved):
@@ -224,7 +223,7 @@ def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn):
         solved = {}
         for cap in range(1, 5):
             want = _sd_reference(g, cap, base_fn, solve_fn, solved)
-            assert dataclasses.astuple(search(g, cap)) == want, (g.edges(), cap)
+            assert tuple(search(g, cap)) == want, (g.edges(), cap)
 
 
 def test_sd_and_msd_sharing_one_state_match_the_references():
@@ -237,11 +236,11 @@ def test_sd_and_msd_sharing_one_state_match_the_references():
             g.edges(), 4, gamma_t_value(g), lambda e, t: solve_gamma_t(subdivide(g, e, t)),
         )
         state = SearchState()
-        assert dataclasses.astuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
-        assert dataclasses.astuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
+        assert tuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
+        assert tuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
         state = SearchState()
-        assert dataclasses.astuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
-        assert dataclasses.astuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
+        assert tuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
+        assert tuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
 
 
 def test_state_serves_one_graph():
