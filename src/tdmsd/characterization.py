@@ -4,14 +4,29 @@ number.
 
 Every universally or existentially quantified condition is evaluated over
 the complete enumeration of minimum total dominating sets; sampling would
-be unsound given the quantifier structure.
+be unsound given the quantifier structure.  Each predicate reads that
+enumeration once.
+
+For an edge uv and a minimum set D, ``_branches`` gives one verdict per
+branch of the sd = 1 edge condition; each verdict is the negation of one
+clause of Lemma 14:
+
+  endpoints in D   verdicts                                  negates
+  one, say u       v in PN[u, D]                             a
+  neither          True                                      (no clause)
+  both             _both_branch_ok(a, b) for each endpoint   b2/b3 for a
+                   a with N(a) & D == {b}
+                   (False,) if neither endpoint has that     b1
+
+The sd = 1 condition holds on D iff any verdict holds, and Lemma 14's
+clause holds on D iff some verdict fails.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domination import _all_min_tds_masks, gamma_t_membership_profile
+from .domination import _all_min_tds_masks
 from .errors import Disconnected, NotATree, NotInnerEdge, TooSmall
 from .graph import (
     Edge,
@@ -37,18 +52,22 @@ def _require_tree(t: Graph) -> None:
         raise TooSmall("predicate needs n >= 3")
 
 
+def _in_no_min_set(g: Graph, masks: tuple[int, ...]) -> int:
+    union = 0
+    for m in masks:
+        union |= m
+    return g.full_mask & ~union
+
+
+def _first_leaf(t: Graph, masks: tuple[int, ...]) -> int | None:
+    hits = leaves_mask(t) & _in_no_min_set(t, masks)
+    return (hits & -hits).bit_length() - 1 if hits else None
+
+
 def leaf_condition(t: Graph) -> int | None:
     """A leaf lying in no minimum total dominating set, if one exists."""
     _require_tree(t)
-    profile = gamma_t_membership_profile(t)
-    candidates = profile.in_none & frozenset(iter_bits(leaves_mask(t)))
-    return min(candidates) if candidates else None
-
-
-def _one_endpoint_ok(g: Graph, inside: int, outside: int, d_mask: int) -> bool:
-    # with exactly one endpoint in D, the outside one must be a private
-    # neighbour of the inside one
-    return bool(private_neighborhood_mask(g, inside, d_mask) >> outside & 1)
+    return _first_leaf(t, _all_min_tds_masks(t))
 
 
 def _both_branch_ok(g: Graph, a: int, b: int, d_mask: int) -> bool:
@@ -64,23 +83,25 @@ def _both_branch_ok(g: Graph, a: int, b: int, d_mask: int) -> bool:
     return False
 
 
-def _edge_condition_on_set(g: Graph, u: int, v: int, d_mask: int) -> bool:
-    u_in = bool(d_mask >> u & 1)
-    v_in = bool(d_mask >> v & 1)
+def _branches(g: Graph, u: int, v: int, d_mask: int) -> tuple[bool, ...]:
+    u_in = d_mask >> u & 1
+    v_in = d_mask >> v & 1
     if u_in != v_in:
         inside, outside = (u, v) if u_in else (v, u)
-        return _one_endpoint_ok(g, inside, outside, d_mask)
-    if u_in and v_in:
-        sel_u = g.adj[u] & d_mask == 1 << v
-        sel_v = g.adj[v] & d_mask == 1 << u
-        if not (sel_u or sel_v):
-            return False
-        if sel_u and _both_branch_ok(g, u, v, d_mask):
-            return True
-        if sel_v and _both_branch_ok(g, v, u, d_mask):
-            return True
-        return False
-    return True  # neither endpoint in D: vacuous
+        return (bool(private_neighborhood_mask(g, inside, d_mask) >> outside & 1),)
+    if not u_in:
+        return (True,)
+    verdicts = tuple(
+        _both_branch_ok(g, a, b, d_mask)
+        for a, b in ((u, v), (v, u))
+        if g.adj[a] & d_mask == 1 << b
+    )
+    return verdicts or (False,)
+
+
+def _failing_set(t: Graph, u: int, v: int, masks: tuple[int, ...]) -> int | None:
+    # the first minimum set on which the sd = 1 condition fails at uv
+    return next((m for m in masks if not any(_branches(t, u, v, m))), None)
 
 
 def inner_edge_condition(t: Graph, e: Edge) -> EdgeConditionReport:
@@ -92,21 +113,19 @@ def inner_edge_condition(t: Graph, e: Edge) -> EdgeConditionReport:
     lv = leaves_mask(t)
     if (lv >> u & 1) or (lv >> v & 1):
         raise NotInnerEdge(f"({u}, {v}) is a pendant edge")
-    for d_mask in _all_min_tds_masks(t):
-        if not _edge_condition_on_set(t, u, v, d_mask):
-            return EdgeConditionReport((u, v), False, frozenset(iter_bits(d_mask)))
-    return EdgeConditionReport((u, v), True, None)
+    failing = _failing_set(t, u, v, _all_min_tds_masks(t))
+    if failing is None:
+        return EdgeConditionReport((u, v), True, None)
+    return EdgeConditionReport((u, v), False, frozenset(iter_bits(failing)))
 
 
 def predicts_sd_one(t: Graph) -> bool:
     """Single-subdivision prediction: leaf branch or some inner edge holds."""
     _require_tree(t)
-    if leaf_condition(t) is not None:
+    masks = _all_min_tds_masks(t)
+    if _first_leaf(t, masks) is not None:
         return True
-    return any(
-        inner_edge_condition(t, e).holds
-        for e in inner_edges(t)
-    )
+    return any(_failing_set(t, u, v, masks) is None for u, v in inner_edges(t))
 
 
 def lemma2_sufficient(g: Graph) -> bool:
@@ -119,44 +138,10 @@ def lemma2_sufficient(g: Graph) -> bool:
         raise TooSmall("need n >= 3")
     if not g.is_connected():
         raise Disconnected("need a connected graph")
-    profile = gamma_t_membership_profile(g)
-    lv = frozenset(iter_bits(leaves_mask(g)))
-    if profile.in_none & lv:
+    none = _in_no_min_set(g, _all_min_tds_masks(g))
+    if leaves_mask(g) & none:
         return True
-    return any(
-        u in profile.in_none and v in profile.in_none
-        for u, v in inner_edges(g)
-    )
-
-
-def _lemma14_edge_ok(g: Graph, u: int, v: int, d_mask: int) -> bool:
-    u_in = bool(d_mask >> u & 1)
-    v_in = bool(d_mask >> v & 1)
-    if u_in != v_in:
-        inside, outside = (u, v) if u_in else (v, u)
-        # clause a: the outside endpoint is not a private neighbour
-        return not private_neighborhood_mask(g, inside, d_mask) >> outside & 1
-    if not (u_in and v_in):
-        return False
-    nu = g.adj[u] & d_mask
-    nv = g.adj[v] & d_mask
-    if nu.bit_count() >= 2 and nv.bit_count() >= 2:  # b1
-        return True
-
-    def sub(a: int, b: int, na: int, nb: int) -> bool:
-        # b2/b3 with N(a) & D == {b}
-        if na != 1 << b:
-            return False
-        if not private_neighborhood_mask(g, a, d_mask):
-            return True
-        if private_neighborhood_mask(g, b, d_mask):
-            return False
-        return all(
-            (g.adj[x] & d_mask).bit_count() >= 2
-            for x in iter_bits(nb & ~(1 << a))
-        )
-
-    return sub(u, v, nu, nv) or sub(v, u, nv, nu)
+    return any(none >> u & 1 and none >> v & 1 for u, v in inner_edges(g))
 
 
 def lemma14_sufficient_sd_gt_one(t: Graph) -> bool:
@@ -167,14 +152,12 @@ def lemma14_sufficient_sd_gt_one(t: Graph) -> bool:
     """
     _require_tree(t)
     masks = _all_min_tds_masks(t)
-    lv = leaves_mask(t)
-    for leaf in iter_bits(lv):
-        if not any(m >> leaf & 1 for m in masks):
-            return False
-    for u, v in inner_edges(t):
-        if not any(_lemma14_edge_ok(t, u, v, m) for m in masks):
-            return False
-    return True
+    if _first_leaf(t, masks) is not None:
+        return False
+    return all(
+        any(not all(_branches(t, u, v, m)) for m in masks)
+        for u, v in inner_edges(t)
+    )
 
 
 # -- longest paths -----------------------------------------------------------

@@ -216,13 +216,6 @@ def solve_gamma_t(g: Graph) -> int:
     return found[0]
 
 
-def solve_gamma(g: Graph) -> int:
-    """Domination number, value only, solved afresh on every call."""
-    found = _min_cover(_closed_covers(g), g.full_mask)
-    assert found is not None  # closed neighborhoods always cover
-    return found[0]
-
-
 # perfbench calls cache_info() on this, so it stays an lru_cache object
 @lru_cache(maxsize=200_000)
 def gamma_t_value(g: Graph) -> int:
@@ -230,10 +223,11 @@ def gamma_t_value(g: Graph) -> int:
     return solve_gamma_t(g)
 
 
-@lru_cache(maxsize=100_000)
 def gamma_value(g: Graph) -> int:
-    """Domination number, value only (cached)."""
-    return solve_gamma(g)
+    """Domination number, value only, solved afresh on every call."""
+    found = _min_cover(_closed_covers(g), g.full_mask)
+    assert found is not None  # closed neighborhoods always cover
+    return found[0]
 
 
 def gamma_t(g: Graph) -> DominationCertificate:

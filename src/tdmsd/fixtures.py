@@ -57,12 +57,13 @@ def gstar() -> Graph:
     return from_edge_list(12, GSTAR_EDGES)
 
 
+# builder, least parameter, and vertices beyond the parameter
 _PARAMETRIC = {
-    "p": (path, 1),
-    "c": (cycle, 3),
-    "k": (complete, 1),
-    "star": (star, 2),
-    "wheel": (wheel, 3),
+    "p": (path, 1, 0),
+    "c": (cycle, 3, 0),
+    "k": (complete, 1, 0),
+    "star": (star, 2, 0),
+    "wheel": (wheel, 3, 1),
 }
 
 
@@ -73,12 +74,12 @@ def fixture_by_name(name: str) -> Graph:
         return gstar()
     m = re.fullmatch(r"([a-z]+)(\d+)", name)
     if m and m.group(1) in _PARAMETRIC:
-        builder, lo = _PARAMETRIC[m.group(1)]
+        builder, lo, extra = _PARAMETRIC[m.group(1)]
         k = int(m.group(2))
         if k < lo:
             raise MalformedInput(f"{name}: parameter below minimum {lo}")
         # checked before building, since the edge list of k<huge> alone would not fit
-        if k > MAX_VERTICES:
+        if k + extra > MAX_VERTICES:
             raise MalformedInput(f"{name}: parameter above the {MAX_VERTICES}-vertex cap")
         return builder(k)
     raise UnknownFixture(f"unknown fixture {name!r}")

@@ -357,3 +357,90 @@ def bitwise_graph6(n, edges):
     if width:
         out.append(chr((group << (6 - width)) + 63))
     return "".join(out)
+
+
+# the sd = 1 edge condition and Lemma 14's edge clause as two hand-written
+# clause functions, frozen as references for the one branch evaluator; both
+# take a Graph (adjacency bitmasks in g.adj), an edge uv and a set D as a mask
+
+def _pn_mask(g, u, d_mask):
+    # PN[u, D]: N[u] minus the closed neighbourhoods of D - {u}
+    others = 0
+    for x in range(g.n):
+        if d_mask >> x & 1 and x != u:
+            others |= g.adj[x] | 1 << x
+    return (g.adj[u] | 1 << u) & ~others
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _one_endpoint_ok(g, inside, outside, d_mask):
+    # with exactly one endpoint in D, the outside one must be a private
+    # neighbour of the inside one
+    return bool(_pn_mask(g, inside, d_mask) >> outside & 1)
+
+
+def _both_branch_ok(g, a, b, d_mask):
+    # stated for N(a) & D == {b}: PN[a,D] nonempty, and PN[b,D] nonempty or
+    # some x in (N(b) & D) - {a} has N(x) & D == {b}
+    if not _pn_mask(g, a, d_mask):
+        return False
+    if _pn_mask(g, b, d_mask):
+        return True
+    for x in _bits(g.adj[b] & d_mask & ~(1 << a)):
+        if g.adj[x] & d_mask == 1 << b:
+            return True
+    return False
+
+
+def edge_condition_on_set(g, u, v, d_mask):
+    """The sd = 1 condition on edge uv for the set D."""
+    u_in = bool(d_mask >> u & 1)
+    v_in = bool(d_mask >> v & 1)
+    if u_in != v_in:
+        inside, outside = (u, v) if u_in else (v, u)
+        return _one_endpoint_ok(g, inside, outside, d_mask)
+    if u_in and v_in:
+        sel_u = g.adj[u] & d_mask == 1 << v
+        sel_v = g.adj[v] & d_mask == 1 << u
+        if not (sel_u or sel_v):
+            return False
+        if sel_u and _both_branch_ok(g, u, v, d_mask):
+            return True
+        if sel_v and _both_branch_ok(g, v, u, d_mask):
+            return True
+        return False
+    return True  # neither endpoint in D: vacuous
+
+
+def lemma14_edge_ok(g, u, v, d_mask):
+    """Lemma 14's clause a or b on edge uv for the set D."""
+    u_in = bool(d_mask >> u & 1)
+    v_in = bool(d_mask >> v & 1)
+    if u_in != v_in:
+        inside, outside = (u, v) if u_in else (v, u)
+        # clause a: the outside endpoint is not a private neighbour
+        return not _pn_mask(g, inside, d_mask) >> outside & 1
+    if not (u_in and v_in):
+        return False
+    nu = g.adj[u] & d_mask
+    nv = g.adj[v] & d_mask
+    if nu.bit_count() >= 2 and nv.bit_count() >= 2:  # b1
+        return True
+
+    def sub(a, b, na, nb):
+        # b2/b3 with N(a) & D == {b}
+        if na != 1 << b:
+            return False
+        if not _pn_mask(g, a, d_mask):
+            return True
+        if _pn_mask(g, b, d_mask):
+            return False
+        return all(
+            (g.adj[x] & d_mask).bit_count() >= 2
+            for x in _bits(nb & ~(1 << a))
+        )
+
+    return sub(u, v, nu, nv) or sub(v, u, nv, nu)

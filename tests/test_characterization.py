@@ -15,7 +15,11 @@ from tdmsd import (
     sd_gamma_t,
     structure_profile,
 )
-from tdmsd.enumeration import enumerate_trees
+from tdmsd.characterization import _branches
+from tdmsd.domination import _all_min_tds_masks
+from tdmsd.enumeration import enumerate_connected_graphs, enumerate_trees
+
+from oracles import edge_condition_on_set, lemma14_edge_ok
 
 
 def test_leaf_condition_examples():
@@ -133,3 +137,26 @@ def test_min_set_predicates_keep_the_enumeration_cap():
         inner_edge_condition(path(21), (1, 2))
     with pytest.raises(errors.TooLarge):
         lemma14_sufficient_sd_gt_one(path(21))
+
+
+def _assert_branches_match_the_clause_oracles(g, d_masks):
+    for u, v in g.edges():
+        for d in d_masks:
+            verdicts = _branches(g, u, v, d)
+            assert any(verdicts) == edge_condition_on_set(g, u, v, d), (g.edges(), u, v, d)
+            assert (not all(verdicts)) == lemma14_edge_ok(g, u, v, d), (g.edges(), u, v, d)
+
+
+def test_branches_match_the_clause_oracles_on_every_vertex_subset():
+    # every edge and every set D of the trees of order <= 8 and the connected
+    # graphs of order <= 6: 117,552 cases
+    graphs = [t for n in range(2, 9) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        _assert_branches_match_the_clause_oracles(g, range(1 << g.n))
+
+
+def test_branches_match_the_clause_oracles_on_every_minimum_set():
+    for n in range(2, 13):
+        for t in enumerate_trees(n):
+            _assert_branches_match_the_clause_oracles(t, _all_min_tds_masks(t))

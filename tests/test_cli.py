@@ -85,6 +85,8 @@ def test_oversized_fixture_is_usage_error_before_it_is_built():
 @pytest.mark.parametrize("spec, message", [
     ("k100000", "error: k100000: parameter above the 64-vertex cap\n"),
     ("p0", "error: p0: parameter below minimum 1\n"),
+    # wheel<k> has k + 1 vertices
+    ("wheel64", "error: wheel64: parameter above the 64-vertex cap\n"),
 ])
 def test_bad_fixture_parameter_keeps_the_fixture_message(spec, message, capsys):
     code, _ = run_cli("compute", "--input", spec, "--invariant", "gamma")
@@ -94,6 +96,7 @@ def test_bad_fixture_parameter_keeps_the_fixture_message(spec, message, capsys):
 
 @pytest.mark.parametrize("spec, gamma", [
     ("gstar", 4), ("p7", 3), ("E?~o", 2), (graph6_encode(path(6)), 2),
+    ("wheel63", 1),  # 64 vertices, at the cap
 ])
 def test_fixture_names_and_graph6_literals_still_resolve(spec, gamma):
     code, out = run_cli("compute", "--input", spec, "--invariant", "gamma")

@@ -13,11 +13,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("theorem, n_max, graphs", [
-    ("path-cycle-formulas", 6, 8),
-    ("tree-sd-eq-msd", 8, 46),
-])
-def test_traced_sweep_unit_runs_fresh(theorem, n_max, graphs):
+SEARCH_SPANS = {"graph.subdivide", "subdivision.sd", "subdivision.msd"}
+ROWS = [
+    ("path-cycle-formulas", 6, 8, SEARCH_SPANS),
+    ("tree-sd-eq-msd", 8, 46, SEARCH_SPANS),
+    ("sd1-characterization", 6, 12, {"characterization", "subdivision.sd"}),
+    ("lemma2-implies", 5, 35, {"characterization", "subdivision.sd"}),
+]
+
+
+@pytest.mark.parametrize("theorem, n_max, graphs, spans", ROWS,
+                         ids=[f"{t}-{n}-{g}" for t, n, g, _ in ROWS])
+def test_traced_sweep_unit_runs_fresh(theorem, n_max, graphs, spans):
     env = dict(os.environ)
     env.pop("TDMSD_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -31,4 +38,4 @@ def test_traced_sweep_unit_runs_fresh(theorem, n_max, graphs):
     assert out["fresh"]
     assert out["graphs_checked"] == graphs
     assert out["failures"] == 0
-    assert {"graph.subdivide", "subdivision.sd", "subdivision.msd"} <= set(out["trace"]["names"])
+    assert spans <= set(out["trace"]["names"])

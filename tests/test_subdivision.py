@@ -26,7 +26,7 @@ from tdmsd import (
     wheel,
 )
 from tdmsd import subdivision, verify
-from tdmsd.domination import _min_cover, solve_gamma, solve_gamma_t
+from tdmsd.domination import _min_cover, solve_gamma_t
 from tdmsd.subdivision import SearchState
 from tdmsd.verify import path_cycle_formula
 
@@ -190,7 +190,7 @@ def _trees_and_graphs():
 
 @pytest.mark.parametrize("search, base_fn, solve_fn", [
     (msd_gamma_t, gamma_t_value, solve_gamma_t),
-    (msd_gamma, gamma_value, solve_gamma),
+    (msd_gamma, gamma_value, gamma_value),
 ])
 def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn):
     # every tree of order <= 10 and every connected graph of order <= 6
@@ -213,7 +213,7 @@ def _sd_reference(g, cap, base_fn, solve_fn, solved):
 
 @pytest.mark.parametrize("search, base_fn, solve_fn", [
     (sd_gamma_t, gamma_t_value, solve_gamma_t),
-    (sd_gamma, gamma_value, solve_gamma),
+    (sd_gamma, gamma_value, gamma_value),
 ])
 def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn):
     # every tree of order <= 10 and every connected graph of order <= 6
