@@ -152,6 +152,7 @@ def _cmd_verify(args, out) -> int:
     _emit(summary, out)
     if args.out:
         with args.out:
+            args.out.truncate(0)
             args.out.write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
@@ -160,16 +161,14 @@ def _cmd_family(args, out) -> int:
     from .family import generate_family, is_in_family
 
     if args.family_cmd == "generate":
+        # generated first, so that a usage error creates no directory
+        members = generate_family(args.n_max)
         if args.out:
-            # a path that cannot be a directory is a usage error, found
-            # before any generation work
             directory = Path(args.out)
             try:
                 directory.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise MalformedInput(f"{args.out}: cannot create directory ({exc.strerror})") from None
-        members = generate_family(args.n_max)
-        if args.out:
             for i, member in enumerate(members):
                 body = format_edge_list(member.tree) + f"status: {member.status}\n"
                 (directory / f"member_{i:03d}_n{member.n}.txt").write_text(
@@ -251,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")
-    # opened here, so that an unwritable path is a usage error before the sweep
-    p.add_argument("--out", type=argparse.FileType("w", encoding="utf-8"), default=None,
+    # opened here, so that an unwritable path is a usage error before the
+    # sweep; opened to append, so that a file keeps its bytes until a verdict
+    p.add_argument("--out", type=argparse.FileType("a", encoding="utf-8"), default=None,
                    help="also write the summary JSON here")
 
     p = sub.add_parser("family", help="generate family members or test membership")

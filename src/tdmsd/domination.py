@@ -230,18 +230,17 @@ def gamma_value(g: Graph) -> int:
     return found[0]
 
 
+def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:
+    masks = _covers_of_size(covers, g.full_mask, value, g.full_mask, True)
+    return DominationCertificate(value, frozenset(iter_bits(masks[0])), kind)
+
+
 def gamma_t(g: Graph) -> DominationCertificate:
-    value = gamma_t_value(g)
-    masks = _covers_of_size(_total_covers(g), g.full_mask, value, g.full_mask, True)
-    witness = frozenset(iter_bits(masks[0]))
-    return DominationCertificate(value, witness, "total_domination")
+    return _certificate(g, _total_covers(g), gamma_t_value(g), "total_domination")
 
 
 def gamma(g: Graph) -> DominationCertificate:
-    value = gamma_value(g)
-    masks = _covers_of_size(_closed_covers(g), g.full_mask, value, g.full_mask, True)
-    witness = frozenset(iter_bits(masks[0]))
-    return DominationCertificate(value, witness, "domination")
+    return _certificate(g, _closed_covers(g), gamma_value(g), "domination")
 
 
 @lru_cache(maxsize=50_000)

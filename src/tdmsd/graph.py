@@ -159,6 +159,30 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
+def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:
+    """g with each normalized edge (u, v) of edges replaced by a path of t
+    new vertices, numbered from n up, edge by edge, in path order from u."""
+    for u, v in edges:
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
+    n2 = g.n + len(edges) * t
+    if n2 > MAX_VERTICES:
+        raise TooLarge(f"subdivision would need {n2} vertices")
+    adj = list(g.adj) + [0] * (n2 - g.n)
+    x = g.n
+    for u, v in edges:
+        last = x + t - 1
+        adj[u] = adj[u] & ~(1 << v) | 1 << x
+        adj[v] = adj[v] & ~(1 << u) | 1 << last
+        adj[x] |= 1 << u
+        adj[last] |= 1 << v
+        for y in range(x, last):
+            adj[y] |= 1 << y + 1
+            adj[y + 1] |= 1 << y
+        x = last + 1
+    return Graph(n2, adj)
+
+
 def subdivide(g: Graph, e: tuple[int, int], t: int) -> Graph:
     """Replace edge e=(u,v) by the path u, x1, ..., xt, v.
 
@@ -167,20 +191,7 @@ def subdivide(g: Graph, e: tuple[int, int], t: int) -> Graph:
     """
     if t < 1:
         raise TooSmall(f"subdivision count must be >= 1, got {t}")
-    u, v = normalize_edge(*e)
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
-    n2 = g.n + t
-    if n2 > MAX_VERTICES:
-        raise TooLarge(f"subdivision would need {n2} vertices")
-    adj = list(g.adj) + [0] * t
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    chain = [u] + [g.n + i for i in range(t)] + [v]
-    for a, b in zip(chain, chain[1:]):
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return Graph(n2, adj)
+    return _subdivided(g, (normalize_edge(*e),), t)
 
 
 def subdivide_edges(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
@@ -191,21 +202,7 @@ def subdivide_edges(g: Graph, edges: Sequence[tuple[int, int]]) -> Graph:
     norm = [normalize_edge(*e) for e in edges]
     if len(set(norm)) != len(norm):
         raise EdgeNotPresent(f"duplicate edges in {edges}")
-    for u, v in norm:
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
-    n2 = g.n + len(norm)
-    if n2 > MAX_VERTICES:
-        raise TooLarge(f"subdivision would need {n2} vertices")
-    adj = list(g.adj) + [0] * len(norm)
-    for i, (u, v) in enumerate(norm):
-        x = g.n + i
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        adj[u] |= 1 << x
-        adj[v] |= 1 << x
-        adj[x] = (1 << u) | (1 << v)
-    return Graph(n2, adj)
+    return _subdivided(g, norm, 1)
 
 
 def closed_neighborhood_mask(g: Graph, vertices_mask: int) -> int:

@@ -18,7 +18,7 @@ the upper bound, and a minimum cover of H of size gamma(g) that uses no new
 vertex is a minimum cover of g, so it joins the list.
 
 In the sd search, a cover of H of size gamma(g) that does use a new vertex
-is kept under its edge subset, for one row: it is lifted to each subset of
+is kept in the state under its edge subset: it is lifted to each subset of
 the next row that holds one more edge, and tested there after g's covers.
 (Lifting the cover of e subdivided t - 1 times to t times, the msd analogue,
 never covered the graph it was offered to in any sweep, so msd does not.)
@@ -28,9 +28,9 @@ values stay exact.
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
 than the solves they save (and are factorial on symmetric graphs).  The sd
-and msd searches of g may share one state: subdivide(g, e, 1) and
-subdivide_edges(g, (e,)) build the same graph, so the state records how
-their common first row ended, and the second search builds none of it.
+and msd searches of g may share one state: both build their row of single
+subdivisions as subdivide_edges(g, (e,)), so the state records how that
+common row ended, and the second search builds none of it.
 """
 
 from __future__ import annotations
@@ -83,31 +83,29 @@ class SearchState:
     keeps the state.
 
     base is the graph's (total) domination number, covers a list of its
-    minimum (total) dominating sets as vertex masks, and edges its edge
-    list.  row_one is how the row of single subdivisions ended: None before
-    any search ran it, () if no edge raises the number, else (e, value) for
-    the first edge that does.  row_one_covers maps (e,) to a kept cover of
-    that row's graph, for the second row of the sd search.  A new state is
-    empty and binds to the first graph a search uses it for.
+    minimum (total) dominating sets as vertex masks, edges its edge list,
+    and cover_sets domination's _total_covers or _closed_covers.  row_one
+    is how the row of single subdivisions ended: None before any search ran
+    it, () if no edge raises the number, else ((e,), value) for the first
+    edge that does.  kept maps an edge subset S to a base-size cover of
+    subdivide_edges(graph, S) that uses a new vertex, for the next row to
+    lift.  A new state is empty and binds to the first graph a search uses
+    it for.
     """
 
-    __slots__ = ("graph", "closed", "base", "covers", "edges", "row_one", "row_one_covers")
+    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one", "kept")
 
     def __init__(self) -> None:
         self.graph: Graph | None = None
-        self.closed = False
+        self.cover_sets = _total_covers
         self.base = 0
         self.covers: list[int] = []
         self.edges: list[Edge] = []
         self.row_one: tuple | None = None
-        self.row_one_covers: dict[tuple[Edge, ...], int] = {}
+        self.kept: dict[tuple[Edge, ...], int] = {}
 
 
-def _cover_sets(g: Graph, closed: bool) -> tuple[int, ...]:
-    return _closed_covers(g) if closed else _total_covers(g)
-
-
-def _bind(g: Graph, closed: bool, memo: SearchState | None, min_n: int) -> SearchState:
+def _bind(g: Graph, cover_sets, memo: SearchState | None, min_n: int) -> SearchState:
     if g.n < min_n:
         raise TooSmall(f"need n >= {min_n}, got n={g.n}")
     state = SearchState() if memo is None else memo
@@ -115,34 +113,37 @@ def _bind(g: Graph, closed: bool, memo: SearchState | None, min_n: int) -> Searc
         if not g.is_connected():
             raise Disconnected("subdivision invariants need a connected graph")
         # g is connected with n >= 2, so it has no isolated vertex
-        state.base, cover = _min_cover(_cover_sets(g, closed), g.full_mask)
-        state.graph, state.closed, state.covers = g, closed, [cover]
+        state.base, cover = _min_cover(cover_sets(g), g.full_mask)
+        state.graph, state.cover_sets, state.covers = g, cover_sets, [cover]
         state.edges = g.edges()
     elif state.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
     return state
 
 
-def _increase(state: SearchState, h: Graph, lifted=()) -> tuple[int | None, int]:
-    """(number of h if it exceeds the base, else None; a cover to keep).
+def _increase(state: SearchState, h: Graph, subset: tuple[Edge, ...] = ()) -> int | None:
+    """The number of h if it exceeds the base, else None.
 
-    h is a subdivision of state.graph, and lifted yields covers kept for the
-    graphs one row down, relabelled for h.  A known minimum cover of the
-    graph, or else a lifted cover, that still covers h shows that h's number
-    is at most the base, without a solve.  Otherwise the cover that leaves
-    the fewest vertices of h uncovered, repaired with the highest candidate
-    of each vertex still uncovered, bounds the exact search.  A minimum
-    cover of h of the base size inside the original vertices is a minimum
-    cover of the graph too, so it joins the known covers: subdividing adds
-    no edge between original vertices, so what covers an original vertex in
-    h covers it in the graph.  A cover of h of the base size that uses a new
-    vertex, lifted or solved, is returned for the caller to keep.
+    h is a subdivision of state.graph, and subdivide_edges(state.graph,
+    subset) if subset is non-empty.  A known minimum cover of the graph, or
+    else a cover kept for subset less one edge and relabelled for h, that
+    still covers h shows that h's number is at most the base, without a
+    solve.  Otherwise the cover that leaves the fewest vertices of h
+    uncovered, repaired with the highest candidate of each vertex still
+    uncovered, bounds the exact search.  A minimum cover of h of the base
+    size inside the original vertices is a minimum cover of the graph too,
+    so it joins the known covers: subdividing adds no edge between original
+    vertices, so what covers an original vertex in h covers it in the
+    graph.  A cover of h of the base size that uses a new vertex, lifted or
+    solved, is kept under a non-empty subset in state.kept.
     """
-    covers = _cover_sets(h, state.closed)
+    covers = state.cover_sets(h)
     full = h.full_mask
     n = state.graph.n
     upper = 0
     left = full
+    # a single edge less itself is the graph, whose covers come first anyway
+    lifted = _lift_subsets(state.kept, subset, n) if len(subset) > 1 else ()
     for cover in chain(state.covers, lifted):
         covered = 0
         rest = cover
@@ -152,7 +153,9 @@ def _increase(state: SearchState, h: Graph, lifted=()) -> tuple[int | None, int]
             rest ^= low
         missed = full & ~covered
         if not missed:
-            return None, cover if cover >> n else 0
+            if cover >> n:
+                state.kept[subset] = cover
+            return None
         if missed.bit_count() < left.bit_count():
             upper, left = cover, missed
     while left:
@@ -161,25 +164,35 @@ def _increase(state: SearchState, h: Graph, lifted=()) -> tuple[int | None, int]
         left &= ~covers[u]
     value, cover = _min_cover(covers, full, upper)
     if value > state.base:
-        return value, 0
-    if cover >> n:
-        return None, cover
-    state.covers.append(cover)
-    return None, 0
+        return value
+    if not cover >> n:
+        state.covers.append(cover)
+    elif subset:
+        state.kept[subset] = cover
+    return None
 
 
-def _row_one(state: SearchState, build) -> tuple:
-    """state.row_one, running the row with build(e) if no search has yet."""
+def _row(state: SearchState, subsets, t: int) -> tuple:
+    """(subset, number) for the first subset whose graph raises the number,
+    or () if none does.  At t = 1 that graph is subdivide_edges(graph,
+    subset), which keeps covers; else subset's one edge subdivided t times.
+    """
+    g = state.graph
+    # both builders are read from this module, where tracing and tests wrap them
+    for subset in subsets:
+        if t == 1:
+            after = _increase(state, subdivide_edges(g, subset), subset)
+        else:
+            after = _increase(state, subdivide(g, subset[0], t))
+        if after is not None:
+            return subset, after
+    return ()
+
+
+def _row_one(state: SearchState) -> tuple:
+    """state.row_one, running the row if no search has yet."""
     if state.row_one is None:
-        hit = ()
-        for e in state.edges:
-            after, keep = _increase(state, build(e))
-            if after is not None:
-                hit = (e, after)
-                break
-            if keep:
-                state.row_one_covers[(e,)] = keep
-        state.row_one = hit
+        state.row_one = _row(state, [(e,) for e in state.edges], 1)
     return state.row_one
 
 
@@ -193,56 +206,41 @@ def _lift_subsets(kept: dict, subset: tuple[Edge, ...], n: int):
             yield low | (cover ^ low) << 1
 
 
-def _msd(g: Graph, cap: int, closed: bool, memo: SearchState | None) -> SubdivisionResult:
-    state = _bind(g, closed, memo, 2)
-    if cap >= 1:
-        hit = _row_one(state, lambda e: subdivide(g, e, 1))
-        if hit:
-            e, after = hit
-            return SubdivisionResult(1, (e,), (1,), state.base, after)
+def _msd(g: Graph, cap: int, cover_sets, memo: SearchState | None) -> SubdivisionResult:
+    state = _bind(g, cover_sets, memo, 2)
+    singles = [(e,) for e in state.edges]
     # count-major: the first count at which any edge succeeds is the minimum
     # over edges, and the first edge to succeed at it is the lowest such edge
-    for t in range(2, cap + 1):
-        for e in state.edges:
-            after, _ = _increase(state, subdivide(g, e, t))
-            if after is not None:
-                return SubdivisionResult(t, (e,), (t,), state.base, after)
+    for t in range(1, cap + 1):
+        hit = _row_one(state) if t == 1 else _row(state, singles, t)
+        if hit:
+            subset, after = hit
+            return SubdivisionResult(t, subset, (t,), state.base, after)
     return SubdivisionResult(None, (), (), state.base, None)
 
 
-def _sd(g: Graph, cap: int | None, closed: bool, memo: SearchState | None) -> SubdivisionResult:
-    state = _bind(g, closed, memo, 3)
+def _sd(g: Graph, cap: int | None, cover_sets, memo: SearchState | None) -> SubdivisionResult:
+    state = _bind(g, cover_sets, memo, 3)
     edges = state.edges
     limit = len(edges) if cap is None else min(cap, len(edges))
-    if limit >= 1:
-        hit = _row_one(state, lambda e: subdivide_edges(g, (e,)))
+    for k in range(1, limit + 1):
+        hit = _row_one(state) if k == 1 else _row(state, combinations(edges, k), 1)
         if hit:
-            e, after = hit
-            return SubdivisionResult(1, (e,), (1,), state.base, after)
-    kept = state.row_one_covers
-    for k in range(2, limit + 1):
-        row = {}
-        for subset in combinations(edges, k):
-            lifted = _lift_subsets(kept, subset, g.n) if kept else ()
-            after, keep = _increase(state, subdivide_edges(g, subset), lifted)
-            if after is not None:
-                return SubdivisionResult(k, subset, (1,) * k, state.base, after)
-            if keep:
-                row[subset] = keep
-        kept = row
+            subset, after = hit
+            return SubdivisionResult(k, subset, (1,) * k, state.base, after)
     return SubdivisionResult(None, (), (), state.base, None)
 
 
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
-    state = _bind(g, False, None, 2)
+    state = _bind(g, _total_covers, None, 2)
     u, v = normalize_edge(*e)
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
     for t in range(1, cap + 1):
-        after, _ = _increase(state, subdivide(g, (u, v), t))
-        if after is not None:
-            return SubdivisionResult(t, ((u, v),), (t,), state.base, after)
+        hit = _row(state, [((u, v),)], t)
+        if hit:
+            return SubdivisionResult(t, ((u, v),), (t,), state.base, hit[1])
     return SubdivisionResult(None, ((u, v),), (), state.base, None)
 
 
@@ -258,7 +256,7 @@ def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP, *,
     memo, if given, is the SearchState of g's gamma_t searches; the search
     reads and extends it.
     """
-    return _msd(g, cap, False, memo)
+    return _msd(g, cap, _total_covers, memo)
 
 
 def sd_gamma_t(g: Graph, cap: int | None = None, *,
@@ -270,14 +268,14 @@ def sd_gamma_t(g: Graph, cap: int | None = None, *,
     achieving subset.  cap=None searches up to all m edges.  memo is as for
     msd_gamma_t.
     """
-    return _sd(g, cap, False, memo)
+    return _sd(g, cap, _total_covers, memo)
 
 
 def msd_gamma(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Domination multisubdivision number."""
-    return _msd(g, cap, True, None)
+    return _msd(g, cap, _closed_covers, None)
 
 
 def sd_gamma(g: Graph, cap: int | None = None) -> SubdivisionResult:
     """Domination subdivision number."""
-    return _sd(g, cap, True, None)
+    return _sd(g, cap, _closed_covers, None)

@@ -11,6 +11,9 @@ import itertools
 import random
 from collections import deque
 
+from tdmsd.errors import EdgeNotPresent, TooLarge, TooSmall
+from tdmsd.graph import MAX_VERTICES, Graph, normalize_edge
+
 
 def adjacency(n, edges):
     adj = [set() for _ in range(n)]
@@ -444,3 +447,48 @@ def lemma14_edge_ok(g, u, v, d_mask):
         )
 
     return sub(u, v, nu, nv) or sub(v, u, nv, nu)
+
+
+# the two subdivision builders as they stood before one shared builder
+# served both, frozen as references for it
+
+def reference_subdivide(g, e, t):
+    """Replace edge e=(u,v) by the path u, x1, ..., xt, v."""
+    if t < 1:
+        raise TooSmall(f"subdivision count must be >= 1, got {t}")
+    u, v = normalize_edge(*e)
+    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
+    n2 = g.n + t
+    if n2 > MAX_VERTICES:
+        raise TooLarge(f"subdivision would need {n2} vertices")
+    adj = list(g.adj) + [0] * t
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    chain = [u] + [g.n + i for i in range(t)] + [v]
+    for a, b in zip(chain, chain[1:]):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph(n2, adj)
+
+
+def reference_subdivide_edges(g, edges):
+    """Subdivide each listed edge exactly once, simultaneously."""
+    norm = [normalize_edge(*e) for e in edges]
+    if len(set(norm)) != len(norm):
+        raise EdgeNotPresent(f"duplicate edges in {edges}")
+    for u, v in norm:
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
+    n2 = g.n + len(norm)
+    if n2 > MAX_VERTICES:
+        raise TooLarge(f"subdivision would need {n2} vertices")
+    adj = list(g.adj) + [0] * len(norm)
+    for i, (u, v) in enumerate(norm):
+        x = g.n + i
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        adj[u] |= 1 << x
+        adj[v] |= 1 << x
+        adj[x] = (1 << u) | (1 << v)
+    return Graph(n2, adj)

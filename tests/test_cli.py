@@ -308,6 +308,26 @@ def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
     assert "can't open" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "msd-le-3", "--n-max", "99", "--out", "{out}"),
+    ("verify", "--out", "{out}", "--theorem", "nope"),
+])
+def test_verify_usage_error_keeps_an_existing_out_file(argv, tmp_path):
+    # --out opens at parse time; only a verdict may replace the file's bytes
+    target = tmp_path / "keep.json"
+    target.write_text("kept\n")
+    code, _ = _exit_and_stderr([a.format(out=target) for a in argv])
+    assert code == 2
+    assert target.read_text() == "kept\n"
+
+
+def test_family_generate_usage_error_creates_no_directory(tmp_path):
+    target = tmp_path / "d" / "sub"
+    code, _ = run_cli("family", "generate", "--n-max", "25", "--out", str(target))
+    assert code == 2
+    assert not (tmp_path / "d").exists()
+
+
 def test_compute_precondition_exits_3(tmp_path):
     disconnected = tmp_path / "two_edges.txt"
     disconnected.write_text("4 2\n0 1\n2 3\n")

@@ -98,7 +98,11 @@ def test_tree_sd_eq_msd_through_order_sixteen():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("theorem", ["tree-sd-eq-msd", "family-sd3", "strong-support"])
+@pytest.mark.parametrize("theorem", [
+    "tree-sd-eq-msd", "family-sd3", "strong-support",
+    # the paper's msd = 1 characterization, through minimum-set enumeration
+    "sd1-characterization", "lemma14-implies",
+])
 def test_tree_theorems_through_order_eighteen(theorem):
     # every free tree of orders 3..18, the tree generator's cap
     report = run_verification(theorem, 18, jobs=2)

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from tdmsd import (
     canonical_code,
+    enumerate_connected_graphs,
+    enumerate_trees,
     errors,
     format_edge_list,
     from_edge_list,
@@ -16,9 +18,16 @@ from tdmsd import (
     subdivide_edges,
 )
 from tdmsd.fixtures import GSTAR_EDGES, cycle
-from tdmsd.graph import inner_edges
+from tdmsd.graph import MAX_VERTICES, inner_edges
 
-from oracles import naive_diameter, random_connected_edges, random_graph_edges
+from oracles import (
+    naive_diameter,
+    random_connected_edges,
+    random_graph_edges,
+    reference_subdivide,
+    reference_subdivide_edges,
+)
+import itertools
 import random
 
 
@@ -82,6 +91,45 @@ def test_subdivide_edges_simultaneous():
     assert canonical_code(g) == canonical_code(path(6))
     with pytest.raises(errors.EdgeNotPresent):
         subdivide_edges(path(4), [(0, 1), (0, 1)])
+
+
+def _same_outcome(build, reference, *args):
+    # the same graph, or the same error type and message
+    try:
+        want = reference(*args)
+    except errors.GraphError as exc:
+        with pytest.raises(type(exc)) as got:
+            build(*args)
+        assert str(got.value) == str(exc), args
+    else:
+        assert build(*args) == want, args
+
+
+def test_shared_builder_matches_the_frozen_builders():
+    graphs = [g for n in range(2, 9) for g in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        edges = g.edges()
+        for (u, v), t in itertools.product(edges, range(-1, 4)):
+            _same_outcome(subdivide, reference_subdivide, g, (v, u), t)
+        for k in range(4):
+            for subset in itertools.combinations(edges, k):
+                flipped = [(v, u) for u, v in reversed(subset)]
+                _same_outcome(subdivide_edges, reference_subdivide_edges, g, subset)
+                _same_outcome(subdivide_edges, reference_subdivide_edges, g, flipped)
+        # a missing or out-of-range edge, and a duplicate in either order
+        absent = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
+        for e in absent[:2] + [(0, g.n), (-1, 0)]:
+            _same_outcome(subdivide, reference_subdivide, g, e, 1)
+            _same_outcome(subdivide_edges, reference_subdivide_edges, g, edges[:1] + [e])
+        _same_outcome(subdivide_edges, reference_subdivide_edges, g, edges[:1] * 2)
+        _same_outcome(subdivide_edges, reference_subdivide_edges, g, [edges[0], edges[0][::-1]])
+        # one vertex past the cap, and the cap itself
+        for t in (MAX_VERTICES - g.n, MAX_VERTICES - g.n + 1):
+            _same_outcome(subdivide, reference_subdivide, g, edges[-1], t)
+    big = path(40)
+    for k in (24, 25):
+        _same_outcome(subdivide_edges, reference_subdivide_edges, big, big.edges()[:k])
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())

@@ -26,7 +26,14 @@ from tdmsd import (
     wheel,
 )
 from tdmsd import subdivision, verify
-from tdmsd.domination import _min_cover, solve_gamma_t
+from tdmsd.domination import (
+    _closed_covers,
+    _min_cover,
+    is_dominating,
+    is_total_dominating,
+    solve_gamma_t,
+)
+from tdmsd.graph import iter_bits
 from tdmsd.subdivision import SearchState
 from tdmsd.verify import path_cycle_formula
 
@@ -241,6 +248,29 @@ def test_sd_and_msd_sharing_one_state_match_the_references():
         state = SearchState()
         assert tuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
         assert tuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
+
+
+@pytest.mark.parametrize("total", [True, False], ids=["total", "closed"])
+def test_kept_covers_use_a_new_vertex_and_dominate_their_graphs(total):
+    # every tree of order <= 10 and every connected graph of order <= 6
+    dominates = is_total_dominating if total else is_dominating
+    kept = 0
+    for g in _trees_and_graphs():
+        if g.n < 3:
+            continue
+        state = SearchState()
+        if total:
+            sd_gamma_t(g, cap=3, memo=state)
+            msd_gamma_t(g, memo=state)
+        else:
+            subdivision._sd(g, 3, _closed_covers, state)
+            subdivision._msd(g, 3, _closed_covers, state)
+        for subset, cover in state.kept.items():
+            assert cover >> g.n, (g.edges(), subset)
+            assert cover.bit_count() == state.base
+            assert dominates(subdivide_edges(g, subset), iter_bits(cover)), (g.edges(), subset)
+        kept += len(state.kept)
+    assert kept
 
 
 def test_state_serves_one_graph():
