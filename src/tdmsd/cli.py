@@ -73,6 +73,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _writable_file(text: str) -> str:
+    """A file path that can be written, checked without opening it, so that
+    a usage error leaves no new file and no open handle behind."""
+    path = Path(text)
+    if path.is_dir() or not path.parent.is_dir() or not os.access(
+            path if path.exists() else path.parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"can't open '{text}': not a writable file")
+    return text
+
+
 def _theorem_id(text: str) -> str:
     from .verify import THEOREMS
 
@@ -150,11 +160,15 @@ def _cmd_verify(args, out) -> int:
         "ok": report.ok,
     }
     _emit(summary, out)
+    code = EXIT_OK if report.ok else EXIT_VIOLATED
     if args.out:
-        with args.out:
-            args.out.truncate(0)
-            args.out.write(json.dumps(summary, sort_keys=True) + "\n")
-    return EXIT_OK if report.ok else EXIT_VIOLATED
+        try:
+            Path(args.out).write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+        except OSError as exc:
+            # a counterexample keeps its exit code
+            print(f"error: {args.out}: cannot write ({exc.strerror})", file=sys.stderr)
+            return code or EXIT_USAGE
+    return code
 
 
 def _cmd_family(args, out) -> int:
@@ -250,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--verbose", action="store_true")
-    # opened here, so that an unwritable path is a usage error before the
-    # sweep; opened to append, so that a file keeps its bytes until a verdict
-    p.add_argument("--out", type=argparse.FileType("a", encoding="utf-8"), default=None,
+    # checked here, so that an unwritable path is a usage error before the
+    # sweep; written only once there is a verdict
+    p.add_argument("--out", type=_writable_file, default=None,
                    help="also write the summary JSON here")
 
     p = sub.add_parser("family", help="generate family members or test membership")

@@ -1,9 +1,10 @@
 """Exact domination and total domination: values, certificates, enumeration.
 
-Values come from a branch-and-bound set-cover search (fast enough for the
-exhaustive sweeps); witnesses and the complete list of minimum sets come
-from a lexicographic subset search at the optimal cardinality, so reported
-witnesses are always the lexicographically smallest minimum set.
+One branch-and-bound set-cover search serves every answer.  It shrinks its
+bound for the values, collects every cover below the minimum plus one for
+the complete list of minimum sets, and fixes a witness vertex by vertex in
+index order, so reported witnesses are the lexicographically smallest
+minimum sets.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
-def _greedy_cover(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
+def _greedy_cover(covers: tuple[int, ...], full: int) -> int | None:
     covered = 0
     chosen = 0
-    count = 0
     while covered != full:
         best_gain = 0
         best_u = -1
@@ -61,8 +61,7 @@ def _greedy_cover(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
             return None
         covered |= covers[best_u]
         chosen |= 1 << best_u
-        count += 1
-    return count, chosen
+    return chosen
 
 
 def _min_cover(covers: tuple[int, ...], full: int,
@@ -70,20 +69,36 @@ def _min_cover(covers: tuple[int, ...], full: int,
     """A minimum set of vertices whose cover sets union to ``full``, as
     (size, vertex mask); None if no set covers ``full``.
 
+    upper, if given, is a vertex mask known to cover ``full``: the search
+    starts from it in place of the greedy bound, and returns it when nothing
+    smaller covers.
+    """
+    if upper is None:
+        upper = _greedy_cover(covers, full)
+        if upper is None:
+            return None
+    best = _search(covers, full, upper.bit_count())
+    best = upper if best is None else best
+    return best.bit_count(), best
+
+
+def _search(covers: tuple[int, ...], full: int, bound: int, chosen: int = 0,
+            banned: int = 0, stop: int = 0, found: list[int] | None = None) -> int | None:
+    """The branch-and-bound over vertex sets that cover ``full``, contain
+    ``chosen``, avoid ``banned`` and have fewer than ``bound`` vertices.
+
     covers[u] is the element mask vertex u covers; the relation is symmetric
     (u covers v iff v covers u), so candidate covers of element v are the
-    set bits of covers[v].  upper, if given, is a vertex mask known to cover
-    ``full``: the search starts from it in place of the greedy bound, and
-    returns it when nothing smaller covers.
+    set bits of covers[v].  Without ``found``, each cover found lowers the
+    bound to its size, and the search returns the last one (None if none
+    beats ``bound``); it stops at the first one of size ``stop`` or less.
+    With a list ``found`` the bound stays, and every cover met is appended.
+    Under a bound one above the minimum those are the minimum covers, each
+    once, because a branch bans its candidate once it is done.
     """
     n = len(covers)
-    if upper is None:
-        start = _greedy_cover(covers, full)
-        if start is None:
-            return None
-        best, best_mask = start
-    else:
-        best, best_mask = upper.bit_count(), upper
+    best = bound
+    best_mask = None
 
     def dfs(count: int, covered: int, banned: int, chosen: int) -> None:
         nonlocal best, best_mask
@@ -91,8 +106,12 @@ def _min_cover(covers: tuple[int, ...], full: int,
         while True:
             if covered == full:
                 if count < best:
-                    best = count
-                    best_mask = chosen
+                    if found is not None:
+                        found.append(chosen)
+                    else:
+                        # a bound of 0 prunes every open branch
+                        best = count if count > stop else 0
+                        best_mask = chosen
                 return
             if count + 1 >= best:
                 return
@@ -144,53 +163,33 @@ def _min_cover(covers: tuple[int, ...], full: int,
                 break
             rest ^= low
 
-    dfs(0, 0, 0, 0)
-    return best, best_mask
+    covered = 0
+    for u in iter_bits(chosen):
+        covered |= covers[u]
+    dfs(chosen.bit_count(), covered, banned, chosen)
+    return best_mask
 
 
-def _covers_of_size(
-    covers: tuple[int, ...],
-    full: int,
-    k: int,
-    allowed: int,
-    first_only: bool,
-) -> list[int]:
-    """All (or the lex-first) k-subsets of allowed vertices covering ``full``.
+def _first_cover(covers: tuple[int, ...], full: int, k: int, allowed: int) -> int | None:
+    """The first cover of ``full`` by k allowed vertices, ordered by sorted
+    vertex indices; None if there is none.  k must be the minimum size.
 
-    Subsets are explored in lexicographic order of their sorted index tuples,
-    so the first result is the lexicographically smallest one.
+    The vertices are fixed in index order: one joins if some cover of size
+    k holds it and the vertices fixed so far, and is banned otherwise.
     """
-    n = len(covers)
-    out: list[int] = []
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (covers[i] if allowed >> i & 1 else 0)
-    max_pc = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        pc = covers[i].bit_count() if allowed >> i & 1 else 0
-        max_pc[i] = max(max_pc[i + 1], pc)
-
-    def rec(start: int, count: int, covered: int, chosen: int) -> bool:
-        if count == k:
-            if covered == full:
-                out.append(chosen)
-                return first_only
-            return False
-        slots = k - count
-        uncovered = full & ~covered
-        if uncovered & ~suffix[start]:
-            return False
-        if slots * max_pc[start] < uncovered.bit_count():
-            return False
-        for u in range(start, n - slots + 1):
-            if not allowed >> u & 1:
-                continue
-            if rec(u + 1, count + 1, covered | covers[u], chosen | (1 << u)):
-                return True
-        return False
-
-    rec(0, 0, 0, 0)
-    return out
+    banned = full & ~allowed
+    witness = 0
+    for v in range(len(covers)):
+        bit = 1 << v
+        # a vertex of the current witness joins without a search
+        if (banned | witness) & bit:
+            continue
+        cover = _search(covers, full, k + 1, (witness & (bit - 1)) | bit, banned, k)
+        if cover is None:
+            banned |= bit
+        else:
+            witness = cover
+    return witness if witness.bit_count() == k else None
 
 
 def _total_covers(g: Graph) -> tuple[int, ...]:
@@ -231,8 +230,8 @@ def gamma_value(g: Graph) -> int:
 
 
 def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:
-    masks = _covers_of_size(covers, g.full_mask, value, g.full_mask, True)
-    return DominationCertificate(value, frozenset(iter_bits(masks[0])), kind)
+    witness = _first_cover(covers, g.full_mask, value, g.full_mask)
+    return DominationCertificate(value, frozenset(iter_bits(witness)), kind)
 
 
 def gamma_t(g: Graph) -> DominationCertificate:
@@ -248,8 +247,9 @@ def _all_min_tds_masks(g: Graph) -> tuple[int, ...]:
     # every min-set enumeration comes through here, so the cap holds for all
     if g.n > ENUMERATION_CAP:
         raise TooLarge(f"n={g.n} above the enumeration cap {ENUMERATION_CAP}")
-    value = gamma_t_value(g)
-    return tuple(_covers_of_size(_total_covers(g), g.full_mask, value, g.full_mask, False))
+    found: list[int] = []
+    _search(_total_covers(g), g.full_mask, gamma_t_value(g) + 1, found=found)
+    return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
 
 
 def all_min_total_dominating_sets(g: Graph) -> list[frozenset[int]]:
@@ -282,9 +282,8 @@ def gamma_t_set_avoiding_leaves(g: Graph) -> frozenset[int]:
         raise Disconnected("graph must be connected")
     if structure_profile(g).is_star:
         raise IsStar("stars have no leaf-avoiding total dominating set")
-    value = gamma_t_value(g)
     allowed = g.full_mask & ~leaves_mask(g)
-    masks = _covers_of_size(_total_covers(g), g.full_mask, value, allowed, True)
-    if not masks:
+    witness = _first_cover(_total_covers(g), g.full_mask, gamma_t_value(g), allowed)
+    if witness is None:
         raise NotFound("no leaf-avoiding minimum total dominating set: bug")
-    return frozenset(iter_bits(masks[0]))
+    return frozenset(iter_bits(witness))

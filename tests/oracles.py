@@ -492,3 +492,51 @@ def reference_subdivide_edges(g, edges):
         adj[v] |= 1 << x
         adj[x] = (1 << u) | (1 << v)
     return Graph(n2, adj)
+
+
+# the lexicographic subset search that served minimum-set enumeration and
+# the witnesses before the branch-and-bound did, frozen as a reference for it
+
+def covers_of_size(
+    covers: tuple[int, ...],
+    full: int,
+    k: int,
+    allowed: int,
+    first_only: bool,
+) -> list[int]:
+    """All (or the lex-first) k-subsets of allowed vertices covering ``full``.
+
+    Subsets are explored in lexicographic order of their sorted index tuples,
+    so the first result is the lexicographically smallest one.
+    """
+    n = len(covers)
+    out: list[int] = []
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (covers[i] if allowed >> i & 1 else 0)
+    max_pc = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        pc = covers[i].bit_count() if allowed >> i & 1 else 0
+        max_pc[i] = max(max_pc[i + 1], pc)
+
+    def rec(start: int, count: int, covered: int, chosen: int) -> bool:
+        if count == k:
+            if covered == full:
+                out.append(chosen)
+                return first_only
+            return False
+        slots = k - count
+        uncovered = full & ~covered
+        if uncovered & ~suffix[start]:
+            return False
+        if slots * max_pc[start] < uncovered.bit_count():
+            return False
+        for u in range(start, n - slots + 1):
+            if not allowed >> u & 1:
+                continue
+            if rec(u + 1, count + 1, covered | covers[u], chosen | (1 << u)):
+                return True
+        return False
+
+    rec(0, 0, 0, 0)
+    return out

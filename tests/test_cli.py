@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tdmsd import graph6_encode, gstar, path
+from tdmsd import graph6_decode, graph6_encode, gstar, path
 from tdmsd import cli
 from tdmsd.cli import main
 from tdmsd.graph import format_edge_list
@@ -31,6 +31,45 @@ def test_compute_gamma_t_fixture():
     rec = last_json(out)
     # {0,1,3,4} is the lexicographically smallest of the minimum sets
     assert rec["value"] == 4 and rec["witness"] == [0, 1, 3, 4]
+
+
+# a random tree: edges (rng.randrange(v), v) for v = 1..59, rng = Random(7);
+# its total domination number is 27
+_TREE60 = (
+    "{qa?S?C_?@A?_?O??O?C?G??@?@?????G?@?O?????CA????O?????G???C???C?O??????A????C"
+    "???C???O??????G??@??????C???????_??????G??A??????????O?O??????????A???A??????"
+    "???G???????@?@??????C????????????G???????_???????A???O?????????G?????_???????"
+    "?????C??????????_?O?????????????A???C???????????????_????G???????"
+)
+
+
+def _tree60_witnesses():
+    from tdmsd import gamma_t_set_avoiding_leaves
+
+    code, out = run_cli("compute", "--input", _TREE60, "--invariant", "gamma_t")
+    assert code == 0
+    return last_json(out)["witness"], sorted(gamma_t_set_avoiding_leaves(graph6_decode(_TREE60)))
+
+
+def test_tree60_gamma_t_witnesses_take_under_a_second():
+    from tdmsd import is_total_dominating
+
+    start = time.process_time()
+    witnesses = _tree60_witnesses()
+    assert time.process_time() - start < 1.0
+    for witness in witnesses:
+        assert len(witness) == 27 and is_total_dominating(graph6_decode(_TREE60), witness)
+
+
+@pytest.mark.slow
+def test_tree60_gamma_t_witnesses_are_the_first_minimum_sets():
+    from tdmsd.graph import iter_bits, leaves_mask
+    from oracles import covers_of_size
+
+    g = graph6_decode(_TREE60)
+    firsts = [list(iter_bits(covers_of_size(g.adj, g.full_mask, 27, allowed, True)[0]))
+              for allowed in (g.full_mask, g.full_mask & ~leaves_mask(g))]
+    assert list(_tree60_witnesses()) == firsts
 
 
 def test_compute_msd_t_on_k4():
@@ -313,12 +352,16 @@ def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
     ("verify", "--out", "{out}", "--theorem", "nope"),
 ])
 def test_verify_usage_error_keeps_an_existing_out_file(argv, tmp_path):
-    # --out opens at parse time; only a verdict may replace the file's bytes
+    # only a verdict may replace the file's bytes or create the file
     target = tmp_path / "keep.json"
     target.write_text("kept\n")
     code, _ = _exit_and_stderr([a.format(out=target) for a in argv])
     assert code == 2
     assert target.read_text() == "kept\n"
+    absent = tmp_path / "new.json"
+    code, _ = _exit_and_stderr([a.format(out=absent) for a in argv])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_family_generate_usage_error_creates_no_directory(tmp_path):
@@ -428,6 +471,33 @@ def test_verify_counterexample_exits_1(monkeypatch):
     rec = last_json(out)
     assert not rec["ok"] and rec["failures"][0]["graph6"] == "A_"
     assert rec["graphs_checked"] == 1
+
+
+@pytest.mark.parametrize("ok, vanish, expected", [
+    (False, False, 1), (False, True, 1), (True, True, 2),
+])
+def test_verify_out_after_the_verdict(ok, vanish, expected, monkeypatch, tmp_path, capsys):
+    # the summary is written once there is a verdict, a counterexample's too;
+    # a write that fails then keeps exit 1 and is a usage error otherwise
+    from tdmsd import verify as verify_mod
+
+    folder = tmp_path / "d"
+    folder.mkdir()
+    target = folder / "summary.json"
+
+    def check(g):
+        if vanish:
+            folder.rmdir()
+        return verify_mod.Record(graph6_encode(g), ok, "something", "otherwise")
+
+    monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3",
+                        verify_mod.Theorem(check, lambda lo, hi: [path(2)], 2, 2, 2))
+    code, out = run_cli("verify", "--theorem", "msd-le-3", "--out", str(target))
+    assert code == expected
+    if vanish:
+        assert "cannot write" in capsys.readouterr().err
+    else:
+        assert json.loads(target.read_text()) == last_json(out)
 
 
 # graphs each theorem checks at its quick order, frozen from the sweeps as

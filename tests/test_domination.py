@@ -20,9 +20,18 @@ from tdmsd import (
     path,
     star,
 )
-from tdmsd.domination import _closed_covers, _min_cover, _total_covers
+from tdmsd.domination import (
+    _all_min_tds_masks,
+    _closed_covers,
+    _first_cover,
+    _min_cover,
+    _search,
+    _total_covers,
+)
+from tdmsd.graph import iter_bits, leaves_mask
 
 from oracles import (
+    covers_of_size,
     naive_all_min_tds,
     naive_gamma,
     naive_gamma_t,
@@ -124,7 +133,30 @@ def test_all_min_sets_complete_vs_power_set():
     for _ in range(40):
         n = rng.randrange(2, 9)
         g = from_edge_list(n, random_connected_edges(n, rng))
-        assert set(all_min_total_dominating_sets(g)) == naive_all_min_tds(n, g.edges())
+        naive = naive_all_min_tds(n, g.edges())
+        assert set(all_min_total_dominating_sets(g)) == naive
+        assert all_min_total_dominating_sets(g) == sorted(naive, key=sorted)
+
+
+def test_search_modes_match_the_subset_search_oracle():
+    # total and closed covers, every vertex allowed or the leaves banned:
+    # every cover of the minimum size, in order, and the first of them
+    from tdmsd import enumerate_connected_graphs, enumerate_trees
+
+    graphs = [t for n in range(2, 15) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        full = g.full_mask
+        for covers in (_total_covers(g), _closed_covers(g)):
+            k = _min_cover(covers, full)[0]
+            for allowed in (full, full & ~leaves_mask(g)):
+                expected = covers_of_size(covers, full, k, allowed, False)
+                found = []
+                _search(covers, full, k + 1, banned=full & ~allowed, found=found)
+                assert sorted(found, key=lambda m: list(iter_bits(m))) == expected
+                first = covers_of_size(covers, full, k, allowed, True)
+                assert _first_cover(covers, full, k, allowed) == (first[0] if first else None)
+        assert _all_min_tds_masks(g) == tuple(covers_of_size(g.adj, full, gamma_t_value(g), full, False))
 
 
 def test_all_min_sets_cap():
