@@ -20,9 +20,11 @@ are checked: if one maps a vertex already tried at that node onto this one,
 the subtree is an image of one already searched and is skipped.  Symmetric
 graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
 many.  ``automorphisms`` returns the automorphisms the search found, which
-generate the graph's group; the connected-graph generator prunes by them.  Codes of two graphs are equal iff the graphs are isomorphic, and tree
-codes can never collide with non-tree codes (distinct prefixes).  Tree codes
-take any order; the search runs on at most GENERAL_CODE_CAP vertices.
+generate the graph's group; the connected-graph generator prunes by them.
+
+Codes of two graphs are equal iff the graphs are isomorphic, and tree codes
+can never collide with non-tree codes (distinct prefixes).  Tree codes take
+any order; the search runs on at most GENERAL_CODE_CAP vertices.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-def _read_graph(spec: str, fmt: str) -> Graph:
-    """Accept a file path, a graph6 literal, or a fixture name."""
+def _read_graph(spec: str) -> Graph:
+    """Accept a file path, a fixture name, or literal text; text whose first
+    line holds whitespace (the "n m" header) is an edge list, other text graph6."""
     text = None
     if os.path.exists(spec):
         try:
@@ -53,14 +54,10 @@ def _read_graph(spec: str, fmt: str) -> Graph:
     stripped = text.strip()
     if not stripped:
         raise MalformedInput("empty graph input")
-    if fmt == "edge-list":
+    first = stripped.splitlines()[0]
+    if len(first.split()) > 1:
         return parse_edge_list(stripped)
-    if fmt == "graph6":
-        return graph6_decode(stripped.splitlines()[0])
-    first = stripped.splitlines()[0].split()
-    if len(first) == 2 and all(tok.isdigit() for tok in first):
-        return parse_edge_list(stripped)
-    return graph6_decode(stripped.splitlines()[0])
+    return graph6_decode(first)
 
 
 def _positive_int(text: str) -> int:
@@ -101,7 +98,7 @@ def _graph_json(fmt: str, g: Graph) -> str:
 
 
 def _cmd_compute(args, out) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     inv = args.invariant
     if inv in ("gamma", "gamma_t"):
         cert = gamma(g) if inv == "gamma" else gamma_t(g)
@@ -142,12 +139,7 @@ def _cmd_verify(args, out) -> int:
     report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs)
     if args.verbose:
         for rec in report.records:
-            _emit({
-                "graph6": rec.graph6,
-                "ok": rec.ok,
-                "expected": rec.expected,
-                "actual": rec.actual,
-            }, out)
+            _emit(rec._asdict(), out)
     summary = {
         "theorem": report.theorem_id,
         "orders_checked": list(report.orders_checked),
@@ -196,7 +188,7 @@ def _cmd_family(args, out) -> int:
             }, out)
         _emit({"members": len(members), "n_max": args.n_max}, out)
         return EXIT_OK
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     _emit({"n": g.n, "graph6": graph6_encode(g), "in_family": is_in_family(g)}, out)
     return EXIT_OK
 
@@ -204,7 +196,7 @@ def _cmd_family(args, out) -> int:
 def _cmd_characterize(args, out) -> int:
     from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     leaf = leaf_condition(g)
     inner = [
         {"edge": list(e), "holds": inner_edge_condition(g, e).holds}
@@ -257,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariant", required=True,
                    choices=["gamma", "gamma_t", "sd", "msd", "sd_t", "msd_t"])
     p.add_argument("--cap", type=_positive_int, default=None)
-    p.add_argument("--format", choices=["auto", "edge-list", "graph6"], default="auto")
 
     p = sub.add_parser("verify", help="run one theorem sweep")
     p.add_argument("--theorem", required=True, type=_theorem_id, help="a theorem id")
@@ -276,11 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="directory for edge-list member files")
     tst = fam.add_parser("test")
     tst.add_argument("--input", required=True)
-    tst.add_argument("--format", choices=["auto", "edge-list", "graph6"], default="auto")
 
     p = sub.add_parser("characterize", help="report the fired branch per tree")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["auto", "edge-list", "graph6"], default="auto")
 
     p = sub.add_parser("enum", help="emit non-isomorphic graphs, one per line")
     p.add_argument("--kind", choices=["trees", "connected"], required=True)

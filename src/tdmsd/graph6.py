@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import MalformedInput, TooLarge
-from .graph import Graph, from_edge_list
+from .graph import Graph, iter_bits
 
 _HEADER = ">>graph6<<"
 
@@ -11,6 +11,7 @@ _HEADER = ">>graph6<<"
 # the character of each 6-bit group whose first pair is its lowest bit (graph6
 # writes the first pair as the high bit of the group)
 _CHAR = tuple(chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64))
+_GROUP = {c: v for v, c in enumerate(_CHAR)}  # the inverse; its keys are the alphabet
 
 
 def graph6_encode(g: Graph) -> str:
@@ -32,31 +33,28 @@ def graph6_decode(line: str) -> Graph:
         line = line[len(_HEADER):]
     if not line:
         raise MalformedInput("empty graph6 line")
-    codes = [ord(c) for c in line]
-    for c in codes:
-        if not 63 <= c <= 126:
-            raise MalformedInput(f"byte {c} outside the graph6 alphabet")
-    if codes[0] == 126:
+    for c in line:
+        if c not in _GROUP:
+            raise MalformedInput(f"byte {ord(c)} outside the graph6 alphabet")
+    n = ord(line[0]) - 63
+    if n == 63:
         raise MalformedInput("multi-byte graph6 orders (n > 62) not supported")
-    n = codes[0] - 63
     if n < 1:
         raise MalformedInput("graph6 order must be >= 1")
-    npairs = n * (n - 1) // 2
-    need = (npairs + 5) // 6
-    body = codes[1:]
-    if len(body) != need:
-        raise MalformedInput(f"expected {need} data bytes for n={n}, got {len(body)}")
-    bits = []
-    for c in body:
-        val = c - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[npairs:]):
+    width = n * (n - 1) // 2
+    need = (width + 5) // 6
+    if len(line) - 1 != need:
+        raise MalformedInput(f"expected {need} data bytes for n={n}, got {len(line) - 1}")
+    # the encoder's integer, pair k at bit k, cut into columns
+    bits = 0
+    for k, c in enumerate(line[1:]):
+        bits |= _GROUP[c] << 6 * k
+    if bits >> width:
         raise MalformedInput("nonzero padding bits")
-    edges = []
-    idx = 0
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edge_list(n, edges)
+        adj[j] = column = bits & ((1 << j) - 1)
+        for i in iter_bits(column):
+            adj[i] |= 1 << j
+        bits >>= j
+    return Graph(n, adj)

@@ -8,7 +8,16 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tdmsd import graph6_decode, graph6_encode, gstar, path
+from tdmsd import (
+    enumerate_connected_graphs,
+    enumerate_trees,
+    fixture_by_name,
+    generate_family,
+    graph6_decode,
+    graph6_encode,
+    gstar,
+    path,
+)
 from tdmsd import cli
 from tdmsd.cli import main
 from tdmsd.graph import format_edge_list
@@ -96,6 +105,54 @@ def test_compute_accepts_graph6_literal():
 def test_compute_parse_error_exits_2():
     code, _ = run_cli("compute", "--input", "!!definitely-not-a-graph", "--invariant", "gamma")
     assert code == 2
+
+
+@pytest.fixture
+def read_back(monkeypatch):
+    """Run compute on an --input and return the graph it read (the graph it
+    hands to gamma)."""
+    seen = []
+    real = cli.gamma
+    monkeypatch.setattr(cli, "gamma", lambda g: seen.append(g) or real(g))
+
+    def read(spec):
+        code, _ = run_cli("compute", "--input", spec, "--invariant", "gamma")
+        assert code == 0, spec
+        return seen.pop()
+
+    return read
+
+
+def test_edge_list_and_graph6_files_read_back(tmp_path, read_back):
+    g = gstar()
+    edge_list = tmp_path / "gstar.txt"
+    edge_list.write_text(format_edge_list(g))
+    headed = tmp_path / "gstar.g6"
+    headed.write_text(">>graph6<<" + graph6_encode(g) + "\n")
+    assert read_back(str(edge_list)) == read_back(str(headed)) == g
+
+
+@pytest.mark.parametrize("spec, message", [
+    # a first line holding whitespace is an edge-list header
+    ("3 x", "error: bad header '3 x'\n"),
+    # any other text is graph6: order 2 needs one data byte
+    ("A", "error: expected 1 data bytes for n=2, got 0\n"),
+])
+def test_reader_picks_the_parser_by_the_first_line(spec, message, capsys):
+    code, _ = run_cli("compute", "--input", spec, "--invariant", "gamma")
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--format", "graph6", "--input", "p4", "--invariant", "gamma"),
+    ("family", "test", "--format", "edge-list", "--input", "p7"),
+    ("characterize", "--format", "auto", "--input", "p5"),
+])
+def test_input_format_option_is_gone(argv):
+    code, err = _exit_and_stderr(argv)
+    assert code == 2
+    assert "unrecognized arguments: --format" in err
 
 
 def test_compute_non_utf8_file_is_usage_error(tmp_path, capsys):
@@ -567,6 +624,61 @@ def test_enum_connected():
     code, out = run_cli("enum", "--kind", "connected", "--n", "5")
     assert code == 0
     assert len(out.strip().splitlines()) == 21
+
+
+def _printed_graphs(fmt, out):
+    """Each graph in enum or fixtures output, as an --input literal."""
+    if fmt == "graph6":
+        return out.splitlines()
+    lines, specs = out.splitlines(), []
+    while lines:
+        size = 1 + int(lines[0].split()[1])
+        specs.append("\n".join(lines[:size]))
+        lines = lines[size:]
+    return specs
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edge-list"])
+@pytest.mark.parametrize("kind, n, stream", [
+    ("trees", 7, enumerate_trees),
+    ("connected", 5, enumerate_connected_graphs),
+])
+def test_enum_output_reads_back(kind, n, stream, fmt, read_back):
+    code, out = run_cli("enum", "--kind", kind, "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert [read_back(spec) for spec in _printed_graphs(fmt, out)] == list(stream(n))
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edge-list"])
+@pytest.mark.parametrize("name", ["gstar", "p7", "c9", "k4", "star6", "wheel5"])
+def test_fixture_output_reads_back(name, fmt, read_back):
+    code, out = run_cli("fixtures", "--name", name, "--format", fmt)
+    assert code == 0
+    [spec] = _printed_graphs(fmt, out)
+    assert read_back(spec) == fixture_by_name(name)
+
+
+def test_family_member_files_read_back(tmp_path, read_back):
+    code, _ = run_cli("family", "generate", "--n-max", "14", "--out", str(tmp_path))
+    assert code == 0
+    members = generate_family(14)
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == len(members)
+    for member_file, member in zip(files, members):
+        assert read_back(str(member_file)) == member.tree
+        code, out = run_cli("family", "test", "--input", str(member_file))
+        assert code == 0
+        assert last_json(out) == {"n": member.n, "graph6": graph6_encode(member.tree),
+                                  "in_family": True}
+
+
+@pytest.mark.parametrize("theorem, n_max", [("msd-le-3", 5), ("tree-sd-eq-msd", 8)])
+def test_verify_records_read_back(theorem, n_max, read_back):
+    code, out = run_cli("verify", "--theorem", theorem, "--n-max", str(n_max), "--verbose")
+    assert code == 0
+    records = [json.loads(ln) for ln in out.splitlines()[:-1]]
+    th = THEOREMS[theorem]
+    assert [read_back(rec["graph6"]) for rec in records] == list(th.graphs(th.lo, n_max))
 
 
 def test_fixtures_listing_and_emit():

@@ -25,7 +25,7 @@ from tdmsd import (
     subdivide_edges,
     wheel,
 )
-from tdmsd import subdivision, verify
+from tdmsd import canonical, subdivision, verify
 from tdmsd.domination import (
     _closed_covers,
     _min_cover,
@@ -176,10 +176,15 @@ def test_base_values_recorded():
     (msd_gamma_t, 10, 2),
     (sd_gamma_t, 9, 3),
 ])
-def test_complete_graphs_skip_the_factorial_canonical_path(search, n, expected):
+def test_complete_graphs_skip_the_factorial_canonical_path(search, n, expected, monkeypatch):
     # a canonical code of a near-complete graph is factorial in n; the
     # searches must solve subdivided graphs without one, and without filling
     # the global gamma_t cache with them (at most the base graph is added)
+    def no_code(*args):
+        raise AssertionError("canonical code computed")
+
+    monkeypatch.setattr(canonical, "_search", no_code)
+    monkeypatch.setattr(canonical, "tree_code", no_code)
     g = complete(n)
     size_before = gamma_t_value.cache_info().currsize
     start = time.perf_counter()
