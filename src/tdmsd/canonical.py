@@ -4,7 +4,7 @@ Trees get a rooted-at-center canonical form.  Every other graph gets the
 smallest adjacency bit string over the leaves of a search tree (McKay and
 Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014):
 
-- the root partition puts vertices in cells by degree, in ascending degree;
+- the root refines the unit partition, whose first round splits by degree;
 - refinement splits each cell by its vertices' neighbour counts in every
   cell until the partition is equitable, in an order fixed by those counts;
 - a node whose partition still has a cell of several vertices has one child
@@ -36,15 +36,13 @@ GENERAL_CODE_CAP = 16
 
 
 def tree_centers(g: Graph) -> tuple[int, ...]:
-    """The one or two middle vertices of a tree, by iterative leaf peeling."""
+    """The one or two middle vertices of a tree, peeling layers of degree <= 1."""
     # peeling a graph with a cycle would run out of leaves and never stop
     if not g.is_tree():
         raise NotATree("centers computed on trees")
     n = g.n
-    if n <= 2:
-        return tuple(range(n))
     deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
+    layer = [v for v in range(n) if deg[v] <= 1]
     remaining = n
     while remaining > 2:
         remaining -= len(layer)
@@ -71,14 +69,6 @@ def _rooted_code(g: Graph, root: int, labels: str | None) -> bytes:
 def tree_code(g: Graph, labels: str | None = None) -> bytes:
     """Canonical form of a free tree, optionally with per-vertex labels."""
     return min(_rooted_code(g, c, labels) for c in tree_centers(g))
-
-
-def _initial_cells(g: Graph) -> list[list[int]]:
-    """Vertices split by degree, the cells in ascending degree."""
-    cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(g.adj[v].bit_count(), []).append(v)
-    return [cells[d] for d in sorted(cells)]
 
 
 def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
@@ -148,7 +138,8 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
         nonlocal best, best_order
         i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if i is None:
-            order = [cell[0] for cell in cells]
+            # the 0-vertex graph's leaf is its one empty cell
+            order = [v for cell in cells for v in cell]
             bits = _order_bits(g, order)
             if best is None or bits < best:
                 best, best_order = bits, order
@@ -186,7 +177,7 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
             rest = [w for w in cell if w != v]
             descend(_refine(g, cells[:i] + [[v], rest] + cells[i + 1 :]), fixed | 1 << v)
 
-    descend(_refine(g, _initial_cells(g)), 0)
+    descend(_refine(g, [list(range(g.n))]), 0)
     assert best is not None
     return best, [image for image, _ in autos]
 

@@ -189,8 +189,6 @@ def longest_path(t: Graph) -> tuple[int, ...]:
     """One deterministic longest path: double BFS, ties to smallest endpoints."""
     if not t.is_tree():
         raise NotATree("longest paths computed on trees")
-    if t.n == 1:
-        return (0,)
     d0 = t.bfs_distances(0)
     ecc0 = max(d0)
     a = min(v for v in range(t.n) if d0[v] == ecc0)

@@ -189,7 +189,9 @@ def _cmd_family(args, out) -> int:
         _emit({"members": len(members), "n_max": args.n_max}, out)
         return EXIT_OK
     g = _read_graph(args.input)
-    _emit({"n": g.n, "graph6": graph6_encode(g), "in_family": is_in_family(g)}, out)
+    # asked first, so that its cap and tree errors come before graph6's order cap
+    in_family = is_in_family(g)
+    _emit({"n": g.n, "graph6": graph6_encode(g), "in_family": in_family}, out)
     return EXIT_OK
 
 

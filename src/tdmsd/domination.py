@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import Disconnected, IsolatedVertex, IsStar, NotFound, TooLarge, TooSmall
-from .graph import Graph, iter_bits, leaves_mask, mask_of, structure_profile
+from .graph import Graph, closed_neighborhood_mask, iter_bits, leaves_mask, mask_of, structure_profile
 
 ENUMERATION_CAP = 20
 
@@ -33,11 +33,7 @@ class MembershipProfile(NamedTuple):
 
 
 def is_dominating(g: Graph, s) -> bool:
-    s_mask = mask_of(s)
-    covered = s_mask
-    for v in iter_bits(s_mask):
-        covered |= g.adj[v]
-    return covered == g.full_mask
+    return closed_neighborhood_mask(g, mask_of(s)) == g.full_mask
 
 
 def is_total_dominating(g: Graph, s) -> bool:

@@ -19,6 +19,9 @@ from .graph import Graph, from_edge_list, iter_bits
 
 FAMILY_ORDER_CAP = 24
 
+# each operation's anchor statuses, and the statuses of the path it hangs, outward
+_OPERATIONS = {"O1": ("A", "ABC"), "O2": ("BC", "AABC")}
+
 
 class LabeledTree(NamedTuple):
     """A tree plus one status character per vertex, 'A', 'B' or 'C'."""
@@ -67,16 +70,12 @@ def apply_operation(t: LabeledTree, kind: str, y: int) -> LabeledTree:
     """Attach the O1 3-path or O2 4-path at vertex y, returning a new member."""
     if not 0 <= y < t.tree.n:
         raise WrongStatus(f"vertex {y} out of range")
-    if kind == "O1":
-        if t.status_of(y) != "A":
-            raise WrongStatus(f"O1 anchors at status A, vertex {y} has {t.status_of(y)}")
-        added = "ABC"
-    elif kind == "O2":
-        if t.status_of(y) not in "BC":
-            raise WrongStatus(f"O2 anchors at status B or C, vertex {y} has {t.status_of(y)}")
-        added = "AABC"
-    else:
+    if kind not in _OPERATIONS:
         raise ValueError(f"unknown operation {kind!r}")
+    anchors, added = _OPERATIONS[kind]
+    s = t.status_of(y)
+    if s not in anchors:
+        raise WrongStatus(f"{kind} anchors at status {' or '.join(anchors)}, vertex {y} has {s}")
     n = t.tree.n
     adj = list(t.tree.adj) + [0] * len(added)
     chain = [y] + [n + i for i in range(len(added))]
@@ -90,11 +89,9 @@ def apply_operation(t: LabeledTree, kind: str, y: int) -> LabeledTree:
 
 def _children(t: LabeledTree, n_max: int):
     for y in range(t.tree.n):
-        s = t.status_of(y)
-        if s == "A" and t.tree.n + 3 <= n_max:
-            yield apply_operation(t, "O1", y)
-        elif s in "BC" and t.tree.n + 4 <= n_max:
-            yield apply_operation(t, "O2", y)
+        for kind, (anchors, added) in _OPERATIONS.items():
+            if t.status_of(y) in anchors and t.tree.n + len(added) <= n_max:
+                yield apply_operation(t, kind, y)
 
 
 @lru_cache(maxsize=None)

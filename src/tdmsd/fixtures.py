@@ -85,4 +85,4 @@ def fixture_by_name(name: str) -> Graph:
     raise UnknownFixture(f"unknown fixture {name!r}")
 
 
-FIXTURE_NAMES = ("gstar", "p<n>", "c<n>", "k<n>", "star<n>", "wheel<n>")
+FIXTURE_NAMES = ("gstar", *(f"{prefix}<n>" for prefix in _PARAMETRIC))

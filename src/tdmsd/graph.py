@@ -271,7 +271,7 @@ def structure_profile(g: Graph) -> StructureProfile:
     connected = g.is_connected()
     diameter: int | None = None
     if connected:
-        diameter = max(max(g.bfs_distances(v)) for v in range(g.n)) if g.n > 1 else 0
+        diameter = max(max(g.bfs_distances(v)) for v in range(g.n))
     non_leaf = g.n - lv.bit_count()
     is_star = connected and g.n >= 2 and g.m == g.n - 1 and non_leaf <= 1
     return StructureProfile(

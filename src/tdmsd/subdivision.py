@@ -142,9 +142,7 @@ def _increase(state: SearchState, h: Graph, subset: tuple[Edge, ...] = ()) -> in
     n = state.graph.n
     upper = 0
     left = full
-    # a single edge less itself is the graph, whose covers come first anyway
-    lifted = _lift_subsets(state.kept, subset, n) if len(subset) > 1 else ()
-    for cover in chain(state.covers, lifted):
+    for cover in chain(state.covers, _lift_subsets(state.kept, subset, n)):
         covered = 0
         rest = cover
         while rest:

@@ -80,6 +80,12 @@ def _msd3(t: Graph) -> int | None:
     return msd_gamma_t(t, cap=3).value
 
 
+def _sd_msd(g: Graph) -> tuple[int | None, int | None]:
+    # one state per graph: msd shares the covers and solves sd found
+    memo = SearchState()
+    return sd_gamma_t(g, cap=3, memo=memo).value, msd_gamma_t(g, cap=3, memo=memo).value
+
+
 def _fmt(v: int | None) -> str:
     return str(v) if v is not None else ">cap"
 
@@ -150,8 +156,8 @@ def _worker(
     fn: Callable[[Graph], Record], graphs: list[Graph], inherited: list[int], wr: int,
 ) -> NoReturn:
     # in a forked child, which must never return into the caller's stack:
-    # os._exit also skips the parent's atexit handlers and stdio buffers (an
-    # open --out file among them), which the parent flushes itself
+    # os._exit also skips the parent's atexit handlers and stdio buffers,
+    # which the parent flushes itself
     import pickle
 
     status = 1
@@ -201,10 +207,7 @@ def _check_msd_le_3(g: Graph) -> Record:
 
 
 def _check_tree_sd_eq_msd(t: Graph) -> Record:
-    # one state per tree: msd shares the covers and solves sd found
-    memo = SearchState()
-    sd = sd_gamma_t(t, cap=3, memo=memo).value
-    msd = msd_gamma_t(t, cap=3, memo=memo).value
+    sd, msd = _sd_msd(t)
     return Record(
         graph6_encode(t), sd == msd and sd is not None,
         "sd_gamma_t == msd_gamma_t", f"sd={_fmt(sd)} msd={_fmt(msd)}",
@@ -288,9 +291,7 @@ def _check_bc(member) -> Record:
 def _check_path_cycle(g: Graph) -> Record:
     want = path_cycle_formula(g.n)
     name = "path" if g.is_tree() else "cycle"
-    memo = SearchState()
-    sd = sd_gamma_t(g, cap=3, memo=memo).value
-    msd = msd_gamma_t(g, cap=3, memo=memo).value
+    sd, msd = _sd_msd(g)
     return Record(
         graph6_encode(g), sd == want and msd == want,
         f"sd=msd={want} for {name} n={g.n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",

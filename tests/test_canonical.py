@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tdmsd import canonical_code, complete, cycle, errors, from_edge_list, path, star
+from tdmsd import Graph, canonical_code, complete, cycle, errors, from_edge_list, path, star
 from tdmsd.canonical import (
     _general_code,
     automorphisms,
@@ -69,6 +69,11 @@ def test_tree_centers():
     assert tree_centers(path(6)) == (2, 3)
     assert tree_centers(star(5)) == (0,)
     assert tree_centers(from_edge_list(1, [])) == (0,)
+    assert tree_centers(path(2)) == (0, 1)
+
+
+def test_code_of_the_empty_graph():
+    assert canonical_code(Graph(0, ())) == b"G\x00\x00"
 
 
 def test_tree_and_nontree_codes_disjoint():

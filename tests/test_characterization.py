@@ -95,6 +95,7 @@ def test_predictors_never_conflict():
 
 def test_longest_path_examples():
     assert longest_path(path(6)) == (0, 1, 2, 3, 4, 5)
+    assert longest_path(path(1)) == (0,)
     # legs of length 3, 2 and 1 hanging off vertex 0
     spider = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
     p = longest_path(spider)

@@ -352,6 +352,28 @@ def test_family_test_above_the_cap_is_a_usage_error_at_once(capsys):
     assert f"n_max <= {FAMILY_ORDER_CAP}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["p63", "p64"])
+def test_family_test_beyond_graph6_orders_is_the_cap_usage_error(name, capsys):
+    # membership is asked before the graph6 encoding, which stops at 62 vertices
+    code, out = run_cli("family", "test", "--input", name)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: family generation supports n_max <= 24, got {name[1:]}\n"
+
+
+def test_family_test_of_a_64_vertex_non_tree_is_a_precondition_error(capsys):
+    code, _ = run_cli("family", "test", "--input", "k64")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "precondition violated: family membership is defined for trees\n"
+
+
+def test_family_test_output_of_p10():
+    code, out = run_cli("family", "test", "--input", "p10")
+    assert code == 0
+    assert out == '{"graph6": "IhCGGC@?G", "in_family": true, "n": 10}\n'
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--input", "p6", "--invariant", "sd_t", "--cap", "0"),
     ("compute", "--input", "p6", "--invariant", "msd_t", "--cap", "-1"),
@@ -684,7 +706,7 @@ def test_verify_records_read_back(theorem, n_max, read_back):
 def test_fixtures_listing_and_emit():
     code, out = run_cli("fixtures", "--list")
     assert code == 0
-    assert "gstar" in out
+    assert out.splitlines() == ["gstar", "p<n>", "c<n>", "k<n>", "star<n>", "wheel<n>"]
     code, out = run_cli("fixtures", "--name", "gstar")
     assert code == 0
     assert out.splitlines()[0] == "12 15"

@@ -7,6 +7,8 @@ from tdmsd import (
     all_min_total_dominating_sets,
     complete,
     cycle,
+    enumerate_connected_graphs,
+    enumerate_trees,
     errors,
     from_edge_list,
     gamma,
@@ -44,6 +46,23 @@ def test_is_total_dominating_examples():
     assert is_total_dominating(path(4), {1, 2})
     assert not is_total_dominating(path(4), {1, 3})
     assert is_total_dominating(cycle(3), {0, 1})
+
+
+def test_is_dominating_matches_closed_neighbourhoods_on_every_subset():
+    graphs = [t for n in range(1, 9) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    seen = set()
+    for g in graphs:
+        closed = [{v} for v in range(g.n)]
+        for x, y in g.edges():
+            closed[x].add(y)
+            closed[y].add(x)
+        for mask in range(1 << g.n):
+            s = {v for v in range(g.n) if mask >> v & 1}
+            want = all(closed[v] & s for v in range(g.n))
+            assert is_dominating(g, s) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_gamma_t_values():

@@ -47,11 +47,16 @@ def test_o2_at_end_leaf_gives_p10():
 
 def test_operation_status_preconditions():
     seed = family_seed()
-    with pytest.raises(errors.WrongStatus):
-        apply_operation(seed, "O1", 1)  # B vertex
-    with pytest.raises(errors.WrongStatus):
-        apply_operation(seed, "O2", 2)  # A vertex
-    with pytest.raises(ValueError):
+    for kind, y, message in [
+        ("O1", 1, "O1 anchors at status A, vertex 1 has B"),
+        ("O2", 2, "O2 anchors at status B or C, vertex 2 has A"),
+        ("O1", 6, "vertex 6 out of range"),
+        ("O3", -1, "vertex -1 out of range"),
+    ]:
+        with pytest.raises(errors.WrongStatus) as exc:
+            apply_operation(seed, kind, y)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="unknown operation 'O3'"):
         apply_operation(seed, "O3", 0)
 
 

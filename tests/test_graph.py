@@ -158,6 +158,11 @@ def test_structure_profile_p4():
     assert prof.is_tree and not prof.is_star
 
 
+def test_structure_profile_k1():
+    prof = structure_profile(path(1))
+    assert prof.is_tree and prof.diameter == 0
+
+
 def test_structure_profile_star():
     prof = structure_profile(star(4))
     assert prof.is_star
