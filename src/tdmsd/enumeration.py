@@ -22,15 +22,21 @@ an automorphism carrying one set to another extends to an isomorphism of the
 two extensions, which pass or fail the non-cut test alike.  The first
 extension of each class is thus never skipped, and the stream is the same as
 without the pruning.
+
+Each base is extended independently of the others, so with jobs > 1 forked
+workers split the bases of the order asked for by stride (the lower orders
+are generated serially); the first extension of each code in base order is
+kept either way, so the stream is the same at any jobs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .canonical import automorphisms, canonical_code
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
+from .workers import fork_map, usable_workers
 
 TREE_ORDER_CAP = 18
 CONNECTED_ORDER_CAP = 7
@@ -139,44 +145,93 @@ def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:
         m = stack.pop()
         for image in autos:
             out = 0
-            for v in iter_bits(m):
-                out |= 1 << image[v]
+            rest = m
+            while rest:
+                low = rest & -rest
+                out |= 1 << image[low.bit_length() - 1]
+                rest ^= low
             if not reached[out]:
                 reached[out] = 1
                 stack.append(out)
 
 
+def _extensions(base: Graph, seen: set[bytes]) -> list[tuple[bytes, Graph]]:
+    """The extensions of base by one vertex that the generator keeps, each with
+    its code, in generation order; a code already in seen is skipped, and each
+    code listed is added to it."""
+    new = base.n
+    autos = automorphisms(base)
+    reached = bytearray(1 << new)
+    out = []
+    for nbrs in range(1, 1 << new):
+        if reached[nbrs]:
+            continue
+        _mark_orbit(nbrs, autos, reached)
+        adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
+        adj.append(nbrs)
+        # keep only extensions whose new vertex is a non-cut vertex of
+        # largest degree among the non-cut vertices
+        deg = nbrs.bit_count()
+        if any(adj[v].bit_count() > deg and _is_non_cut(adj, v) for v in range(new)):
+            continue
+        g = Graph(new + 1, adj)
+        code = canonical_code(g)
+        if code not in seen:
+            seen.add(code)
+            out.append((code, g))
+    return out
+
+
+class _Jobs:
+    """The --jobs value an order is generated with.  Every instance equals
+    every other, so that _connected_reps caches each order once: its graphs
+    are the same however many workers generated them."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Jobs)
+
+    def __hash__(self) -> int:
+        return 0
+
+
+_SERIAL = _Jobs(1)
+
+
 @lru_cache(maxsize=None)
-def _connected_reps(n: int) -> tuple[Graph, ...]:
+def _connected_reps(n: int, jobs: _Jobs = _SERIAL) -> tuple[Graph, ...]:
+    """The connected graphs of order n by ascending code: of the extensions of
+    the order-(n-1) representatives, the first of each code in base order.
+
+    Up to jobs.value forked workers split the bases by stride, each skipping
+    the codes it has listed already; the lower orders are generated serially.
+    Every call passes a _Jobs, so that all of them share one entry per order.
+    """
     if n == 1:
         return (from_edge_list(1, []),)
-    new = n - 1
-    seen: dict[bytes, Graph] = {}
-    for base in _connected_reps(n - 1):
-        autos = automorphisms(base)
-        reached = bytearray(1 << new)
-        for nbrs in range(1, 1 << new):
-            if reached[nbrs]:
-                continue
-            _mark_orbit(nbrs, autos, reached)
-            adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
-            adj.append(nbrs)
-            # keep only extensions whose new vertex is a non-cut vertex of
-            # largest degree among the non-cut vertices
-            deg = nbrs.bit_count()
-            if any(adj[v].bit_count() > deg and _is_non_cut(adj, v) for v in range(new)):
-                continue
-            g = Graph(n, adj)
-            code = canonical_code(g)
-            if code not in seen:
-                seen[code] = g
-    return tuple(seen[code] for code in sorted(seen))
+    bases = _connected_reps(n - 1, _SERIAL)
+    workers = usable_workers(jobs.value, len(bases))
+    extend = partial(_extensions, seen=set())
+    found = map(extend, bases) if workers <= 1 else fork_map(extend, bases, workers)
+    reps: dict[bytes, Graph] = {}
+    for listed in found:
+        for code, g in listed:
+            reps.setdefault(code, g)
+    return tuple(reps[code] for code in sorted(reps))
 
 
-def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
-    """All connected graphs of order n up to isomorphism, by ascending code."""
+def enumerate_connected_graphs(n: int, jobs: int = 1) -> tuple[Graph, ...]:
+    """All connected graphs of order n up to isomorphism, by ascending code.
+
+    If order n has not been generated yet, up to jobs forked workers generate
+    it from order n - 1; the graphs and their order are the same at any jobs.
+    """
     if not 2 <= n <= CONNECTED_ORDER_CAP:
         raise OutOfRange(
             f"connected enumeration supports 2 <= n <= {CONNECTED_ORDER_CAP}"
         )
-    return _connected_reps(n)
+    return _connected_reps(n, _Jobs(jobs))

@@ -94,7 +94,9 @@ class Graph:
         return seen
 
     def is_connected(self) -> bool:
-        return self.reach_mask(0) == self.full_mask
+        """Whether the graph has exactly one component; the 0-vertex graph has
+        none, so it is not connected."""
+        return self.n > 0 and self.reach_mask(0) == self.full_mask
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()

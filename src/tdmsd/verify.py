@@ -6,15 +6,17 @@ can be replayed through the CLI's compute command via their graph6 strings.
 
 With jobs > 1 the stream is split among forked workers by stride.  A worker
 inherits the graphs and the check, so neither is pickled; its records are,
-on their way back.
+on their way back.  The connected-graph streams split their top order's
+generation between the same number of workers first (see
+``enumeration._connected_reps``); ``workers`` forks both.
 """
 
 from __future__ import annotations
 
-import os
+import os  # noqa: F401  (tests patch os.sched_getaffinity through this module)
 import time
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple
 
 from .characterization import (
     lemma2_sufficient,
@@ -34,6 +36,7 @@ from .enumeration import (
     enumerate_trees,
 )
 from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
+from .workers import fork_map as _fork_map, usable_workers
 
 
 class Record(NamedTuple):
@@ -92,89 +95,10 @@ def _fmt(v: int | None) -> str:
 
 def _map_graphs(fn: Callable[[Graph], Record], graphs: Iterable[Graph], jobs: int) -> list[Record]:
     graphs = list(graphs)
-    # every worker is a process of its own, so never start more than there
-    # are usable cores or graphs
-    workers = min(jobs, len(os.sched_getaffinity(0)), len(graphs))
+    workers = usable_workers(jobs, len(graphs))
     if workers <= 1:
         return [fn(g) for g in graphs]
     return _fork_map(fn, graphs, workers)
-
-
-def _fork_map(fn: Callable[[Graph], Record], graphs: list[Graph], workers: int) -> list[Record]:
-    """[fn(g) for g in graphs], computed by `workers` forked children.
-
-    Worker w checks graphs[w::workers].  It inherits the list, so no graph is
-    pickled; only its records come back, pickled over its own pipe.  An
-    exception raised by fn comes back instead and is raised here with its
-    own type.  tdmsd starts no thread, so forking is safe.
-    """
-    import pickle
-    import signal
-
-    pids: list[int] = []
-    pipes: list[int] = []
-    replies: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        for w in range(workers):
-            r, wr = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(fn, graphs[w::workers], pipes, wr)
-            finally:
-                os.close(wr)
-            pids.append(pid)
-        for r in pipes:
-            with open(r, "rb", closefd=False) as pipe:
-                replies.append(pipe.read())
-    finally:
-        for r in pipes:
-            os.close(r)
-        for w, pid in enumerate(pids):
-            if w >= len(replies):
-                # the parent stopped before this worker's reply was in
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    out: list = [None] * len(graphs)
-    for w, (reply, status) in enumerate(zip(replies, statuses)):
-        if status:
-            # a worker exits 0 exactly when its whole reply was written
-            code = os.waitstatus_to_exitcode(status)
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise RuntimeError(f"verify worker {w} of {workers} ended without a result "
-                               f"({how}, wait status {status})")
-        ok, value = pickle.loads(reply)
-        if not ok:
-            raise value
-        out[w::workers] = value
-    return out
-
-
-def _worker(
-    fn: Callable[[Graph], Record], graphs: list[Graph], inherited: list[int], wr: int,
-) -> NoReturn:
-    # in a forked child, which must never return into the caller's stack:
-    # os._exit also skips the parent's atexit handlers and stdio buffers,
-    # which the parent flushes itself
-    import pickle
-
-    status = 1
-    try:
-        # read ends held only by the parent, so that a worker whose parent
-        # died gets EPIPE instead of blocking on a full pipe
-        for fd in inherited:
-            os.close(fd)
-        try:
-            reply = pickle.dumps((True, [fn(g) for g in graphs]))
-        except BaseException as exc:  # sent to the parent, which raises it
-            reply = pickle.dumps((False, exc))
-        with open(wr, "wb") as pipe:
-            pipe.write(reply)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _trees(lo: int, hi: int) -> Iterable[Graph]:
@@ -182,9 +106,11 @@ def _trees(lo: int, hi: int) -> Iterable[Graph]:
         yield from enumerate_trees(n)
 
 
-def _connected(lo: int, hi: int) -> Iterable[Graph]:
+def _connected(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
+    # the workers generate the top order only: the lower ones take a tenth
+    # of the canonical codes (167 of 1,324 up to order 7)
     for n in range(lo, hi + 1):
-        yield from enumerate_connected_graphs(n)
+        yield from enumerate_connected_graphs(n, jobs if n == hi else 1)
 
 
 def _paths_and_cycles(lo: int, hi: int) -> Iterable[Graph]:
@@ -193,10 +119,10 @@ def _paths_and_cycles(lo: int, hi: int) -> Iterable[Graph]:
         yield cycle(n)
 
 
-def _trees_then_connected(lo: int, hi: int) -> Iterable[Graph]:
+def _trees_then_connected(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
     # trees of every order asked for, plus the connected graphs up to their cap
     yield from _trees(lo, hi)
-    yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP))
+    yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP), jobs)
 
 
 # -- per-graph checks (a worker pickles the Records back, never a check) ----
@@ -305,19 +231,24 @@ class Theorem(NamedTuple):
 
     hi is the graph streams' cap, the family's order cap, or for
     path-cycle-formulas room for the three vertices sd/msd add.  A serial
-    sweep ignores jobs: it is too short for forked workers to pay off.
+    sweep ignores jobs: it is too short for forked workers to pay off.  A
+    stream that splits its generation is called as graphs(lo, n_max, jobs),
+    and the workers generate its top connected order.
     """
 
     check: Callable[..., Record]
-    graphs: Callable[[int, int], Iterable]
+    graphs: Callable[..., Iterable]
     lo: int
     default: int
     hi: int
     serial: bool = False
+    splits_generation: bool = False
 
 
 THEOREMS: dict[str, Theorem] = {
-    "msd-le-3": Theorem(_check_msd_le_3, _connected, 2, 7, CONNECTED_ORDER_CAP),
+    "msd-le-3": Theorem(
+        _check_msd_le_3, _connected, 2, 7, CONNECTED_ORDER_CAP, splits_generation=True,
+    ),
     "tree-sd-eq-msd": Theorem(_check_tree_sd_eq_msd, _trees, 3, 14, TREE_ORDER_CAP),
     "family-sd3": Theorem(_check_family_sd3, _trees, 3, 14, TREE_ORDER_CAP),
     "sd1-characterization": Theorem(_check_sd1_characterization, _trees, 3, 12, TREE_ORDER_CAP),
@@ -325,11 +256,15 @@ THEOREMS: dict[str, Theorem] = {
         _check_bc, lambda lo, hi: generate_family(hi), 6, 14, FAMILY_ORDER_CAP, serial=True,
     ),
     "strong-support": Theorem(_check_strong_support, _trees, 3, 14, TREE_ORDER_CAP),
-    "universal-vertex": Theorem(_check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP),
+    "universal-vertex": Theorem(
+        _check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP, splits_generation=True,
+    ),
     "path-cycle-formulas": Theorem(
         _check_path_cycle, _paths_and_cycles, 3, 16, MAX_VERTICES - 3, serial=True,
     ),
-    "lemma2-implies": Theorem(_check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP),
+    "lemma2-implies": Theorem(
+        _check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP, splits_generation=True,
+    ),
     "lemma14-implies": Theorem(_check_lemma14, _trees, 3, 12, TREE_ORDER_CAP),
 }
 
@@ -341,8 +276,10 @@ def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -
     n_max = th.default if n_max is None else n_max
     if not th.lo <= n_max <= th.hi:
         raise OutOfRange(f"{theorem_id} checks n_max in {th.lo}..{th.hi}, got {n_max}")
+    jobs = 1 if th.serial else jobs
     start = time.perf_counter()
-    records = _map_graphs(th.check, th.graphs(th.lo, n_max), 1 if th.serial else jobs)
+    graphs = th.graphs(th.lo, n_max, jobs) if th.splits_generation else th.graphs(th.lo, n_max)
+    records = _map_graphs(th.check, graphs, jobs)
     elapsed = time.perf_counter() - start
     failures = tuple(r for r in records if not r.ok)
     return VerificationReport(

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -147,14 +148,21 @@ def test_connected_counts_euler_transform_cross_check():
 
 
 @pytest.mark.slow
-def test_connected_order_eight_count_and_codes():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
     # OEIS A001349 at n = 8; with the lower orders, the Euler transform must
-    # give all 12,346 graph classes of order 8 (OEIS A000088)
-    reps = enumeration._connected_reps(8)
+    # give all 12,346 graph classes of order 8 (OEIS A000088).  At jobs 2, two
+    # forked workers split the extension of the order-7 bases.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = []
+    fork_map = enumeration.fork_map
+    monkeypatch.setattr(enumeration, "fork_map", lambda *args: forked.append(args[2]) or fork_map(*args))
+    reps = enumeration._connected_reps.__wrapped__(8, enumeration._Jobs(jobs))
+    assert forked == ([2] if jobs == 2 else [])
     assert len(reps) == 11117
     assert len({canonical_code(g) for g in reps}) == 11117
     assert all(g.n == 8 and g.is_connected() for g in reps)
-    connected = [1] + [len(enumeration._connected_reps(n)) for n in range(2, 9)]
+    connected = [1] + [len(enumerate_connected_graphs(n)) for n in range(2, 8)] + [len(reps)]
     assert euler_transform(connected)[-1] == 12346
     assert _stream_digest(reps) == CONNECTED_STREAM_SHA256[8]
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tdmsd import (
+    Graph,
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -161,6 +162,15 @@ def test_structure_profile_p4():
 def test_structure_profile_k1():
     prof = structure_profile(path(1))
     assert prof.is_tree and prof.diameter == 0
+
+
+def test_zero_vertex_graph_is_not_connected():
+    g = Graph(0, ())
+    assert not g.is_connected() and not g.is_tree()
+    prof = structure_profile(g)
+    assert not prof.is_connected and not prof.is_tree and not prof.is_star
+    assert prof.diameter is None and prof.leaves == frozenset() and prof.pendant_edges == ()
+    assert canonical_code(g) == b"G\x00\x00"
 
 
 def test_structure_profile_star():

@@ -1,6 +1,7 @@
-"""The forked workers of ``verify --jobs``: the records they return, and how a
-failing worker ends the sweep.  Every test checks the real fork path, on any
-number of cores, and that no child process is left behind."""
+"""The forked workers of ``verify --jobs``: the records they return, the
+connected graphs they generate, and how a failing worker ends the sweep.
+Every test checks the real fork path, on any number of cores, and that no
+child process is left behind."""
 
 import io
 import os
@@ -9,9 +10,11 @@ import time
 
 import pytest
 
-from tdmsd import errors, path
+from tdmsd import enumerate_connected_graphs, enumeration, errors, path
 from tdmsd import verify as verify_mod
 from tdmsd.cli import main
+
+from test_enumeration import CONNECTED_STREAM_SHA256, _stream_digest
 
 
 @pytest.fixture
@@ -144,4 +147,107 @@ def test_interrupted_parent_kills_and_reaps_its_workers():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.fixture
+def generation_forks(monkeypatch):
+    """The worker counts the connected generator forked with, from a cold cache."""
+    asked = []
+    real = enumeration.fork_map
+
+    def counted(fn, bases, workers):
+        asked.append(workers)
+        return real(fn, bases, workers)
+
+    monkeypatch.setattr(enumeration, "fork_map", counted)
+    enumeration._connected_reps.cache_clear()
+    return asked
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_split_generation_gives_the_frozen_stream(n, two_cores, generation_forks):
+    # orders 2 and 3 have one base each, so only orders 4 and up fork, once
+    assert _stream_digest(enumerate_connected_graphs(n, jobs=2)) == CONNECTED_STREAM_SHA256[n]
+    assert generation_forks == ([2] if n >= 4 else [])
+    assert_no_child_left()
+
+
+def test_split_generation_asks_for_at_most_jobs_cores_and_bases(monkeypatch, generation_forks):
+    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    enumerate_connected_graphs(4, jobs=3)  # two bases
+    enumerate_connected_graphs(5, jobs=3)  # six bases
+    enumerate_connected_graphs(6, jobs=9)  # 21 bases, four cores
+    assert generation_forks == [2, 3, 4]
+    # an order generated once is never generated again, whatever the jobs
+    enumerate_connected_graphs(6, jobs=1)
+    enumerate_connected_graphs(5, jobs=4)
+    assert generation_forks == [2, 3, 4]
+    assert_no_child_left()
+
+
+def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks, generation_forks):
+    wide = verify_mod.run_verification("lemma2-implies", 5, jobs=2)
+    assert generation_forks == [2] and forks == [2]
+    serial = verify_mod.run_verification("lemma2-implies", 5, jobs=1)
+    assert wide.records == serial.records and generation_forks == [2] and forks == [2]
+    assert_no_child_left()
+
+
+def fail_in_generation_worker(monkeypatch, then):
+    """Make the connected generator run ``then()`` in its forked workers, when
+    they code a graph of order 5; the test's own process codes as before."""
+    parent = os.getpid()
+    code = enumeration.canonical_code
+
+    def coded(g):
+        if os.getpid() != parent and g.n == 5:
+            then()
+        return code(g)
+
+    monkeypatch.setattr(enumeration, "canonical_code", coded)
+
+
+def run_verify_n5_jobs_2(capsys):
+    code = main(["verify", "--theorem", "msd-le-3", "--n-max", "5", "--jobs", "2"],
+                out=io.StringIO())
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_exception_in_a_generation_worker_is_raised_with_its_type(
+        monkeypatch, capsys, two_cores, generation_forks):
+    def boom():
+        raise ValueError("coding failed")
+
+    fail_in_generation_worker(monkeypatch, boom)
+    with pytest.raises(ValueError, match="coding failed"):
+        enumerate_connected_graphs(5, jobs=2)
+    code, err = run_verify_n5_jobs_2(capsys)
+    assert generation_forks == [2, 2]
+    assert code == 4 and err == ["internal error: ValueError: coding failed"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("die", [lambda: os._exit(5), lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_dead_generation_worker_is_one_internal_error_line(
+        die, monkeypatch, capsys, two_cores, generation_forks):
+    fail_in_generation_worker(monkeypatch, die)
+    code, err = run_verify_n5_jobs_2(capsys)
+    assert generation_forks == [2]
+    assert code == 4 and len(err) == 1
+    assert err[0].startswith("internal error: RuntimeError: verify worker 0 of 2 ended")
+    assert_no_child_left()
+
+
+def test_verify_without_sched_getaffinity(monkeypatch):
+    # the platforms that lack it count every core as usable
+    monkeypatch.delattr(os, "sched_getaffinity")
+    argv = ["verify", "--theorem", "msd-le-3", "--n-max", "4", "--verbose"]
+    outs = []
+    for jobs in ("1", "2"):
+        enumeration._connected_reps.cache_clear()
+        out = io.StringIO()
+        assert main(argv + ["--jobs", jobs], out=out) == 0
+        outs.append(out.getvalue().splitlines()[:-1])
+    assert outs[0] == outs[1] and len(outs[0]) == 9
     assert_no_child_left()
