@@ -119,11 +119,8 @@ def _order_bits(g: Graph, order: list[int]) -> int:
     idx = 0
     for i, v in enumerate(order):
         row = 0
-        rest = g.adj[v]
-        while rest:
-            low = rest & -rest
-            row |= 1 << pos[low.bit_length() - 1]
-            rest ^= low
+        for w in iter_bits(g.adj[v]):
+            row |= 1 << pos[w]
         bits |= row >> (i + 1) << idx
         idx += n - 1 - i
     return bits

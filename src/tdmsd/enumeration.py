@@ -145,11 +145,8 @@ def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:
         m = stack.pop()
         for image in autos:
             out = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                out |= 1 << image[low.bit_length() - 1]
-                rest ^= low
+            for v in iter_bits(m):
+                out |= 1 << image[v]
             if not reached[out]:
                 reached[out] = 1
                 stack.append(out)
@@ -203,7 +200,7 @@ _SERIAL = _Jobs(1)
 
 
 @lru_cache(maxsize=None)
-def _connected_reps(n: int, jobs: _Jobs = _SERIAL) -> tuple[Graph, ...]:
+def _connected_reps(n: int, jobs: _Jobs) -> tuple[Graph, ...]:
     """The connected graphs of order n by ascending code: of the extensions of
     the order-(n-1) representatives, the first of each code in base order.
 

@@ -13,7 +13,6 @@ generation between the same number of workers first (see
 
 from __future__ import annotations
 
-import os  # noqa: F401  (tests patch os.sched_getaffinity through this module)
 import time
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
@@ -101,7 +100,7 @@ def _map_graphs(fn: Callable[[Graph], Record], graphs: Iterable[Graph], jobs: in
     return _fork_map(fn, graphs, workers)
 
 
-def _trees(lo: int, hi: int) -> Iterable[Graph]:
+def _trees(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
     for n in range(lo, hi + 1):
         yield from enumerate_trees(n)
 
@@ -113,7 +112,7 @@ def _connected(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
         yield from enumerate_connected_graphs(n, jobs if n == hi else 1)
 
 
-def _paths_and_cycles(lo: int, hi: int) -> Iterable[Graph]:
+def _paths_and_cycles(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
     for n in range(lo, hi + 1):
         yield path(n)
         yield cycle(n)
@@ -227,44 +226,37 @@ def _check_path_cycle(g: Graph) -> Record:
 # -- the theorem table --------------------------------------------------------
 
 class Theorem(NamedTuple):
-    """One sweep: a check per item of graphs(lo, n_max), for n_max in lo..hi.
+    """One sweep: a check per item of graphs(lo, n_max, jobs), for n_max in lo..hi.
 
     hi is the graph streams' cap, the family's order cap, or for
     path-cycle-formulas room for the three vertices sd/msd add.  A serial
-    sweep ignores jobs: it is too short for forked workers to pay off.  A
-    stream that splits its generation is called as graphs(lo, n_max, jobs),
-    and the workers generate its top connected order.
+    sweep ignores jobs: it is too short for forked workers to pay off.  Only
+    the connected streams read jobs, to split their top order's generation.
     """
 
     check: Callable[..., Record]
-    graphs: Callable[..., Iterable]
+    graphs: Callable[[int, int, int], Iterable]
     lo: int
     default: int
     hi: int
     serial: bool = False
-    splits_generation: bool = False
 
 
 THEOREMS: dict[str, Theorem] = {
-    "msd-le-3": Theorem(
-        _check_msd_le_3, _connected, 2, 7, CONNECTED_ORDER_CAP, splits_generation=True,
-    ),
+    "msd-le-3": Theorem(_check_msd_le_3, _connected, 2, 7, CONNECTED_ORDER_CAP),
     "tree-sd-eq-msd": Theorem(_check_tree_sd_eq_msd, _trees, 3, 14, TREE_ORDER_CAP),
     "family-sd3": Theorem(_check_family_sd3, _trees, 3, 14, TREE_ORDER_CAP),
     "sd1-characterization": Theorem(_check_sd1_characterization, _trees, 3, 12, TREE_ORDER_CAP),
     "bc-minimum": Theorem(
-        _check_bc, lambda lo, hi: generate_family(hi), 6, 14, FAMILY_ORDER_CAP, serial=True,
+        _check_bc, lambda lo, hi, jobs: generate_family(hi), 6, 14, FAMILY_ORDER_CAP,
+        serial=True,
     ),
     "strong-support": Theorem(_check_strong_support, _trees, 3, 14, TREE_ORDER_CAP),
-    "universal-vertex": Theorem(
-        _check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP, splits_generation=True,
-    ),
+    "universal-vertex": Theorem(_check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP),
     "path-cycle-formulas": Theorem(
         _check_path_cycle, _paths_and_cycles, 3, 16, MAX_VERTICES - 3, serial=True,
     ),
-    "lemma2-implies": Theorem(
-        _check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP, splits_generation=True,
-    ),
+    "lemma2-implies": Theorem(_check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP),
     "lemma14-implies": Theorem(_check_lemma14, _trees, 3, 12, TREE_ORDER_CAP),
 }
 
@@ -278,8 +270,7 @@ def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -
         raise OutOfRange(f"{theorem_id} checks n_max in {th.lo}..{th.hi}, got {n_max}")
     jobs = 1 if th.serial else jobs
     start = time.perf_counter()
-    graphs = th.graphs(th.lo, n_max, jobs) if th.splits_generation else th.graphs(th.lo, n_max)
-    records = _map_graphs(th.check, graphs, jobs)
+    records = _map_graphs(th.check, th.graphs(th.lo, n_max, jobs), jobs)
     elapsed = time.perf_counter() - start
     failures = tuple(r for r in records if not r.ok)
     return VerificationReport(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -510,7 +511,7 @@ def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatc
     from tdmsd import verify as verify_mod
 
     asked = serial_pool
-    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     argv = ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "7", "--verbose")
     _, serial = run_cli(*argv)
     code, wide = run_cli(*argv, "--jobs", "100000")
@@ -522,7 +523,7 @@ def test_verify_jobs_never_asks_for_more_workers_than_cores_or_graphs(monkeypatc
     verify_mod._map_graphs(verify_mod._check_tree_sd_eq_msd, verify_mod._trees(5, 5), 100000)
     assert asked == [4, 3]
     # one usable core: no worker at all
-    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run_cli(*argv, "--jobs", "100000")[0] == 0
     assert asked == [4, 3]
 
@@ -543,7 +544,7 @@ def test_verify_counterexample_exits_1(monkeypatch):
     def broken_check(g):
         return verify_mod.Record(graph6_encode(g), False, "something", "otherwise")
 
-    broken = verify_mod.Theorem(broken_check, lambda lo, hi: [path(2)], 2, 2, 2)
+    broken = verify_mod.Theorem(broken_check, lambda lo, hi, jobs: [path(2)], 2, 2, 2)
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", broken)
     code, out = run_cli("verify", "--theorem", "msd-le-3")
     assert code == 1
@@ -570,7 +571,7 @@ def test_verify_out_after_the_verdict(ok, vanish, expected, monkeypatch, tmp_pat
         return verify_mod.Record(graph6_encode(g), ok, "something", "otherwise")
 
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3",
-                        verify_mod.Theorem(check, lambda lo, hi: [path(2)], 2, 2, 2))
+                        verify_mod.Theorem(check, lambda lo, hi, jobs: [path(2)], 2, 2, 2))
     code, out = run_cli("verify", "--theorem", "msd-le-3", "--out", str(target))
     assert code == expected
     if vanish:
@@ -598,7 +599,7 @@ def test_theorem_sweeps_its_orders_alike_at_any_jobs(theorem, monkeypatch, seria
     assert serial.orders_checked == (THEOREMS[theorem].lo, n)
     assert serial.graphs_checked == _QUICK_GRAPHS_CHECKED[theorem]
     assert serial.ok
-    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     wide = verify_mod.run_verification(theorem, n, 2)
     assert wide.records == serial.records
     # these two take less time than forking workers costs, so they never fork

@@ -198,7 +198,7 @@ def test_connected_generator_codes_one_extension_per_orbit(monkeypatch):
     calls = []
     code = enumeration.canonical_code
     monkeypatch.setattr(enumeration, "canonical_code", lambda g: calls.append(g) or code(g))
-    reps = enumeration._connected_reps.__wrapped__(7)
+    reps = enumeration._connected_reps.__wrapped__(7, enumeration._SERIAL)
     assert len(calls) == 1157
     assert reps == enumerate_connected_graphs(7)
 

@@ -19,7 +19,7 @@ from test_enumeration import CONNECTED_STREAM_SHA256, _stream_digest
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.fixture
@@ -103,7 +103,7 @@ def test_worker_that_ends_without_a_result_is_named(die, how):
 
 
 def stub_theorem(monkeypatch, check):
-    theorem = verify_mod.Theorem(check, lambda lo, hi: paths(4), 2, 2, 2)
+    theorem = verify_mod.Theorem(check, lambda lo, hi, jobs: paths(4), 2, 2, 2)
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", theorem)
 
 
@@ -174,7 +174,7 @@ def test_split_generation_gives_the_frozen_stream(n, two_cores, generation_forks
 
 
 def test_split_generation_asks_for_at_most_jobs_cores_and_bases(monkeypatch, generation_forks):
-    monkeypatch.setattr(verify_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     enumerate_connected_graphs(4, jobs=3)  # two bases
     enumerate_connected_graphs(5, jobs=3)  # six bases
     enumerate_connected_graphs(6, jobs=9)  # 21 bases, four cores
