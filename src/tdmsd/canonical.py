@@ -5,11 +5,15 @@ smallest adjacency bit string over the leaves of a search tree (McKay and
 Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014):
 
 - the root refines the unit partition, whose first round splits by degree;
-- refinement splits each cell by its vertices' neighbour counts in every
-  cell until the partition is equitable, in an order fixed by those counts;
+- refinement splits each cell by its vertices' neighbour counts in the cells
+  that the previous round split off until the partition is equitable, in an
+  order fixed by those counts; the vertices of a cell agree on their counts
+  in every other cell, so the parts and their order are those that keying on
+  every cell would give;
 - a node whose partition still has a cell of several vertices has one child
   per vertex of the first such cell, that vertex individualized (moved into
-  a cell of its own in front of the rest) and the partition refined again;
+  a cell of its own in front of the rest), every cell split into its
+  non-neighbours, then its neighbours, and the partition refined again;
 - a leaf is a partition into single vertices, read as a vertex order.
 
 Every step commutes with relabeling, so the minimum is the same for
@@ -71,39 +75,56 @@ def tree_code(g: Graph, labels: str | None = None) -> bytes:
     return min(_rooted_code(g, c, labels) for c in tree_centers(g))
 
 
-def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+def _refine(g: Graph, cells: list[int], fresh: list[int]) -> list[int]:
     """The coarsest equitable partition finer than cells, in a canonical order.
 
-    Each round splits every cell by the vector of its vertices' neighbour
-    counts in the round's cells, the parts ordered by that vector, until a
-    round splits nothing.
+    Cells are vertex masks.  Each round splits every cell by the vector of its
+    vertices' neighbour counts in the fresh cells (fresh holds their indices,
+    ascending), the parts ordered by that vector, until a round splits
+    nothing; the parts of each cell that split are the next round's fresh
+    cells.  The vertices of a cell must agree on their counts in every cell
+    that is not fresh, as each round leaves them (they shared a key), so
+    keying on those counts too would give the same parts in the same order.
     """
     adj = g.adj
-    while True:
-        masks = []
+    while fresh:
+        masks = [cells[j] for j in fresh]
+        nxt: list[int] = []
+        fresh = []
         for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        nxt: list[list[int]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                nxt.append(cell)
-                continue
-            keyed: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple(map(int.bit_count, map(adj[v].__and__, masks)))
-                keyed.setdefault(key, []).append(v)
-            if len(keyed) > 1:
-                changed = True
-                nxt.extend(keyed[key] for key in sorted(keyed))
-            else:
-                nxt.append(cell)
+            if cell & (cell - 1):
+                keyed: dict[tuple[int, ...], int] = {}
+                for v in iter_bits(cell):
+                    key = tuple(map(int.bit_count, map(adj[v].__and__, masks)))
+                    keyed[key] = keyed.get(key, 0) | 1 << v
+                if len(keyed) > 1:
+                    for key in sorted(keyed):
+                        fresh.append(len(nxt))
+                        nxt.append(keyed[key])
+                    continue
+            nxt.append(cell)
         cells = nxt
-        if not changed:
-            return cells
+    return cells
+
+
+def _individualize(g: Graph, cells: list[int], i: int, v: int) -> list[int]:
+    """The equitable partition cells with v moved into a cell of its own in
+    front of the rest of cell i, refined.
+
+    The first round splits every cell into the non-neighbours of v, then its
+    neighbours: a vertex's count in the rest of cell i is its count in cell i,
+    which its cell shares, less its adjacency to v.
+    """
+    nbrs = g.adj[v]
+    parts: list[int] = []
+    fresh: list[int] = []
+    for cell in cells[:i] + [1 << v, cells[i] ^ 1 << v] + cells[i + 1 :]:
+        if cell & nbrs and cell & ~nbrs:
+            fresh += len(parts), len(parts) + 1
+            parts += cell & ~nbrs, cell & nbrs
+        else:
+            parts.append(cell)
+    return _refine(g, parts, fresh)
 
 
 def _order_bits(g: Graph, order: list[int]) -> int:
@@ -134,12 +155,12 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
     # automorphisms found so far, each as (image list, mask of its fixed points)
     autos: list[tuple[list[int], int]] = []
 
-    def descend(cells: list[list[int]], fixed: int) -> None:
+    def descend(cells: list[int], fixed: int) -> None:
         nonlocal best, best_order
-        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        i = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
         if i is None:
-            # the 0-vertex graph's leaf is its one empty cell
-            order = [v for cell in cells for v in cell]
+            # a leaf's cells hold one vertex each; the 0-vertex graph's one cell is empty
+            order = [cell.bit_length() - 1 for cell in cells if cell]
             bits = _order_bits(g, order)
             if best is None or bits < best:
                 best, best_order = bits, order
@@ -161,7 +182,7 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
             return x
 
         explored: list[int] = []
-        for v in sorted(cell):
+        for v in iter_bits(cell):
             if explored:
                 for image, fixes in autos[absorbed:]:
                     if fixes & fixed == fixed:
@@ -174,10 +195,9 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
                 if any(find(u) == root for u in explored):
                     continue
             explored.append(v)
-            rest = [w for w in cell if w != v]
-            descend(_refine(g, cells[:i] + [[v], rest] + cells[i + 1 :]), fixed | 1 << v)
+            descend(_individualize(g, cells, i, v), fixed | 1 << v)
 
-    descend(_refine(g, [list(range(g.n))]), 0)
+    descend(_refine(g, [(1 << g.n) - 1], [0]), 0)
     assert best is not None
     return best, [image for image, _ in autos]
 

@@ -21,7 +21,10 @@ only the least set of each orbit under the base's automorphisms is extended:
 an automorphism carrying one set to another extends to an isomorphism of the
 two extensions, which pass or fail the non-cut test alike.  The first
 extension of each class is thus never skipped, and the stream is the same as
-without the pruning.
+without the pruning.  A set of two or more neighbours smaller than the base's
+largest non-cut degree is skipped untried: each non-cut vertex of the base
+stays non-cut in such an extension, its degree no lower, so the new vertex
+cannot have the largest non-cut degree.
 
 Each base is extended independently of the others, so with jobs > 1 forked
 workers split the bases of the order asked for by stride (the lower orders
@@ -158,17 +161,22 @@ def _extensions(base: Graph, seen: set[bytes]) -> list[tuple[bytes, Graph]]:
     code listed is added to it."""
     new = base.n
     autos = automorphisms(base)
+    # joined to two or more vertices, the new vertex leaves every non-cut
+    # vertex of base non-cut, its degree no lower, so such a set smaller than
+    # this floor fails the non-cut test below, and so does its orbit
+    floor = max((a.bit_count() for v, a in enumerate(base.adj) if _is_non_cut(base.adj, v)),
+                default=0)
     reached = bytearray(1 << new)
     out = []
     for nbrs in range(1, 1 << new):
-        if reached[nbrs]:
+        deg = nbrs.bit_count()
+        if reached[nbrs] or 1 < deg < floor:
             continue
         _mark_orbit(nbrs, autos, reached)
         adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
         adj.append(nbrs)
         # keep only extensions whose new vertex is a non-cut vertex of
         # largest degree among the non-cut vertices
-        deg = nbrs.bit_count()
         if any(adj[v].bit_count() > deg and _is_non_cut(adj, v) for v in range(new)):
             continue
         g = Graph(new + 1, adj)

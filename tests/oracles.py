@@ -540,3 +540,105 @@ def covers_of_size(
 
     rec(0, 0, 0, 0)
     return out
+
+
+# the pruned code search as it was while refinement keyed each round on every
+# cell, frozen as a reference for the search that keys on the cells that split
+
+def _full_refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    adj = g.adj
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        nxt: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                nxt.append(cell)
+                continue
+            keyed: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(map(int.bit_count, map(adj[v].__and__, masks)))
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) > 1:
+                changed = True
+                nxt.extend(keyed[key] for key in sorted(keyed))
+            else:
+                nxt.append(cell)
+        cells = nxt
+        if not changed:
+            return cells
+
+
+def _order_bits(g: Graph, order: list[int]) -> int:
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    bits = 0
+    idx = 0
+    for i, v in enumerate(order):
+        row = 0
+        for w in range(n):
+            if g.adj[v] >> w & 1:
+                row |= 1 << pos[w]
+        bits |= row >> (i + 1) << idx
+        idx += n - 1 - i
+    return bits
+
+
+def full_refine_search(g: Graph) -> tuple[int, list[list[int]]]:
+    """The least leaf bit string and the automorphism image lists, in the
+    order found, of the pruned search whose refinement keys on every cell."""
+    best: int | None = None
+    best_order: list[int] = []
+    autos: list[tuple[list[int], int]] = []
+
+    def descend(cells: list[list[int]], fixed: int) -> None:
+        nonlocal best, best_order
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            order = [v for cell in cells for v in cell]
+            bits = _order_bits(g, order)
+            if best is None or bits < best:
+                best, best_order = bits, order
+            elif bits == best:
+                image = [0] * g.n
+                for u, w in zip(best_order, order):
+                    image[u] = w
+                autos.append((image, sum(1 << u for u, w in enumerate(image) if u == w)))
+            return
+        cell = cells[i]
+        parent = list(range(g.n))
+        absorbed = 0
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        explored: list[int] = []
+        for v in sorted(cell):
+            if explored:
+                for image, fixes in autos[absorbed:]:
+                    if fixes & fixed == fixed:
+                        for x, y in enumerate(image):
+                            rx, ry = find(x), find(y)
+                            if rx != ry:
+                                parent[rx] = ry
+                absorbed = len(autos)
+                root = find(v)
+                if any(find(u) == root for u in explored):
+                    continue
+            explored.append(v)
+            rest = [w for w in cell if w != v]
+            descend(_full_refine(g, cells[:i] + [[v], rest] + cells[i + 1:]), fixed | 1 << v)
+
+    descend(_full_refine(g, [list(range(g.n))]), 0)
+    assert best is not None
+    return best, [image for image, _ in autos]

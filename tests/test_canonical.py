@@ -8,9 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from tdmsd import Graph, canonical_code, complete, cycle, errors, from_edge_list, path, star
+from tdmsd import (
+    Graph,
+    canonical_code,
+    complete,
+    cycle,
+    errors,
+    from_edge_list,
+    path,
+    star,
+    wheel,
+)
+from tdmsd import canonical
 from tdmsd.canonical import (
     _general_code,
+    _search,
     automorphisms,
     labeled_tree_code,
     tree_centers,
@@ -18,6 +30,7 @@ from tdmsd.canonical import (
 )
 
 from oracles import (
+    full_refine_search,
     prufer_decode,
     random_graph_edges,
     unpruned_general_code,
@@ -168,6 +181,71 @@ def test_pruned_code_matches_unpruned_reference_on_symmetric_graphs():
     rng = random.Random(5)
     for g in graphs:
         _assert_matches_unpruned(g, rng)
+
+
+def _assert_matches_full_refinement(graphs, rng, relabelings=2):
+    # the same least leaf and the same automorphisms, found in the same order
+    for g in graphs:
+        for h in _relabelings(g, rng, relabelings):
+            assert _search(h) == full_refine_search(h), h.edges()
+
+
+def _small_connected_graphs():
+    from tdmsd import enumerate_connected_graphs
+
+    return [Graph(0, ()), from_edge_list(1, [])] + [
+        g for n in range(2, 8) for g in enumerate_connected_graphs(n)
+    ]
+
+
+def _symmetric_graphs():
+    from tdmsd import enumerate_trees
+
+    graphs = [complete(n) for n in range(1, 17)] + [cycle(n) for n in range(3, 17)]
+    graphs += [wheel(rim) for rim in range(3, 16)]
+    graphs += [_complete_bipartite(8, 8), _hypercube(4), PETERSEN]
+    return graphs + [t for n in range(1, 11) for t in enumerate_trees(n)]
+
+
+def test_search_matches_full_refinement_reference_on_connected_graphs():
+    _assert_matches_full_refinement(_small_connected_graphs(), random.Random(13))
+
+
+def test_search_matches_full_refinement_reference_on_random_graphs():
+    rng = random.Random(17)
+    graphs = []
+    for _ in range(200):
+        n = rng.randrange(1, 11)
+        graphs.append(from_edge_list(n, random_graph_edges(n, rng, rng.uniform(0.2, 0.8))))
+    _assert_matches_full_refinement(graphs, rng, relabelings=0)
+
+
+def test_search_matches_full_refinement_reference_on_symmetric_graphs():
+    _assert_matches_full_refinement(_symmetric_graphs(), random.Random(19), relabelings=1)
+
+
+def test_every_refined_partition_is_equitable(monkeypatch):
+    # refinement keys only on the cells that last split, which is exact only
+    # if every partition it returns is equitable: the vertices of a cell agree
+    # on their neighbour counts in every cell
+    refined = []
+    refine = canonical._refine
+
+    def recording(g, cells, fresh):
+        out = refine(g, cells, fresh)
+        refined.append((g, out))
+        return out
+
+    monkeypatch.setattr(canonical, "_refine", recording)
+    for g in _small_connected_graphs()[:200] + _symmetric_graphs()[:40]:
+        _search(g)
+    assert len(refined) > 1000
+    for g, cells in refined:
+        assert sum(cells) == (1 << g.n) - 1 and sum(map(int.bit_count, cells)) == g.n
+        for cell in cells:
+            for other in cells:
+                counts = {(g.adj[v] & other).bit_count() for v in range(g.n) if cell >> v & 1}
+                assert len(counts) <= 1, (g.edges(), cells)
 
 
 def test_codes_agree_with_networkx_isomorphism():

@@ -203,6 +203,32 @@ def test_connected_generator_codes_one_extension_per_orbit(monkeypatch):
     assert reps == enumerate_connected_graphs(7)
 
 
+def _without(n, edges, w):
+    # the graph less vertex w, the vertices above w shifted down by one
+    return n - 1, [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
+
+
+def test_non_cut_vertices_of_a_base_stay_non_cut_in_its_extensions():
+    # the generator's degree floor: joining a new vertex to two or more
+    # vertices of a connected base leaves each non-cut vertex of the base
+    # non-cut, its degree no lower, so a smaller neighbour set cannot give the
+    # new vertex the largest non-cut degree
+    extensions = 0
+    for n in range(2, 7):
+        for base in enumerate_connected_graphs(n):
+            edges = base.edges()
+            non_cut = [w for w in range(n) if naive_is_connected(*_without(n, edges, w))]
+            for nbrs in range(1, 1 << n):
+                if nbrs.bit_count() < 2:
+                    continue
+                ext = from_edge_list(n + 1, edges + [(v, n) for v in range(n) if nbrs >> v & 1])
+                for w in non_cut:
+                    assert naive_is_connected(*_without(n + 1, ext.edges(), w)), (edges, nbrs, w)
+                    assert ext.degree(w) >= base.degree(w)
+                extensions += 1
+    assert extensions == 7005
+
+
 def test_all_graph_classes_closed_under_complement():
     for n in range(2, 6):
         classes = naive_graph_classes(n, _code)
