@@ -25,6 +25,8 @@ the subtree is an image of one already searched and is skipped.  Symmetric
 graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
 many.  ``automorphisms`` returns the automorphisms the search found, which
 generate the graph's group; the connected-graph generator prunes by them.
+``canonical_labelling`` returns them with the least leaf's vertex order, a
+canonical labelling; the generator settles its ties with it.
 
 Codes of two graphs are equal iff the graphs are isomorphic, and tree codes
 can never collide with non-tree codes (distinct prefixes).  Tree codes take
@@ -147,9 +149,18 @@ def _order_bits(g: Graph, order: list[int]) -> int:
     return bits
 
 
-def _search(g: Graph) -> tuple[int, list[list[int]]]:
-    """The least leaf bit string of the pruned search, and the automorphisms
-    it found on the way, each as an image list."""
+def equitable_partition(g: Graph) -> list[int]:
+    """The search's root: the coarsest equitable partition of g's vertices,
+    as vertex masks in a canonical order (its first round splits by degree)."""
+    return _refine(g, [(1 << g.n) - 1], [0])
+
+
+def _search(g: Graph, root: list[int] | None = None) -> tuple[int, list[int], list[list[int]]]:
+    """The least leaf bit string of the pruned search, the vertex order of
+    that leaf, and the automorphisms found on the way, each as an image list.
+
+    root, if given, is equitable_partition(g), already computed.
+    """
     best: int | None = None
     best_order: list[int] = []
     # automorphisms found so far, each as (image list, mask of its fixed points)
@@ -197,16 +208,31 @@ def _search(g: Graph) -> tuple[int, list[list[int]]]:
             explored.append(v)
             descend(_individualize(g, cells, i, v), fixed | 1 << v)
 
-    descend(_refine(g, [(1 << g.n) - 1], [0]), 0)
+    descend(equitable_partition(g) if root is None else root, 0)
     assert best is not None
-    return best, [image for image, _ in autos]
+    return best, best_order, [image for image, _ in autos]
 
 
 def _general_code(g: Graph) -> bytes:
     """Order byte, then the least leaf bit string of the pruned search, big-endian."""
-    best, _ = _search(g)
+    best, _, _ = _search(g)
     nbits = g.n * (g.n - 1) // 2
     return bytes([g.n]) + best.to_bytes((nbits + 7) // 8 or 1, "big")
+
+
+def canonical_labelling(g: Graph, root: list[int] | None = None) -> tuple[list[int], list[list[int]]]:
+    """A canonical order of g's vertices, and automorphisms generating its group.
+
+    The order is the least leaf of the code search, so relabeling g by it
+    gives one graph for all isomorphic relabelings of g.  Of a vertex set
+    that every isomorphism maps onto its image's, the first vertex in this
+    order is thus canonical up to automorphisms.  root, if given, is
+    equitable_partition(g), already computed.
+    """
+    if g.n > GENERAL_CODE_CAP:
+        raise TooLarge(f"n={g.n} above the automorphism search cap {GENERAL_CODE_CAP}")
+    _, order, autos = _search(g, root)
+    return order, autos
 
 
 def automorphisms(g: Graph) -> list[list[int]]:
@@ -215,9 +241,7 @@ def automorphisms(g: Graph) -> list[list[int]]:
     They are the ones the code search finds, for trees and non-trees alike;
     the identity is never listed, so an asymmetric graph gets none.
     """
-    if g.n > GENERAL_CODE_CAP:
-        raise TooLarge(f"n={g.n} above the automorphism search cap {GENERAL_CODE_CAP}")
-    return _search(g)[1]
+    return canonical_labelling(g)[1]
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -10,33 +10,39 @@ is kept.  The stream is in that generation order: it starts at the path and
 ends at the star, and vertex i is the i-th vertex of the level sequence (the
 same trees, labels and order as networkx.nonisomorphic_trees).
 
-Connected graphs are generated the same way, by vertex extension: every
-connected graph has a non-cut vertex, so taking a non-cut vertex v of largest
-degree, G - v is connected and G arises from its representative by adding v
+Connected graphs come out once each too, by McKay's canonical augmentation
+(J. Algorithms 26, 1998).  Every connected graph G of order two or more has
+a non-cut vertex, so G less its canonical deletion vertex, a canonically
+chosen non-cut vertex of largest degree among the non-cut vertices, is
+connected, and G arises from that graph's representative by adding a vertex
 joined to some non-empty vertex set.  An extension is kept only when its new
-vertex could be that v (no non-cut vertex has strictly larger degree), and
-what is left is deduped by canonical code (canonical augmentation, McKay,
-J. Algorithms 26, 1998).  Neighbour sets are tried in ascending order, and
-only the least set of each orbit under the base's automorphisms is extended:
-an automorphism carrying one set to another extends to an isomorphism of the
-two extensions, which pass or fail the non-cut test alike.  The first
-extension of each class is thus never skipped, and the stream is the same as
-without the pruning.  A set of two or more neighbours smaller than the base's
-largest non-cut degree is skipped untried: each non-cut vertex of the base
-stays non-cut in such an extension, its degree no lower, so the new vertex
-cannot have the largest non-cut degree.
+vertex lies in the orbit of its canonical deletion vertex.  Cheap invariants
+decide most extensions (degree, then sorted neighbour degrees, then the cell
+of the equitable partition); only the ties get a canonical labelling, whose
+order picks the deletion vertex and whose automorphisms give its orbit, as
+geng does (McKay and Piperno, J. Symbolic Comput. 60, 2014).  Neighbour sets
+are tried in ascending order, and only the least set of each orbit under the
+base's automorphisms is extended: an automorphism carrying one set to another
+extends to an isomorphism of the two extensions, which are kept or dropped
+alike.  So a kept graph comes from one base and one set only, and no code is
+computed and no dedupe table kept.  A set of two or more neighbours smaller
+than the base's largest non-cut degree is skipped untried: each non-cut
+vertex of the base stays non-cut in such an extension, its degree no lower,
+so the new vertex cannot have the largest non-cut degree.
 
-Each base is extended independently of the others, so with jobs > 1 forked
-workers split the bases of the order asked for by stride (the lower orders
-are generated serially); the first extension of each code in base order is
-kept either way, so the stream is the same at any jobs.
+The stream of an order is each base's kept extensions, in the order of the
+bases in the stream below it.  Each base is extended independently of the
+others, so with jobs > 1 forked workers split the bases of the order asked
+for by stride (the lower orders are generated serially), and the stream is
+the same at any jobs.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .canonical import automorphisms, canonical_code
+from .canonical import automorphisms, canonical_labelling, equitable_partition
+from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
 from .workers import fork_map, usable_workers
@@ -155,35 +161,75 @@ def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:
                 stack.append(out)
 
 
-def _extensions(base: Graph, seen: set[bytes]) -> list[tuple[bytes, Graph]]:
-    """The extensions of base by one vertex that the generator keeps, each with
-    its code, in generation order; a code already in seen is skipped, and each
-    code listed is added to it."""
+def _is_canonical_extension(g: Graph) -> bool:
+    """Whether g's last vertex v lies in the orbit of g's canonical deletion
+    vertex; g less v must be connected.
+
+    The candidates are the non-cut vertices of largest degree among the
+    non-cut vertices.  Of those, the ones with the largest sorted neighbour
+    degrees are kept, then of these the ones in the latest cell of the
+    equitable partition.  v is accepted once it is the only one left, and
+    rejected once it is not among them.  Only ties past both invariants
+    are labelled: the canonical deletion vertex is the tied vertex that comes
+    first in the canonical order.
+    """
+    adj = g.adj
+    v = g.n - 1
+    degree = [a.bit_count() for a in adj]
+    deg = degree[v]
+    if any(d > deg and _is_non_cut(adj, w) for w, d in enumerate(degree)):
+        return False
+
+    def nbr_degrees(w: int) -> list[int]:
+        return sorted([degree[u] for u in iter_bits(adj[w])])
+
+    key = nbr_degrees(v)
+    tied = []
+    for w in range(v):
+        if degree[w] == deg:
+            other = nbr_degrees(w)
+            if other >= key and _is_non_cut(adj, w):
+                if other > key:
+                    return False
+                tied.append(w)
+    if not tied:
+        return True
+    cells = equitable_partition(g)
+    i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+    later = sum(cells[i + 1 :])
+    if any(later >> w & 1 for w in tied):
+        return False
+    tied = [w for w in tied if cells[i] >> w & 1]
+    if not tied:
+        return True
+    order, autos = canonical_labelling(g, cells)
+    first = next(u for u in order if u == v or u in tied)
+    reached = bytearray(1 << g.n)
+    _mark_orbit(1 << first, autos, reached)
+    return bool(reached[1 << v])
+
+
+def _extensions(base: Graph) -> list[Graph]:
+    """The extensions of base by one vertex that the generator keeps, in
+    ascending order of the new vertex's neighbour set."""
     new = base.n
     autos = automorphisms(base)
     # joined to two or more vertices, the new vertex leaves every non-cut
     # vertex of base non-cut, its degree no lower, so such a set smaller than
-    # this floor fails the non-cut test below, and so does its orbit
+    # this floor is never a candidate, and neither is its orbit
     floor = max((a.bit_count() for v, a in enumerate(base.adj) if _is_non_cut(base.adj, v)),
                 default=0)
     reached = bytearray(1 << new)
     out = []
     for nbrs in range(1, 1 << new):
-        deg = nbrs.bit_count()
-        if reached[nbrs] or 1 < deg < floor:
+        if reached[nbrs] or 1 < nbrs.bit_count() < floor:
             continue
         _mark_orbit(nbrs, autos, reached)
         adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
         adj.append(nbrs)
-        # keep only extensions whose new vertex is a non-cut vertex of
-        # largest degree among the non-cut vertices
-        if any(adj[v].bit_count() > deg and _is_non_cut(adj, v) for v in range(new)):
-            continue
         g = Graph(new + 1, adj)
-        code = canonical_code(g)
-        if code not in seen:
-            seen.add(code)
-            out.append((code, g))
+        if _is_canonical_extension(g):
+            out.append(g)
     return out
 
 
@@ -209,28 +255,24 @@ _SERIAL = _Jobs(1)
 
 @lru_cache(maxsize=None)
 def _connected_reps(n: int, jobs: _Jobs) -> tuple[Graph, ...]:
-    """The connected graphs of order n by ascending code: of the extensions of
-    the order-(n-1) representatives, the first of each code in base order.
+    """The connected graphs of order n: the kept extensions of each order-(n-1)
+    representative, in the order of those representatives.
 
-    Up to jobs.value forked workers split the bases by stride, each skipping
-    the codes it has listed already; the lower orders are generated serially.
-    Every call passes a _Jobs, so that all of them share one entry per order.
+    Up to jobs.value forked workers split the bases by stride; the lower
+    orders are generated serially.  Every call passes a _Jobs, so that all of
+    them share one entry per order.
     """
     if n == 1:
         return (from_edge_list(1, []),)
     bases = _connected_reps(n - 1, _SERIAL)
     workers = usable_workers(jobs.value, len(bases))
-    extend = partial(_extensions, seen=set())
-    found = map(extend, bases) if workers <= 1 else fork_map(extend, bases, workers)
-    reps: dict[bytes, Graph] = {}
-    for listed in found:
-        for code, g in listed:
-            reps.setdefault(code, g)
-    return tuple(reps[code] for code in sorted(reps))
+    found = map(_extensions, bases) if workers <= 1 else fork_map(_extensions, bases, workers)
+    return tuple(g for listed in found for g in listed)
 
 
 def enumerate_connected_graphs(n: int, jobs: int = 1) -> tuple[Graph, ...]:
-    """All connected graphs of order n up to isomorphism, by ascending code.
+    """All connected graphs of order n up to isomorphism, one per class, the
+    extensions of each graph of order n - 1 in the order of those graphs.
 
     If order n has not been generated yet, up to jobs forked workers generate
     it from order n - 1; the graphs and their order are the same at any jobs.

@@ -230,6 +230,46 @@ def naive_graph_classes(n, key):
     return list(classes.values())
 
 
+def _connected_without(adj, w):
+    rest = [v for v in range(len(adj)) if v != w]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        v = stack.pop()
+        for u in rest:
+            if adj[v] >> u & 1 and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(rest)
+
+
+def connected_graphs_by_code(n_max, key):
+    """One graph per class of connected graphs, for each order 1..n_max.
+
+    The connected-graph generator as it was before canonical augmentation:
+    each order extends every graph of the order below by a vertex joined to
+    each non-empty vertex set, keeps the extensions whose new vertex is a
+    non-cut vertex of largest degree among the non-cut vertices, and keeps
+    the first of each ``key(g)``.  levels[n] maps each key to its graph, in
+    ascending key order; levels[0] is empty.
+    """
+    levels = [{}, {key(Graph(1, [0])): Graph(1, [0])}]
+    for n in range(2, n_max + 1):
+        found = {}
+        for base in levels[-1].values():
+            new = base.n
+            for nbrs in range(1, 1 << new):
+                adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)] + [nbrs]
+                deg = bin(nbrs).count("1")
+                if any(bin(adj[w]).count("1") > deg and _connected_without(adj, w)
+                       for w in range(new)):
+                    continue
+                g = Graph(n, adj)
+                found.setdefault(key(g), g)
+        levels.append({k: found[k] for k in sorted(found)})
+    return levels
+
+
 def random_connected_edges(n, rng: random.Random, extra_prob=0.3):
     """A random connected graph: random spanning tree plus random extra edges."""
     order = list(range(n))

@@ -24,6 +24,8 @@ from tdmsd.canonical import (
     _general_code,
     _search,
     automorphisms,
+    canonical_labelling,
+    equitable_partition,
     labeled_tree_code,
     tree_centers,
     tree_code,
@@ -75,6 +77,8 @@ def test_code_cap():
         canonical_code(cycle(17))
     with pytest.raises(errors.TooLarge):
         automorphisms(cycle(17))
+    with pytest.raises(errors.TooLarge):
+        canonical_labelling(cycle(17))
 
 
 def test_tree_centers():
@@ -187,7 +191,24 @@ def _assert_matches_full_refinement(graphs, rng, relabelings=2):
     # the same least leaf and the same automorphisms, found in the same order
     for g in graphs:
         for h in _relabelings(g, rng, relabelings):
-            assert _search(h) == full_refine_search(h), h.edges()
+            best, _, autos = _search(h)
+            assert (best, autos) == full_refine_search(h), h.edges()
+
+
+def test_canonical_labelling_relabels_isomorphic_graphs_alike():
+    # relabeled by its canonical order, every relabeling of g is one graph;
+    # the automorphisms are those of the search, and a given root changes
+    # nothing
+    rng = random.Random(11)
+    graphs = [g for g in _small_connected_graphs() if g.n <= 6] + _symmetric_graphs()[::3]
+    for g in graphs:
+        forms = []
+        for h in _relabelings(g, rng):
+            order, autos = canonical_labelling(h)
+            assert (order, autos) == canonical_labelling(h, equitable_partition(h))
+            assert autos == automorphisms(h)
+            forms.append(h.relabel([order.index(v) for v in range(h.n)]))
+        assert forms[1:] == forms[:-1], g.edges()
 
 
 def _small_connected_graphs():

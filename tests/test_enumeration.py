@@ -14,6 +14,7 @@ from tdmsd import enumeration, graph6_encode
 from tdmsd.verify import run_verification
 
 from oracles import (
+    connected_graphs_by_code,
     euler_transform,
     free_tree_count,
     labeled_trees_by_prufer,
@@ -147,6 +148,13 @@ def test_connected_counts_euler_transform_cross_check():
     assert euler_transform(connected) == [1, 2, 4, 11, 34, 156, 1044]
 
 
+def test_connected_generator_matches_the_coding_oracle():
+    # the generator that coded every extension, deduped and sorted by code
+    oracle = connected_graphs_by_code(7, canonical_code)
+    for n in range(2, 8):
+        assert sorted(canonical_code(g) for g in enumerate_connected_graphs(n)) == list(oracle[n])
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
@@ -160,25 +168,50 @@ def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
     reps = enumeration._connected_reps.__wrapped__(8, enumeration._Jobs(jobs))
     assert forked == ([2] if jobs == 2 else [])
     assert len(reps) == 11117
-    assert len({canonical_code(g) for g in reps}) == 11117
+    oracle = connected_graphs_by_code(8, canonical_code)[8]
+    assert sorted(canonical_code(g) for g in reps) == list(oracle)
     assert all(g.n == 8 and g.is_connected() for g in reps)
     connected = [1] + [len(enumerate_connected_graphs(n)) for n in range(2, 8)] + [len(reps)]
     assert euler_transform(connected)[-1] == 12346
-    assert _stream_digest(reps) == CONNECTED_STREAM_SHA256[8]
+    assert (_codes_digest(reps), _stream_digest(reps)) == CONNECTED_SHA256[8]
 
 
-# sha256 of each order's graph6 strings, one per line in stream order, taken
-# before the generator pruned extensions by the base's automorphisms; the
-# pruning must leave every representative and its labels as they were
-CONNECTED_STREAM_SHA256 = {
-    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
-    3: "ff2d82289efa0ff461f01b6392475c14443f4eaec80a874bbe26aed794860082",
-    4: "e56c01ebb70a617c91be005234aef5da0725d152e7aa8928dc6da84366dad926",
-    5: "36abe6322b1b57973f7523e2840d9db1f2ac5a3bffe377f85cb633531875f9fc",
-    6: "2f5ab06c740bf6352f77172bfec1f90c65ec728ad336c6d739eff8cd17cb68d0",
-    7: "9a05e723cbfa59b9eb2703811b87743b664d26f6ab9ecefb7991274fdb774027",
-    8: "f4483d0501ddbbb0e0b7341491ffff1615ad09e68ffe009e888510044a6b1894",
+@pytest.mark.slow
+def test_connected_order_nine_count_and_codes(monkeypatch):
+    # OEIS A001349 at n = 9, generated by two forked workers; past the
+    # oracle's reach, so only the count and pairwise distinct codes are checked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    reps = enumeration._connected_reps.__wrapped__(9, enumeration._Jobs(2))
+    assert len(reps) == 261080
+    assert all(g.n == 9 and g.is_connected() for g in reps)
+    assert len({canonical_code(g) for g in reps}) == 261080
+
+
+# per order, two sha256 digests: of the hex canonical codes, sorted, one per
+# line, which pins the classes (frozen from the generator that coded every
+# extension); and of the graph6 strings in stream order, one per line, which
+# pins each graph's labels and the stream's order
+CONNECTED_SHA256 = {
+    2: ("589260b7e971ceed9dd64d8bbdebcb0fe1142b087695c4579d9b2cd5361b270f",
+        "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f"),
+    3: ("343486b0e62c9cbba46e1b915e7665b8e0d0425c656c89740b3f2943f64fe3f7",
+        "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec"),
+    4: ("b2927a5dd9d9bd9b463ba2fa7ea96f2d63f6f071a9649a8ca4a9e6d5f87b3042",
+        "59f05773e1599dbd0d7a4a269f3cf4b28b2db33e02c061f11cc56710029566f8"),
+    5: ("7cbdf22abc69fbfdc6db66096cf11ef65ed220f5bb8db0534d804d487cef023f",
+        "0e370540a2934e6ed46b227b6ee2d0e3258614e2020397596f22d8ee109d3588"),
+    6: ("135003ad40363dc75d163476fcefacf3f76fe05f59d570fb877878da6776d289",
+        "1f17f4e200cd490be3273fc7b70a31d62d43e4afdb0edad78efe6551818f5484"),
+    7: ("a6e9c35d2bdb9f4bdac614e7fde26ffc55d27e98597d315cae2dd60b8f5b7177",
+        "ee177de1818954e94ee235c711d90c10fd9ca192578617d737ad40a6ae9d1d24"),
+    8: ("96959678d5eb703fa31dc651f92c41443f18bd7f6a7119dd3b521a9b302ca715",
+        "50e83198afa981708b82d74e6c3ab888ac1e3bce5a50d9ecf2b5d72451429f84"),
 }
+
+
+def _codes_digest(graphs):
+    codes = sorted(canonical_code(g).hex() for g in graphs)
+    return hashlib.sha256("\n".join(codes).encode()).hexdigest()
 
 
 def _stream_digest(graphs):
@@ -187,19 +220,22 @@ def _stream_digest(graphs):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_connected_stream_is_frozen(n):
-    assert _stream_digest(enumerate_connected_graphs(n)) == CONNECTED_STREAM_SHA256[n]
+    graphs = enumerate_connected_graphs(n)
+    assert (_codes_digest(graphs), _stream_digest(graphs)) == CONNECTED_SHA256[n]
 
 
-def test_connected_generator_codes_one_extension_per_orbit(monkeypatch):
-    # order 7 from the cached order-6 bases: 1,908 extensions pass the non-cut
-    # test, and 1,157 of them are the least of their orbit under the base's
-    # automorphisms; only those are coded
+def test_connected_generator_labels_only_ties(monkeypatch):
+    # order 7 from the cached order-6 bases: 1,157 extensions are the least
+    # of their orbit and pass the non-cut test; the invariants decide all but
+    # 374 of them, and those are labelled.  No canonical code is computed.
     enumerate_connected_graphs(6)
-    calls = []
-    code = enumeration.canonical_code
-    monkeypatch.setattr(enumeration, "canonical_code", lambda g: calls.append(g) or code(g))
+    labelled = []
+    labelling = enumeration.canonical_labelling
+    monkeypatch.setattr(enumeration, "canonical_labelling",
+                        lambda g, root: labelled.append(g) or labelling(g, root))
+    monkeypatch.setattr(enumeration, "canonical_code", None)
     reps = enumeration._connected_reps.__wrapped__(7, enumeration._SERIAL)
-    assert len(calls) == 1157
+    assert len(labelled) == 374
     assert reps == enumerate_connected_graphs(7)
 
 
@@ -251,7 +287,7 @@ def test_connected_generator_matches_brute_force():
             for edges in naive_graph_classes(n, _code)
             if naive_is_connected(n, edges)
         )
-        assert [canonical_code(g) for g in enumerate_connected_graphs(n)] == brute
+        assert sorted(canonical_code(g) for g in enumerate_connected_graphs(n)) == brute
 
 
 def test_every_emitted_graph_is_connected():
@@ -261,9 +297,9 @@ def test_every_emitted_graph_is_connected():
 
 
 def test_connected_stream_deterministic_and_duplicate_free():
-    codes = [canonical_code(g) for g in enumerate_connected_graphs(6)]
-    assert codes == sorted(codes)
-    assert len(set(codes)) == len(codes)
+    stream = enumerate_connected_graphs(6)
+    assert enumeration._connected_reps.__wrapped__(6, enumeration._SERIAL) == stream
+    assert len({canonical_code(g) for g in stream}) == len(stream) == 112
 
 
 def test_out_of_range():

@@ -31,12 +31,8 @@ ROWS = [
     ("tree-sd-eq-msd", 8, 46, SEARCH_SPANS),
     ("sd1-characterization", 6, 12, {"characterization", "subdivision.sd"}),
     ("lemma2-implies", 5, 35, {"characterization", "subdivision.sd"}),
-    ("msd-le-3", 5, 30, {"enumeration.connected", "canonical.general", "canonical.tree",
-                         "subdivision.msd"}),
+    ("msd-le-3", 5, 30, {"enumeration.connected", "subdivision.msd"}),
 ]
-# canonical codes the connected generator computes for orders 2-5: one per
-# extension that passes the non-cut test and is the least of its orbit
-GENERATOR_CODES = {"lemma2-implies": 33, "msd-le-3": 33}
 
 
 @pytest.mark.parametrize("theorem, n_max, graphs, spans", ROWS,
@@ -47,7 +43,8 @@ def test_traced_sweep_unit_runs_fresh(theorem, n_max, graphs, spans):
     assert out["graphs_checked"] == graphs
     assert out["failures"] == 0
     assert spans <= set(out["trace"]["names"])
-    assert out["trace"]["counters"].get("enumeration.codes", 0) == GENERATOR_CODES.get(theorem, 0)
+    # the connected generator computes no canonical code
+    assert out["trace"]["counters"].get("enumeration.codes", 0) == 0
 
 
 QUERIES = [

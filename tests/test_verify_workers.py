@@ -14,7 +14,7 @@ from tdmsd import enumerate_connected_graphs, enumeration, errors, path
 from tdmsd import verify as verify_mod
 from tdmsd.cli import main
 
-from test_enumeration import CONNECTED_STREAM_SHA256, _stream_digest
+from test_enumeration import CONNECTED_SHA256, _codes_digest, _stream_digest
 
 
 @pytest.fixture
@@ -168,7 +168,8 @@ def generation_forks(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_split_generation_gives_the_frozen_stream(n, two_cores, generation_forks):
     # orders 2 and 3 have one base each, so only orders 4 and up fork, once
-    assert _stream_digest(enumerate_connected_graphs(n, jobs=2)) == CONNECTED_STREAM_SHA256[n]
+    graphs = enumerate_connected_graphs(n, jobs=2)
+    assert (_codes_digest(graphs), _stream_digest(graphs)) == CONNECTED_SHA256[n]
     assert generation_forks == ([2] if n >= 4 else [])
     assert_no_child_left()
 
@@ -196,16 +197,16 @@ def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks, generat
 
 def fail_in_generation_worker(monkeypatch, then):
     """Make the connected generator run ``then()`` in its forked workers, when
-    they code a graph of order 5; the test's own process codes as before."""
+    they extend a base of order 4; the test's own process extends as before."""
     parent = os.getpid()
-    code = enumeration.canonical_code
+    automorphisms = enumeration.automorphisms
 
-    def coded(g):
-        if os.getpid() != parent and g.n == 5:
+    def extending(base):
+        if os.getpid() != parent and base.n == 4:
             then()
-        return code(g)
+        return automorphisms(base)
 
-    monkeypatch.setattr(enumeration, "canonical_code", coded)
+    monkeypatch.setattr(enumeration, "automorphisms", extending)
 
 
 def run_verify_n5_jobs_2(capsys):
@@ -217,14 +218,14 @@ def run_verify_n5_jobs_2(capsys):
 def test_exception_in_a_generation_worker_is_raised_with_its_type(
         monkeypatch, capsys, two_cores, generation_forks):
     def boom():
-        raise ValueError("coding failed")
+        raise ValueError("extension failed")
 
     fail_in_generation_worker(monkeypatch, boom)
-    with pytest.raises(ValueError, match="coding failed"):
+    with pytest.raises(ValueError, match="extension failed"):
         enumerate_connected_graphs(5, jobs=2)
     code, err = run_verify_n5_jobs_2(capsys)
     assert generation_forks == [2, 2]
-    assert code == 4 and err == ["internal error: ValueError: coding failed"]
+    assert code == 4 and err == ["internal error: ValueError: extension failed"]
     assert_no_child_left()
 
 
