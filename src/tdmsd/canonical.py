@@ -26,7 +26,9 @@ graphs such as K16 or K8,8 thus take about a hundred leaves, not factorially
 many.  ``automorphisms`` returns the automorphisms the search found, which
 generate the graph's group; the connected-graph generator prunes by them.
 ``canonical_labelling`` returns them with the least leaf's vertex order, a
-canonical labelling; the generator settles its ties with it.
+canonical labelling; the generator settles its ties with it, unless
+``individualized_leaf``, one leaf below each of two vertices, already shows
+an automorphism carrying one onto the other.
 
 Codes of two graphs are equal iff the graphs are isomorphic, and tree codes
 can never collide with non-tree codes (distinct prefixes).  Tree codes take
@@ -211,6 +213,26 @@ def _search(g: Graph, root: list[int] | None = None) -> tuple[int, list[int], li
     descend(equitable_partition(g) if root is None else root, 0)
     assert best is not None
     return best, best_order, [image for image, _ in autos]
+
+
+def individualized_leaf(g: Graph, cells: list[int], v: int) -> int:
+    """The bit string of one leaf below the equitable partition cells, such
+    as equitable_partition(g): v individualized first, then always the least
+    vertex of the first cell of several vertices.  v must share its cell.
+
+    Individualizing and refining split cells in place, so v's place in the
+    leaf's order is the number of vertices in the cells in front of its own.
+    Two vertices of one cell whose leaves have equal bit strings are thus
+    carried one onto the other by an automorphism: the map from one leaf's
+    order to the other's.
+    """
+    i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+    while True:
+        cells = _individualize(g, cells, i, v)
+        i = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
+        if i is None:
+            return _order_bits(g, [cell.bit_length() - 1 for cell in cells])
+        v = (cells[i] & -cells[i]).bit_length() - 1
 
 
 def _general_code(g: Graph) -> bytes:

@@ -42,8 +42,9 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
-def _greedy_cover(covers: tuple[int, ...], full: int) -> int | None:
-    covered = 0
+def _greedy_cover(covers: tuple[int, ...], full: int, covered: int = 0) -> int | None:
+    """Vertices whose cover sets, picked greedily by gain, union with
+    covered to full; None if none do."""
     chosen = 0
     while covered != full:
         best_gain = 0
@@ -219,10 +220,21 @@ def gamma_t_value(g: Graph) -> int:
 
 
 def gamma_value(g: Graph) -> int:
-    """Domination number, value only, solved afresh on every call."""
-    found = _min_cover(_closed_covers(g), g.full_mask)
-    assert found is not None  # closed neighborhoods always cover
-    return found[0]
+    """Domination number, value only, solved afresh on every call.
+
+    A leaf's closed neighbourhood lies in its support vertex's, so some
+    minimum dominating set holds the support of every leaf whose support is
+    not itself a leaf (K2 forces nothing); the search starts from them.
+    """
+    covers = _closed_covers(g)
+    leaves = leaves_mask(g)
+    chosen = 0
+    for v in iter_bits(leaves):
+        chosen |= g.adj[v]
+    chosen &= ~leaves
+    upper = chosen | _greedy_cover(covers, g.full_mask, closed_neighborhood_mask(g, chosen))
+    best = _search(covers, g.full_mask, upper.bit_count(), chosen)
+    return (upper if best is None else best).bit_count()
 
 
 def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:

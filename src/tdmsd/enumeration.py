@@ -11,24 +11,33 @@ ends at the star, and vertex i is the i-th vertex of the level sequence (the
 same trees, labels and order as networkx.nonisomorphic_trees).
 
 Connected graphs come out once each too, by McKay's canonical augmentation
-(J. Algorithms 26, 1998).  Every connected graph G of order two or more has
-a non-cut vertex, so G less its canonical deletion vertex, a canonically
-chosen non-cut vertex of largest degree among the non-cut vertices, is
-connected, and G arises from that graph's representative by adding a vertex
-joined to some non-empty vertex set.  An extension is kept only when its new
-vertex lies in the orbit of its canonical deletion vertex.  Cheap invariants
-decide most extensions (degree, then sorted neighbour degrees, then the cell
-of the equitable partition); only the ties get a canonical labelling, whose
-order picks the deletion vertex and whose automorphisms give its orbit, as
-geng does (McKay and Piperno, J. Symbolic Comput. 60, 2014).  Neighbour sets
-are tried in ascending order, and only the least set of each orbit under the
-base's automorphisms is extended: an automorphism carrying one set to another
-extends to an isomorphism of the two extensions, which are kept or dropped
-alike.  So a kept graph comes from one base and one set only, and no code is
-computed and no dedupe table kept.  A set of two or more neighbours smaller
-than the base's largest non-cut degree is skipped untried: each non-cut
-vertex of the base stays non-cut in such an extension, its degree no lower,
-so the new vertex cannot have the largest non-cut degree.
+(J. Algorithms 26, 1998).  Every connected graph G of order two or more has a
+non-cut vertex, so G less its canonical deletion vertex, a canonically chosen
+non-cut vertex of largest degree among the non-cut vertices, is connected,
+and G arises from that graph's representative by adding a vertex joined to
+some non-empty vertex set.  An extension is kept only when its new vertex
+lies in the orbit of its canonical deletion vertex.  Cheap invariants decide
+most extensions (degree, then sorted neighbour degrees, then the cell of the
+equitable partition).  In a tie, one leaf of the code search below the new
+vertex and below each tied vertex usually shows an automorphism carrying the
+new vertex onto each of them, and then they all share its orbit, whichever of
+them is the deletion vertex.  Only the other ties get a canonical labelling,
+whose order picks the deletion vertex and whose automorphisms give its orbit,
+as geng does (McKay and Piperno, J. Symbolic Comput. 60, 2014).  Neighbour
+sets are tried in ascending order, and only the least set of each orbit under
+the base's automorphisms is extended: an automorphism carrying one set to
+another extends to an isomorphism of the two extensions, which are kept or
+dropped alike.  So a kept graph comes from one base and one set only, and no
+code is computed and no dedupe table kept.  Sets whose extension cannot give
+the new vertex the largest non-cut degree are skipped untried, read off masks
+of the base's non-cut vertices by degree.  Joined to a set S of two or more
+vertices, the new vertex has degree |S|, and each non-cut vertex of the base
+stays non-cut, its degree raised by one if it lies in S; so S is skipped when
+a non-cut vertex has a degree above |S|, or of |S| and lies in S.  Joined to
+one vertex x, the new vertex has degree 1 and every non-cut vertex other than
+x stays non-cut, so {x} is skipped when one of them has degree 2 or more.
+These masks are invariant under the base's automorphisms, so whole orbits are
+skipped, before any is marked or built.
 
 The stream of an order is each base's kept extensions, in the order of the
 bases in the stream below it.  Each base is extended independently of the
@@ -41,7 +50,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .canonical import automorphisms, canonical_labelling, equitable_partition
+from .canonical import (
+    automorphisms,
+    canonical_labelling,
+    equitable_partition,
+    individualized_leaf,
+)
 from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
@@ -202,6 +216,13 @@ def _is_canonical_extension(g: Graph) -> bool:
     tied = [w for w in tied if cells[i] >> w & 1]
     if not tied:
         return True
+    # if an automorphism carries v onto each tied vertex, they all share v's
+    # orbit, and so does the canonical deletion vertex, whichever of them it
+    # is; one leaf below each vertex finds these automorphisms in almost
+    # every tie
+    bits = individualized_leaf(g, cells, v)
+    if all(individualized_leaf(g, cells, w) == bits for w in tied):
+        return True
     order, autos = canonical_labelling(g, cells)
     first = next(u for u in order if u == v or u in tied)
     reached = bytearray(1 << g.n)
@@ -214,15 +235,27 @@ def _extensions(base: Graph) -> list[Graph]:
     ascending order of the new vertex's neighbour set."""
     new = base.n
     autos = automorphisms(base)
-    # joined to two or more vertices, the new vertex leaves every non-cut
-    # vertex of base non-cut, its degree no lower, so such a set smaller than
-    # this floor is never a candidate, and neither is its orbit
-    floor = max((a.bit_count() for v, a in enumerate(base.adj) if _is_non_cut(base.adj, v)),
-                default=0)
+    # the degree masks of the module docstring: a set S of two or more
+    # vertices is skipped when a non-cut vertex of base has a degree above
+    # |S| (floor is the largest), or of |S| (at[|S|]) and lies in S; a set
+    # {x}, when a non-cut vertex other than x has a degree of 2 or more (wide)
+    at = [0] * (new + 1)
+    floor = 0
+    for v, a in enumerate(base.adj):
+        if _is_non_cut(base.adj, v):
+            at[a.bit_count()] |= 1 << v
+            floor = max(floor, a.bit_count())
+    wide = sum(at[2:])
     reached = bytearray(1 << new)
     out = []
     for nbrs in range(1, 1 << new):
-        if reached[nbrs] or 1 < nbrs.bit_count() < floor:
+        size = nbrs.bit_count()
+        if size == 1:
+            if wide & ~nbrs:
+                continue
+        elif size < floor or at[size] & nbrs:
+            continue
+        if reached[nbrs]:
             continue
         _mark_orbit(nbrs, autos, reached)
         adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]

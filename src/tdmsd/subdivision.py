@@ -11,8 +11,10 @@ subdivided graphs.
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a SearchState:
 gamma(g) (or gamma_t(g)) and a list of minimum covers of g, seeded by one
-exact solve of g.  A subdivided graph H that one of those covers still
-covers has a number of at most gamma(g), so it is settled without a solve.
+exact solve of g, or by seeded_state from gamma_t_value(g) and minimum total
+dominating sets of g that the caller already has.  A subdivided graph H that
+one of those covers still covers has a number of at most gamma(g), so it is
+settled without a solve.
 Any other H is solved exactly, from the best known cover repaired for H as
 the upper bound, and a minimum cover of H of size gamma(g) that uses no new
 vertex is a minimum cover of g, so it joins the list.
@@ -36,10 +38,10 @@ common row ended, and the second search builds none of it.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
-from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
+from .domination import gamma_t_value  # read here, where perfbench's traced units wrap it
 from .errors import Disconnected, EdgeNotPresent, TooSmall
 from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
@@ -90,7 +92,7 @@ class SearchState:
     edge that does.  kept maps an edge subset S to a base-size cover of
     subdivide_edges(graph, S) that uses a new vertex, for the next row to
     lift.  A new state is empty and binds to the first graph a search uses
-    it for.
+    it for; seeded_state returns one already bound.
     """
 
     __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one", "kept")
@@ -118,6 +120,29 @@ def _bind(g: Graph, cover_sets, memo: SearchState | None, min_n: int) -> SearchS
         state.edges = g.edges()
     elif state.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
+    return state
+
+
+def seeded_state(g: Graph, covers: Iterable[int]) -> SearchState:
+    """A SearchState for the gamma_t searches of g, bound to g without a
+    seed solve: its base is gamma_t_value(g), the solve _bind would make,
+    and its known covers are the given minimum total dominating sets of g
+    (vertex masks), such as _all_min_tds_masks(g).
+
+    A mask that is not a total dominating set of g of the base size is
+    dropped, so the values stay exact whatever masks are given.  Like _bind,
+    it refuses a graph of one vertex or a disconnected one; the search still
+    checks the order it needs.
+    """
+    if g.n < 2:
+        raise TooSmall(f"need n >= 2, got n={g.n}")
+    if not g.is_connected():
+        raise Disconnected("subdivision invariants need a connected graph")
+    state = SearchState()
+    state.graph, state.base, state.edges = g, gamma_t_value(g), g.edges()
+    # a mask with a bit past g's vertices that passed would totally dominate
+    # g with fewer than base of them, so none does
+    state.covers = [c for c in covers if c.bit_count() == state.base and all(a & c for a in g.adj)]
     return state
 
 

@@ -23,6 +23,7 @@ from .characterization import (
     longest_paths,
     predicts_sd_one,
 )
+from .domination import _all_min_tds_masks
 from .errors import OutOfRange, UnknownTheorem
 from .family import FAMILY_ORDER_CAP, generate_family, is_in_family, verify_bc_property
 from .fixtures import cycle, path
@@ -34,7 +35,7 @@ from .enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
 )
-from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
+from .subdivision import SearchState, msd_gamma_t, sd_gamma_t, seeded_state
 from .workers import fork_map as _fork_map, usable_workers
 
 
@@ -74,7 +75,9 @@ def _sd3(t: Graph) -> int | None:
 
 @lru_cache(maxsize=None)
 def _sd1(t: Graph) -> int | None:
-    return sd_gamma_t(t, cap=1).value
+    # every caller has just enumerated t's minimum sets, solving gamma_t(t)
+    # on the way: both seed the search
+    return sd_gamma_t(t, cap=1, memo=seeded_state(t, _all_min_tds_masks(t))).value
 
 
 @lru_cache(maxsize=None)

@@ -26,10 +26,13 @@ from tdmsd.canonical import (
     automorphisms,
     canonical_labelling,
     equitable_partition,
+    individualized_leaf,
     labeled_tree_code,
     tree_centers,
     tree_code,
 )
+
+from tdmsd.graph import iter_bits
 
 from oracles import (
     full_refine_search,
@@ -209,6 +212,42 @@ def test_canonical_labelling_relabels_isomorphic_graphs_alike():
             assert autos == automorphisms(h)
             forms.append(h.relabel([order.index(v) for v in range(h.n)]))
         assert forms[1:] == forms[:-1], g.edges()
+
+
+def _orbit_roots(g, autos):
+    root = list(range(g.n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for image in autos:
+        for x, y in enumerate(image):
+            root[find(x)] = find(y)
+    return [find(x) for x in range(g.n)]
+
+
+def test_equal_individualized_leaves_share_an_orbit():
+    # two vertices of one cell whose leaves have equal bit strings lie in
+    # one orbit of the group the search's automorphisms generate; on these
+    # graphs every pair of one orbit is found so
+    found = same_orbit = 0
+    for g in _small_connected_graphs()[2:] + _symmetric_graphs()[::3]:
+        cells = equitable_partition(g)
+        orbit = _orbit_roots(g, automorphisms(g))
+        for cell in cells:
+            vs = list(iter_bits(cell))
+            if len(vs) < 2:
+                continue
+            leaf = {v: individualized_leaf(g, cells, v) for v in vs}
+            for i, v in enumerate(vs):
+                for w in vs[i + 1:]:
+                    same_orbit += orbit[v] == orbit[w]
+                    if leaf[v] == leaf[w]:
+                        assert orbit[v] == orbit[w], (g.edges(), v, w)
+                        found += 1
+    assert found == same_orbit == 3714
 
 
 def _small_connected_graphs():

@@ -126,6 +126,23 @@ def test_values_match_naive_on_all_small_connected_graphs():
             assert gamma_t_value(t) == naive_gamma_t(n, t.edges())
 
 
+def test_gamma_value_from_forced_supports_matches_the_oracle():
+    # gamma_value starts from the support of every leaf; a K2, whose
+    # support is itself a leaf, forces nothing, so graphs with K2 components
+    # and isolated vertices are checked too
+    graphs = [t for n in range(1, 11) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [from_edge_list(2, [(0, 1)]), from_edge_list(4, [(0, 1), (2, 3)])]
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        k2s = rng.randrange(1, 3)
+        edges = random_graph_edges(n, rng) + [(n + 2 * i, n + 2 * i + 1) for i in range(k2s)]
+        graphs.append(from_edge_list(n + 2 * k2s, edges))
+    for g in graphs:
+        assert gamma_value(g) == naive_gamma(g.n, g.edges()), g.edges()
+
+
 def test_gamma_t_closed_forms_paths_cycles():
     for n in range(3, 17):
         expected = n // 2 + (n + 3) // 4 - n // 4

@@ -102,13 +102,15 @@ def test_tree_sd_eq_msd_through_order_sixteen():
 @pytest.mark.slow
 @pytest.mark.parametrize("theorem", [
     "tree-sd-eq-msd", "family-sd3", "strong-support",
-    # the paper's msd = 1 characterization, through minimum-set enumeration
-    "sd1-characterization", "lemma14-implies",
+    # the paper's sd = 1 characterization and its two lemmas, through
+    # minimum-set enumeration and the sd = 1 search those sets seed
+    "sd1-characterization", "lemma14-implies", "lemma2-implies",
 ])
 def test_tree_theorems_through_order_eighteen(theorem):
-    # every free tree of orders 3..18, the tree generator's cap
+    # every free tree of orders 3..18, the tree generator's cap; lemma2-implies
+    # checks the 994 connected graphs of orders 3..7 after them
     report = run_verification(theorem, 18, jobs=2)
-    assert report.graphs_checked == 205002
+    assert report.graphs_checked == 205002 + (994 if theorem == "lemma2-implies" else 0)
     assert report.failures == ()
 
 
@@ -225,17 +227,25 @@ def test_connected_stream_is_frozen(n):
 
 
 def test_connected_generator_labels_only_ties(monkeypatch):
-    # order 7 from the cached order-6 bases: 1,157 extensions are the least
-    # of their orbit and pass the non-cut test; the invariants decide all but
-    # 374 of them, and those are labelled.  No canonical code is computed.
+    # order 7 from the cached order-6 bases: 1,405 extensions are built, one
+    # per orbit of neighbour sets that the base's non-cut degrees leave (2,407
+    # under the single degree floor); 1,157 of them pass the non-cut degree
+    # test, and the invariants decide all but 374 of those.  One leaf below
+    # the new vertex and below each tied vertex settles all but 2 ties, and
+    # only those are labelled.  No canonical code is computed.
     enumerate_connected_graphs(6)
-    labelled = []
-    labelling = enumeration.canonical_labelling
+    built, tied, labelled = [], [], []
+    is_canonical = enumeration._is_canonical_extension
+    leaf, labelling = enumeration.individualized_leaf, enumeration.canonical_labelling
+    monkeypatch.setattr(enumeration, "_is_canonical_extension",
+                        lambda g: built.append(g) or is_canonical(g))
+    monkeypatch.setattr(enumeration, "individualized_leaf",
+                        lambda g, cells, v: (v == g.n - 1 and tied.append(g)) or leaf(g, cells, v))
     monkeypatch.setattr(enumeration, "canonical_labelling",
                         lambda g, root: labelled.append(g) or labelling(g, root))
     monkeypatch.setattr(enumeration, "canonical_code", None)
     reps = enumeration._connected_reps.__wrapped__(7, enumeration._SERIAL)
-    assert len(labelled) == 374
+    assert (len(built), len(tied), len(labelled)) == (1405, 374, 2)
     assert reps == enumerate_connected_graphs(7)
 
 
@@ -263,6 +273,42 @@ def test_non_cut_vertices_of_a_base_stay_non_cut_in_its_extensions():
                     assert ext.degree(w) >= base.degree(w)
                 extensions += 1
     assert extensions == 7005
+
+
+def test_degree_masks_skip_only_extensions_the_generator_rejects(monkeypatch):
+    # every connected base of order 2..6 and every neighbour set, singletons
+    # included: a set the base's non-cut degrees skip is never marked, and its
+    # extension is rejected, both by the generator's test and because some
+    # other vertex, non-cut by brute force, has a larger degree than the new
+    # one.  The rule is invariant under the base's automorphisms, so no
+    # skipped set is marked as the image of a tried one either.
+    marked = []
+    mark_orbit = enumeration._mark_orbit
+
+    def recording(mask, autos, reached):
+        marked.append(reached)
+        mark_orbit(mask, autos, reached)
+
+    monkeypatch.setattr(enumeration, "_mark_orbit", recording)
+    skipped = singletons = 0
+    for n in range(2, 7):
+        for base in enumerate_connected_graphs(n):
+            marked.clear()
+            enumeration._extensions(base)
+            reached = marked[0]
+            edges = base.edges()
+            for nbrs in range(1, 1 << n):
+                if reached[nbrs]:
+                    continue
+                ext = from_edge_list(n + 1, edges + [(v, n) for v in range(n) if nbrs >> v & 1])
+                assert not enumeration._is_canonical_extension(ext), (edges, nbrs)
+                outranked = [w for w in range(n) if ext.degree(w) > ext.degree(n)]
+                assert any(
+                    naive_is_connected(*_without(n + 1, ext.edges(), w)) for w in outranked
+                ), (edges, nbrs)
+                skipped += 1
+                singletons += nbrs.bit_count() == 1
+    assert (skipped, singletons) == (5128, 736)
 
 
 def test_all_graph_classes_closed_under_complement():

@@ -27,6 +27,7 @@ from tdmsd import (
 )
 from tdmsd import canonical, subdivision, verify
 from tdmsd.domination import (
+    _all_min_tds_masks,
     _closed_covers,
     _min_cover,
     is_dominating,
@@ -34,7 +35,7 @@ from tdmsd.domination import (
     solve_gamma_t,
 )
 from tdmsd.graph import iter_bits
-from tdmsd.subdivision import SearchState
+from tdmsd.subdivision import SearchState, seeded_state
 from tdmsd.verify import path_cycle_formula
 
 from oracles import (
@@ -302,6 +303,43 @@ def test_fresh_state_refuses_a_disconnected_graph(search):
     assert state.graph is None
 
 
+def test_seeded_sd_one_matches_the_unseeded_search():
+    # every tree of order 3..11 and every connected graph of order 3..6
+    graphs = [t for n in range(3, 12) for t in enumerate_trees(n)]
+    graphs += [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        masks = _all_min_tds_masks(g)
+        state = seeded_state(g, masks)
+        assert state.base == gamma_t_value(g) and state.covers == list(masks)
+        assert tuple(sd_gamma_t(g, cap=1, memo=state)) == tuple(sd_gamma_t(g, cap=1)), g.edges()
+
+
+def test_seeded_state_drops_bogus_hints():
+    g = path(6)  # gamma_t = 4, and {1, 2, 3, 4} is one of its minimum sets
+    good = 0b011110
+    not_total = 0b001111  # vertex 5 has no neighbour in it
+    too_big = 0b111110
+    assert is_total_dominating(g, iter_bits(too_big))
+    assert not is_total_dominating(g, iter_bits(not_total))
+    want = tuple(sd_gamma_t(g, cap=1))
+    for hints, kept in (((not_total, too_big), []), ((too_big, good, not_total), [good])):
+        state = seeded_state(g, hints)
+        assert state.covers == kept
+        assert tuple(sd_gamma_t(g, cap=1, memo=state)) == want
+
+
+def test_seeded_state_refuses_what_a_search_refuses():
+    with pytest.raises(errors.Disconnected):
+        seeded_state(from_edge_list(4, [(0, 1), (2, 3)]), ())
+    with pytest.raises(errors.TooSmall):
+        seeded_state(from_edge_list(1, []), ())
+    # K2 seeds a state for msd, which sd must still refuse
+    state = seeded_state(path(2), _all_min_tds_masks(path(2)))
+    with pytest.raises(errors.TooSmall):
+        sd_gamma_t(path(2), cap=1, memo=state)
+    assert msd_gamma_t(path(2), memo=state) == msd_gamma_t(path(2))
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Counts the solves of subdivided graphs.
@@ -353,6 +391,28 @@ def test_memo_does_not_change_results():
         memo = SearchState()
         assert msd_gamma_t(g, cap=4, memo=memo) == msd_gamma_t(g, cap=4)
         assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
+
+
+@pytest.mark.parametrize("theorem, solved", [
+    # 1,793, 650 and 1,785 subdivided graphs, plus one seed solve per search
+    # (985, 88 and 1,396), when each search seeded itself with one cover
+    ("sd1-characterization", 1562),
+    ("lemma14-implies", 515),
+    ("lemma2-implies", 1546),
+])
+def test_sd_one_searches_start_from_the_enumerated_minimum_sets(theorem, solved, monkeypatch):
+    # each check enumerated the graph's minimum sets already: they and the
+    # gamma_t solve behind them seed the sd = 1 search, which solves no seed
+    calls = {"seed": 0, "subdivided": 0}
+
+    def counting(covers, full, upper=None):
+        calls["seed" if upper is None else "subdivided"] += 1
+        return _min_cover(covers, full, upper)
+
+    monkeypatch.setattr(subdivision, "_min_cover", counting)
+    monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
+    assert verify.run_verification(theorem).ok
+    assert calls == {"seed": 0, "subdivided": solved}
 
 
 def test_tree_check_subdivided_solves_are_pinned(solves):
