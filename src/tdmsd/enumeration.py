@@ -41,14 +41,14 @@ skipped, before any is marked or built.
 
 The stream of an order is each base's kept extensions, in the order of the
 bases in the stream below it.  Each base is extended independently of the
-others, so with jobs > 1 forked workers split the bases of the order asked
-for by stride (the lower orders are generated serially), and the stream is
-the same at any jobs.
+others, so ``extension_batches`` hands out one lazy batch per base, and
+whichever process iterates a batch extends its base.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 from .canonical import (
     automorphisms,
@@ -59,7 +59,6 @@ from .canonical import (
 from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import OutOfRange
 from .graph import Graph, from_edge_list, iter_bits
-from .workers import fork_map, usable_workers
 
 TREE_ORDER_CAP = 18
 CONNECTED_ORDER_CAP = 7
@@ -266,52 +265,34 @@ def _extensions(base: Graph) -> list[Graph]:
     return out
 
 
-class _Jobs:
-    """The --jobs value an order is generated with.  Every instance equals
-    every other, so that _connected_reps caches each order once: its graphs
-    are the same however many workers generated them."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Jobs)
-
-    def __hash__(self) -> int:
-        return 0
-
-
-_SERIAL = _Jobs(1)
-
-
 @lru_cache(maxsize=None)
-def _connected_reps(n: int, jobs: _Jobs) -> tuple[Graph, ...]:
+def _connected_reps(n: int) -> tuple[Graph, ...]:
     """The connected graphs of order n: the kept extensions of each order-(n-1)
-    representative, in the order of those representatives.
-
-    Up to jobs.value forked workers split the bases by stride; the lower
-    orders are generated serially.  Every call passes a _Jobs, so that all of
-    them share one entry per order.
-    """
+    representative, in the order of those representatives."""
     if n == 1:
         return (from_edge_list(1, []),)
-    bases = _connected_reps(n - 1, _SERIAL)
-    workers = usable_workers(jobs.value, len(bases))
-    found = map(_extensions, bases) if workers <= 1 else fork_map(_extensions, bases, workers)
-    return tuple(g for listed in found for g in listed)
+    return tuple(g for base in _connected_reps(n - 1) for g in _extensions(base))
 
 
-def enumerate_connected_graphs(n: int, jobs: int = 1) -> tuple[Graph, ...]:
-    """All connected graphs of order n up to isomorphism, one per class, the
-    extensions of each graph of order n - 1 in the order of those graphs.
+def _batch(base: Graph) -> Iterator[Graph]:
+    yield from _extensions(base)
 
-    If order n has not been generated yet, up to jobs forked workers generate
-    it from order n - 1; the graphs and their order are the same at any jobs.
+
+def extension_batches(n: int) -> list[Iterator[Graph]]:
+    """The connected graphs of order n, as one lazy batch per order-(n-1)
+    representative: joined in order, the stream of enumerate_connected_graphs(n).
+
+    A batch extends its whole base the first time it is iterated, in the
+    process that iterates it; order n itself is not cached.
     """
+    return [_batch(base) for base in _connected_reps(n - 1)]
+
+
+def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
+    """All connected graphs of order n up to isomorphism, one per class, the
+    extensions of each graph of order n - 1 in the order of those graphs."""
     if not 2 <= n <= CONNECTED_ORDER_CAP:
         raise OutOfRange(
             f"connected enumeration supports 2 <= n <= {CONNECTED_ORDER_CAP}"
         )
-    return _connected_reps(n, _Jobs(jobs))
+    return _connected_reps(n)

@@ -4,11 +4,13 @@ Each sweep walks a deterministic stream of non-isomorphic graphs, evaluates
 one theorem predicate per graph, and returns a report whose failure records
 can be replayed through the CLI's compute command via their graph6 strings.
 
-With jobs > 1 the stream is split among forked workers by stride.  A worker
-inherits the graphs and the check, so neither is pickled; its records are,
-on their way back.  The connected-graph streams split their top order's
-generation between the same number of workers first (see
-``enumeration._connected_reps``); ``workers`` forks both.
+A stream is a sequence of batches, each an iterable of graphs: one graph
+each, except that the connected streams hand out their top order as one
+lazy batch per base (``enumeration.extension_batches``).  With jobs > 1 the
+batches are split among forked workers by stride, in one fork for the
+whole sweep.  A worker inherits its batches and the check, so neither is
+pickled; it generates the graphs of its batches, checks them, and pickles
+only the records back.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .enumeration import (
     TREE_ORDER_CAP,
     enumerate_connected_graphs,
     enumerate_trees,
+    extension_batches,
 )
 from .subdivision import SearchState, msd_gamma_t, sd_gamma_t, seeded_state
 from .workers import fork_map as _fork_map, usable_workers
@@ -95,36 +98,43 @@ def _fmt(v: int | None) -> str:
     return str(v) if v is not None else ">cap"
 
 
-def _map_graphs(fn: Callable[[Graph], Record], graphs: Iterable[Graph], jobs: int) -> list[Record]:
-    graphs = list(graphs)
-    workers = usable_workers(jobs, len(graphs))
-    if workers <= 1:
-        return [fn(g) for g in graphs]
-    return _fork_map(fn, graphs, workers)
+def _map_graphs(fn: Callable[[Graph], Record], batches: Iterable[Iterable[Graph]],
+                jobs: int) -> list[Record]:
+    batches = list(batches)
+    workers = usable_workers(jobs, len(batches))
+
+    def check(batch: Iterable[Graph]) -> list[Record]:
+        return [fn(g) for g in batch]
+
+    found = map(check, batches) if workers <= 1 else _fork_map(check, batches, workers)
+    return [record for listed in found for record in listed]
 
 
-def _trees(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
+def _trees(lo: int, hi: int) -> Iterable[tuple[Graph]]:
     for n in range(lo, hi + 1):
-        yield from enumerate_trees(n)
+        for t in enumerate_trees(n):
+            yield (t,)
 
 
-def _connected(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
-    # the workers generate the top order only: the lower ones extend 31 of
-    # the 143 bases up to order 7, about a sixth of the generation time
-    for n in range(lo, hi + 1):
-        yield from enumerate_connected_graphs(n, jobs if n == hi else 1)
+def _connected(lo: int, hi: int) -> Iterable[Iterable[Graph]]:
+    # the lower orders, generated here, extend 31 of the 143 bases up to
+    # order 7, about a sixth of the generation time; whichever process
+    # checks a batch of the top order extends its base
+    for n in range(lo, hi):
+        for g in enumerate_connected_graphs(n):
+            yield (g,)
+    yield from extension_batches(hi)
 
 
-def _paths_and_cycles(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
-    for n in range(lo, hi + 1):
-        yield path(n)
-        yield cycle(n)
+def _paths_and_cycles(lo: int, hi: int) -> Iterable[tuple[Graph, ...]]:
+    # one batch: the sweep is too short for forked workers to pay off
+    yield tuple(g for n in range(lo, hi + 1) for g in (path(n), cycle(n)))
 
 
-def _trees_then_connected(lo: int, hi: int, jobs: int = 1) -> Iterable[Graph]:
+def _trees_then_connected(lo: int, hi: int) -> Iterable[Iterable[Graph]]:
     # trees of every order asked for, plus the connected graphs up to their cap
     yield from _trees(lo, hi)
-    yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP), jobs)
+    yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP))
 
 
 # -- per-graph checks (a worker pickles the Records back, never a check) ----
@@ -229,20 +239,20 @@ def _check_path_cycle(g: Graph) -> Record:
 # -- the theorem table --------------------------------------------------------
 
 class Theorem(NamedTuple):
-    """One sweep: a check per item of graphs(lo, n_max, jobs), for n_max in lo..hi.
+    """One sweep: a check per item of each batch of graphs(lo, n_max), for
+    n_max in lo..hi.
 
     hi is the graph streams' cap, the family's order cap, or for
-    path-cycle-formulas room for the three vertices sd/msd add.  A serial
-    sweep ignores jobs: it is too short for forked workers to pay off.  Only
-    the connected streams read jobs, to split their top order's generation.
+    path-cycle-formulas room for the three vertices sd/msd add.  The batches
+    are what --jobs workers split; a sweep too short for forked workers to
+    pay off is one batch.
     """
 
     check: Callable[..., Record]
-    graphs: Callable[[int, int, int], Iterable]
+    graphs: Callable[[int, int], Iterable[Iterable]]
     lo: int
     default: int
     hi: int
-    serial: bool = False
 
 
 THEOREMS: dict[str, Theorem] = {
@@ -251,13 +261,12 @@ THEOREMS: dict[str, Theorem] = {
     "family-sd3": Theorem(_check_family_sd3, _trees, 3, 14, TREE_ORDER_CAP),
     "sd1-characterization": Theorem(_check_sd1_characterization, _trees, 3, 12, TREE_ORDER_CAP),
     "bc-minimum": Theorem(
-        _check_bc, lambda lo, hi, jobs: generate_family(hi), 6, 14, FAMILY_ORDER_CAP,
-        serial=True,
+        _check_bc, lambda lo, hi: (generate_family(hi),), 6, 14, FAMILY_ORDER_CAP,
     ),
     "strong-support": Theorem(_check_strong_support, _trees, 3, 14, TREE_ORDER_CAP),
     "universal-vertex": Theorem(_check_universal, _connected, 3, 7, CONNECTED_ORDER_CAP),
     "path-cycle-formulas": Theorem(
-        _check_path_cycle, _paths_and_cycles, 3, 16, MAX_VERTICES - 3, serial=True,
+        _check_path_cycle, _paths_and_cycles, 3, 16, MAX_VERTICES - 3,
     ),
     "lemma2-implies": Theorem(_check_lemma2, _trees_then_connected, 3, 12, TREE_ORDER_CAP),
     "lemma14-implies": Theorem(_check_lemma14, _trees, 3, 12, TREE_ORDER_CAP),
@@ -271,9 +280,8 @@ def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -
     n_max = th.default if n_max is None else n_max
     if not th.lo <= n_max <= th.hi:
         raise OutOfRange(f"{theorem_id} checks n_max in {th.lo}..{th.hi}, got {n_max}")
-    jobs = 1 if th.serial else jobs
     start = time.perf_counter()
-    records = _map_graphs(th.check, th.graphs(th.lo, n_max, jobs), jobs)
+    records = _map_graphs(th.check, th.graphs(th.lo, n_max), jobs)
     elapsed = time.perf_counter() - start
     failures = tuple(r for r in records if not r.ok)
     return VerificationReport(

@@ -1,5 +1,5 @@
-"""The forked workers of ``verify --jobs``, shared by the per-graph checks and
-the connected-graph generator.
+"""The forked workers of ``verify --jobs``, which ``verify`` starts once per
+sweep to check its batches of graphs.
 
 A worker inherits the function and its items, so neither is pickled; only
 its results are, on their way back.  tdmsd starts no thread, so forking is

@@ -544,7 +544,7 @@ def test_verify_counterexample_exits_1(monkeypatch):
     def broken_check(g):
         return verify_mod.Record(graph6_encode(g), False, "something", "otherwise")
 
-    broken = verify_mod.Theorem(broken_check, lambda lo, hi, jobs: [path(2)], 2, 2, 2)
+    broken = verify_mod.Theorem(broken_check, lambda lo, hi: [(path(2),)], 2, 2, 2)
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", broken)
     code, out = run_cli("verify", "--theorem", "msd-le-3")
     assert code == 1
@@ -571,7 +571,7 @@ def test_verify_out_after_the_verdict(ok, vanish, expected, monkeypatch, tmp_pat
         return verify_mod.Record(graph6_encode(g), ok, "something", "otherwise")
 
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3",
-                        verify_mod.Theorem(check, lambda lo, hi, jobs: [path(2)], 2, 2, 2))
+                        verify_mod.Theorem(check, lambda lo, hi: [(path(2),)], 2, 2, 2))
     code, out = run_cli("verify", "--theorem", "msd-le-3", "--out", str(target))
     assert code == expected
     if vanish:
@@ -701,7 +701,8 @@ def test_verify_records_read_back(theorem, n_max, read_back):
     assert code == 0
     records = [json.loads(ln) for ln in out.splitlines()[:-1]]
     th = THEOREMS[theorem]
-    assert [read_back(rec["graph6"]) for rec in records] == list(th.graphs(th.lo, n_max))
+    stream = [g for batch in th.graphs(th.lo, n_max) for g in batch]
+    assert [read_back(rec["graph6"]) for rec in records] == stream
 
 
 def test_fixtures_listing_and_emit():

@@ -1,5 +1,4 @@
 import hashlib
-import os
 
 import pytest
 
@@ -12,6 +11,7 @@ from tdmsd import (
 )
 from tdmsd import enumeration, graph6_encode
 from tdmsd.verify import run_verification
+from tdmsd.workers import fork_map
 
 from oracles import (
     connected_graphs_by_code,
@@ -157,18 +157,21 @@ def test_connected_generator_matches_the_coding_oracle():
         assert sorted(canonical_code(g) for g in enumerate_connected_graphs(n)) == list(oracle[n])
 
 
+def _extended(n, jobs):
+    # the order-n stream from its batches: in this process, or split between
+    # two forked workers and joined in batch order
+    batches = enumeration.extension_batches(n)
+    found = map(list, batches) if jobs == 1 else fork_map(list, batches, 2)
+    return [g for listed in found for g in listed]
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
+def test_connected_order_eight_count_and_codes(jobs):
     # OEIS A001349 at n = 8; with the lower orders, the Euler transform must
     # give all 12,346 graph classes of order 8 (OEIS A000088).  At jobs 2, two
     # forked workers split the extension of the order-7 bases.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forked = []
-    fork_map = enumeration.fork_map
-    monkeypatch.setattr(enumeration, "fork_map", lambda *args: forked.append(args[2]) or fork_map(*args))
-    reps = enumeration._connected_reps.__wrapped__(8, enumeration._Jobs(jobs))
-    assert forked == ([2] if jobs == 2 else [])
+    reps = _extended(8, jobs)
     assert len(reps) == 11117
     oracle = connected_graphs_by_code(8, canonical_code)[8]
     assert sorted(canonical_code(g) for g in reps) == list(oracle)
@@ -179,11 +182,10 @@ def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
 
 
 @pytest.mark.slow
-def test_connected_order_nine_count_and_codes(monkeypatch):
+def test_connected_order_nine_count_and_codes():
     # OEIS A001349 at n = 9, generated by two forked workers; past the
     # oracle's reach, so only the count and pairwise distinct codes are checked
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    reps = enumeration._connected_reps.__wrapped__(9, enumeration._Jobs(2))
+    reps = _extended(9, 2)
     assert len(reps) == 261080
     assert all(g.n == 9 and g.is_connected() for g in reps)
     assert len({canonical_code(g) for g in reps}) == 261080
@@ -244,7 +246,7 @@ def test_connected_generator_labels_only_ties(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_labelling",
                         lambda g, root: labelled.append(g) or labelling(g, root))
     monkeypatch.setattr(enumeration, "canonical_code", None)
-    reps = enumeration._connected_reps.__wrapped__(7, enumeration._SERIAL)
+    reps = enumeration._connected_reps.__wrapped__(7)
     assert (len(built), len(tied), len(labelled)) == (1405, 374, 2)
     assert reps == enumerate_connected_graphs(7)
 
@@ -344,7 +346,7 @@ def test_every_emitted_graph_is_connected():
 
 def test_connected_stream_deterministic_and_duplicate_free():
     stream = enumerate_connected_graphs(6)
-    assert enumeration._connected_reps.__wrapped__(6, enumeration._SERIAL) == stream
+    assert enumeration._connected_reps.__wrapped__(6) == stream
     assert len({canonical_code(g) for g in stream}) == len(stream) == 112
 
 

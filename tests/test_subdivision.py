@@ -420,7 +420,7 @@ def test_tree_check_subdivided_solves_are_pinned(solves):
     # with known minimum covers of the tree alone; those and the covers lifted
     # from the row below settle the rest, so skipping, harvesting or lifting
     # less raises it
-    for t in verify._trees(3, 12):
+    for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert solves[0] == 2732
 
@@ -448,7 +448,7 @@ def builds(monkeypatch):
 def test_tree_check_builds_each_single_subdivision_once(builds):
     # sd runs the row of single subdivisions first, and msd reads how it
     # ended: msd builds graphs at t >= 2 only
-    for t in verify._trees(3, 10):
+    for (t,) in verify._trees(3, 10):
         verify._check_tree_sd_eq_msd(t)
     counts = [b for b in builds if isinstance(b, int)]
     assert counts and 1 not in counts
@@ -456,7 +456,7 @@ def test_tree_check_builds_each_single_subdivision_once(builds):
 
 def test_tree_check_subdivided_graphs_built_are_pinned(builds):
     # 7,696 when msd rebuilt the row of single subdivisions sd had settled
-    for t in verify._trees(3, 12):
+    for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert len(builds) == 4712
 

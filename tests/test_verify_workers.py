@@ -1,5 +1,6 @@
 """The forked workers of ``verify --jobs``: the records they return, the
-connected graphs they generate, and how a failing worker ends the sweep.
+connected graphs they generate and check, and how a failing worker ends the
+sweep.
 Every test checks the real fork path, on any number of cores, and that no
 child process is left behind."""
 
@@ -10,9 +11,10 @@ import time
 
 import pytest
 
-from tdmsd import enumerate_connected_graphs, enumeration, errors, path
+from tdmsd import enumeration, errors, path
 from tdmsd import verify as verify_mod
 from tdmsd.cli import main
+from tdmsd.workers import fork_map
 
 from test_enumeration import CONNECTED_SHA256, _codes_digest, _stream_digest
 
@@ -58,12 +60,24 @@ def in_worker(parent, then):
     return check
 
 
-@pytest.mark.parametrize("theorem,n_max", [("msd-le-3", 5), ("tree-sd-eq-msd", 9)])
+def sweeps():
+    # the connected sweeps at every order they check, and one tree sweep
+    for theorem in ("msd-le-3", "universal-vertex", "lemma2-implies"):
+        for n_max in range(verify_mod.THEOREMS[theorem].lo, 8):
+            yield theorem, n_max
+    yield "tree-sd-eq-msd", 9
+
+
+@pytest.mark.parametrize("theorem,n_max", list(sweeps()))
 def test_forked_workers_return_the_serial_records(theorem, n_max, two_cores, forks):
+    # the sweep forks once, unless its stream is one batch (a single base of
+    # the top order, and nothing below it)
+    th = verify_mod.THEOREMS[theorem]
+    batches = len(list(th.graphs(th.lo, n_max)))
     serial = verify_mod.run_verification(theorem, n_max, jobs=1)
     assert forks == []
     wide = verify_mod.run_verification(theorem, n_max, jobs=2)
-    assert forks == [2]
+    assert forks == ([2] if batches > 1 else [])
     assert wide.records == serial.records and wide.graphs_checked == serial.graphs_checked
     assert_no_child_left()
 
@@ -103,7 +117,7 @@ def test_worker_that_ends_without_a_result_is_named(die, how):
 
 
 def stub_theorem(monkeypatch, check):
-    theorem = verify_mod.Theorem(check, lambda lo, hi, jobs: paths(4), 2, 2, 2)
+    theorem = verify_mod.Theorem(check, lambda lo, hi: [(g,) for g in paths(4)], 2, 2, 2)
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", theorem)
 
 
@@ -150,54 +164,33 @@ def test_interrupted_parent_kills_and_reaps_its_workers():
     assert_no_child_left()
 
 
-@pytest.fixture
-def generation_forks(monkeypatch):
-    """The worker counts the connected generator forked with, from a cold cache."""
-    asked = []
-    real = enumeration.fork_map
-
-    def counted(fn, bases, workers):
-        asked.append(workers)
-        return real(fn, bases, workers)
-
-    monkeypatch.setattr(enumeration, "fork_map", counted)
-    enumeration._connected_reps.cache_clear()
-    return asked
-
-
 @pytest.mark.parametrize("n", range(2, 8))
-def test_split_generation_gives_the_frozen_stream(n, two_cores, generation_forks):
-    # orders 2 and 3 have one base each, so only orders 4 and up fork, once
-    graphs = enumerate_connected_graphs(n, jobs=2)
+def test_split_generation_gives_the_frozen_stream(n):
+    # one batch per base, extended by two forked workers and joined in
+    # batch order (orders 2 and 3 have one base, so one worker gets none)
+    graphs = [g for listed in fork_map(list, enumeration.extension_batches(n), 2) for g in listed]
     assert (_codes_digest(graphs), _stream_digest(graphs)) == CONNECTED_SHA256[n]
-    assert generation_forks == ([2] if n >= 4 else [])
     assert_no_child_left()
 
 
-def test_split_generation_asks_for_at_most_jobs_cores_and_bases(monkeypatch, generation_forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    enumerate_connected_graphs(4, jobs=3)  # two bases
-    enumerate_connected_graphs(5, jobs=3)  # six bases
-    enumerate_connected_graphs(6, jobs=9)  # 21 bases, four cores
-    assert generation_forks == [2, 3, 4]
-    # an order generated once is never generated again, whatever the jobs
-    enumerate_connected_graphs(6, jobs=1)
-    enumerate_connected_graphs(5, jobs=4)
-    assert generation_forks == [2, 3, 4]
-    assert_no_child_left()
-
-
-def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks, generation_forks):
-    wide = verify_mod.run_verification("lemma2-implies", 5, jobs=2)
-    assert generation_forks == [2] and forks == [2]
-    serial = verify_mod.run_verification("lemma2-implies", 5, jobs=1)
-    assert wide.records == serial.records and generation_forks == [2] and forks == [2]
+def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks):
+    # the parent generates the orders below the top one, and the workers
+    # the top order, each from its own bases; no order-7 graph is cached
+    enumeration._connected_reps.cache_clear()
+    report = verify_mod.run_verification("msd-le-3", 7, jobs=2)
+    assert forks == [2] and report.graphs_checked == 995 and report.ok
+    info = enumeration._connected_reps.cache_info()
+    assert info.currsize == 6
+    for n in range(1, 7):
+        enumeration._connected_reps(n)
+    assert enumeration._connected_reps.cache_info().misses == info.misses
     assert_no_child_left()
 
 
 def fail_in_generation_worker(monkeypatch, then):
-    """Make the connected generator run ``then()`` in its forked workers, when
-    they extend a base of order 4; the test's own process extends as before."""
+    """Make the connected generator run ``then()`` in the forked workers of a
+    sweep, when they extend a base of order 4; the test's own process
+    extends as before."""
     parent = os.getpid()
     automorphisms = enumeration.automorphisms
 
@@ -216,25 +209,25 @@ def run_verify_n5_jobs_2(capsys):
 
 
 def test_exception_in_a_generation_worker_is_raised_with_its_type(
-        monkeypatch, capsys, two_cores, generation_forks):
+        monkeypatch, capsys, two_cores, forks):
     def boom():
         raise ValueError("extension failed")
 
     fail_in_generation_worker(monkeypatch, boom)
     with pytest.raises(ValueError, match="extension failed"):
-        enumerate_connected_graphs(5, jobs=2)
+        verify_mod.run_verification("msd-le-3", 5, jobs=2)
     code, err = run_verify_n5_jobs_2(capsys)
-    assert generation_forks == [2, 2]
+    assert forks == [2, 2]
     assert code == 4 and err == ["internal error: ValueError: extension failed"]
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("die", [lambda: os._exit(5), lambda: os.kill(os.getpid(), signal.SIGKILL)])
 def test_dead_generation_worker_is_one_internal_error_line(
-        die, monkeypatch, capsys, two_cores, generation_forks):
+        die, monkeypatch, capsys, two_cores, forks):
     fail_in_generation_worker(monkeypatch, die)
     code, err = run_verify_n5_jobs_2(capsys)
-    assert generation_forks == [2]
+    assert forks == [2]
     assert code == 4 and len(err) == 1
     assert err[0].startswith("internal error: RuntimeError: verify worker 0 of 2 ended")
     assert_no_child_left()
