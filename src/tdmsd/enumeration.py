@@ -42,7 +42,9 @@ skipped, before any is marked or built.
 The stream of an order is each base's kept extensions, in the order of the
 bases in the stream below it.  Each base is extended independently of the
 others, so ``extension_batches`` hands out one lazy batch per base, and
-whichever process iterates a batch extends its base.
+whichever process iterates a batch extends its base.  Each process caches the
+extensions of the bases it extended, so the sweeps run in one process extend
+each base once.
 """
 
 from __future__ import annotations
@@ -229,9 +231,10 @@ def _is_canonical_extension(g: Graph) -> bool:
     return bool(reached[1 << v])
 
 
-def _extensions(base: Graph) -> list[Graph]:
+@lru_cache(maxsize=None)
+def _extensions(base: Graph) -> tuple[Graph, ...]:
     """The extensions of base by one vertex that the generator keeps, in
-    ascending order of the new vertex's neighbour set."""
+    ascending order of the new vertex's neighbour set; cached per base."""
     new = base.n
     autos = automorphisms(base)
     # the degree masks of the module docstring: a set S of two or more
@@ -262,7 +265,7 @@ def _extensions(base: Graph) -> list[Graph]:
         g = Graph(new + 1, adj)
         if _is_canonical_extension(g):
             out.append(g)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -282,8 +285,10 @@ def extension_batches(n: int) -> list[Iterator[Graph]]:
     """The connected graphs of order n, as one lazy batch per order-(n-1)
     representative: joined in order, the stream of enumerate_connected_graphs(n).
 
-    A batch extends its whole base the first time it is iterated, in the
-    process that iterates it; order n itself is not cached.
+    A batch reads its base's extensions from the cache of _extensions that
+    enumerate_connected_graphs(n) reads too; the process that iterates the
+    batch extends the whole base if it has not yet.  Order n itself is not
+    cached.
     """
     return [_batch(base) for base in _connected_reps(n - 1)]
 

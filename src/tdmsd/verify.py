@@ -6,11 +6,12 @@ can be replayed through the CLI's compute command via their graph6 strings.
 
 A stream is a sequence of batches, each an iterable of graphs: one graph
 each, except that the connected streams hand out their top order as one
-lazy batch per base (``enumeration.extension_batches``).  With jobs > 1 the
-batches are split among forked workers by stride, in one fork for the
-whole sweep.  A worker inherits its batches and the check, so neither is
-pickled; it generates the graphs of its batches, checks them, and pickles
-only the records back.
+lazy batch per base (``enumeration.extension_batches``).  In process the
+batches are checked as they stream by.  With jobs > 1 they are listed and
+split among forked workers by stride, in one fork for the whole sweep.  A
+worker inherits its batches and the check, so neither is pickled; it
+generates the graphs of its batches, checks them, and pickles only the
+records back.
 """
 
 from __future__ import annotations
@@ -100,14 +101,15 @@ def _fmt(v: int | None) -> str:
 
 def _map_graphs(fn: Callable[[Graph], Record], batches: Iterable[Iterable[Graph]],
                 jobs: int) -> list[Record]:
-    batches = list(batches)
-    workers = usable_workers(jobs, len(batches))
+    if jobs > 1:
+        batches = list(batches)
+        workers = usable_workers(jobs, len(batches))
+        if workers > 1:
+            def check(batch: Iterable[Graph]) -> list[Record]:
+                return [fn(g) for g in batch]
 
-    def check(batch: Iterable[Graph]) -> list[Record]:
-        return [fn(g) for g in batch]
-
-    found = map(check, batches) if workers <= 1 else _fork_map(check, batches, workers)
-    return [record for listed in found for record in listed]
+            return [record for listed in _fork_map(check, batches, workers) for record in listed]
+    return [fn(g) for batch in batches for g in batch]
 
 
 def _trees(lo: int, hi: int) -> Iterable[tuple[Graph]]:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 
@@ -10,8 +11,8 @@ from tdmsd import (
     from_edge_list,
 )
 from tdmsd import enumeration, graph6_encode
+from tdmsd import verify
 from tdmsd.verify import run_verification
-from tdmsd.workers import fork_map
 
 from oracles import (
     connected_graphs_by_code,
@@ -157,21 +158,21 @@ def test_connected_generator_matches_the_coding_oracle():
         assert sorted(canonical_code(g) for g in enumerate_connected_graphs(n)) == list(oracle[n])
 
 
-def _extended(n, jobs):
-    # the order-n stream from its batches: in this process, or split between
-    # two forked workers and joined in batch order
-    batches = enumeration.extension_batches(n)
-    found = map(list, batches) if jobs == 1 else fork_map(list, batches, 2)
-    return [g for listed in found for g in listed]
+def _extended(n, jobs, monkeypatch):
+    # the order-n stream from its batches, mapped and joined as a sweep does:
+    # in this process, or by two forked workers that extend their own bases
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    enumeration._extensions.cache_clear()
+    return verify._map_graphs(lambda g: g, enumeration.extension_batches(n), jobs)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_connected_order_eight_count_and_codes(jobs):
+def test_connected_order_eight_count_and_codes(jobs, monkeypatch):
     # OEIS A001349 at n = 8; with the lower orders, the Euler transform must
     # give all 12,346 graph classes of order 8 (OEIS A000088).  At jobs 2, two
     # forked workers split the extension of the order-7 bases.
-    reps = _extended(8, jobs)
+    reps = _extended(8, jobs, monkeypatch)
     assert len(reps) == 11117
     oracle = connected_graphs_by_code(8, canonical_code)[8]
     assert sorted(canonical_code(g) for g in reps) == list(oracle)
@@ -182,10 +183,10 @@ def test_connected_order_eight_count_and_codes(jobs):
 
 
 @pytest.mark.slow
-def test_connected_order_nine_count_and_codes():
+def test_connected_order_nine_count_and_codes(monkeypatch):
     # OEIS A001349 at n = 9, generated by two forked workers; past the
     # oracle's reach, so only the count and pairwise distinct codes are checked
-    reps = _extended(9, 2)
+    reps = _extended(9, 2, monkeypatch)
     assert len(reps) == 261080
     assert all(g.n == 9 and g.is_connected() for g in reps)
     assert len({canonical_code(g) for g in reps}) == 261080
@@ -236,6 +237,7 @@ def test_connected_generator_labels_only_ties(monkeypatch):
     # the new vertex and below each tied vertex settles all but 2 ties, and
     # only those are labelled.  No canonical code is computed.
     enumerate_connected_graphs(6)
+    enumeration._extensions.cache_clear()
     built, tied, labelled = [], [], []
     is_canonical = enumeration._is_canonical_extension
     leaf, labelling = enumeration.individualized_leaf, enumeration.canonical_labelling
@@ -296,7 +298,7 @@ def test_degree_masks_skip_only_extensions_the_generator_rejects(monkeypatch):
     for n in range(2, 7):
         for base in enumerate_connected_graphs(n):
             marked.clear()
-            enumeration._extensions(base)
+            enumeration._extensions.__wrapped__(base)
             reached = marked[0]
             edges = base.edges()
             for nbrs in range(1, 1 << n):

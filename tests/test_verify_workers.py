@@ -14,7 +14,6 @@ import pytest
 from tdmsd import enumeration, errors, path
 from tdmsd import verify as verify_mod
 from tdmsd.cli import main
-from tdmsd.workers import fork_map
 
 from test_enumeration import CONNECTED_SHA256, _codes_digest, _stream_digest
 
@@ -164,21 +163,32 @@ def test_interrupted_parent_kills_and_reaps_its_workers():
     assert_no_child_left()
 
 
+def cold_generator():
+    # no order generated and no base extended yet, in this process
+    enumeration._connected_reps.cache_clear()
+    enumeration._extensions.cache_clear()
+
+
 @pytest.mark.parametrize("n", range(2, 8))
-def test_split_generation_gives_the_frozen_stream(n):
-    # one batch per base, extended by two forked workers and joined in
-    # batch order (orders 2 and 3 have one base, so one worker gets none)
-    graphs = [g for listed in fork_map(list, enumeration.extension_batches(n), 2) for g in listed]
+def test_split_generation_gives_the_frozen_stream(n, two_cores, forks):
+    # one batch per base, extended by the two forked workers of the sweep's
+    # own map and joined in batch order (orders 2 and 3 have one base, so
+    # they are extended in this process)
+    cold_generator()
+    graphs = verify_mod._map_graphs(lambda g: g, enumeration.extension_batches(n), 2)
+    assert forks == ([2] if n > 3 else [])
     assert (_codes_digest(graphs), _stream_digest(graphs)) == CONNECTED_SHA256[n]
     assert_no_child_left()
 
 
 def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks):
     # the parent generates the orders below the top one, and the workers
-    # the top order, each from its own bases; no order-7 graph is cached
-    enumeration._connected_reps.cache_clear()
+    # the top order, each from its own bases: the parent extends the 31
+    # bases of orders 1 to 5 and none of order 6, and caches no order 7
+    cold_generator()
     report = verify_mod.run_verification("msd-le-3", 7, jobs=2)
     assert forks == [2] and report.graphs_checked == 995 and report.ok
+    assert enumeration._extensions.cache_info().currsize == 31
     info = enumeration._connected_reps.cache_info()
     assert info.currsize == 6
     for n in range(1, 7):
@@ -187,10 +197,23 @@ def test_sweep_forks_generation_for_its_top_order_only(two_cores, forks):
     assert_no_child_left()
 
 
+def test_sweeps_in_one_process_extend_each_base_once(forks):
+    # a sweep that checks its top order in process keeps the extensions it
+    # made, and the next sweep in the same process reads them
+    cold_generator()
+    verify_mod.run_verification("msd-le-3", 7, jobs=1)
+    extended = enumeration._extensions.cache_info()
+    assert extended.currsize == 143
+    verify_mod.run_verification("universal-vertex", 7, jobs=1)
+    assert enumeration._extensions.cache_info().misses == extended.misses
+    assert forks == []
+
+
 def fail_in_generation_worker(monkeypatch, then):
     """Make the connected generator run ``then()`` in the forked workers of a
     sweep, when they extend a base of order 4; the test's own process
     extends as before."""
+    cold_generator()
     parent = os.getpid()
     automorphisms = enumeration.automorphisms
 
