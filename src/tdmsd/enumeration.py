@@ -60,7 +60,7 @@ from .canonical import (
 )
 from .canonical import canonical_code  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import OutOfRange
-from .graph import Graph, from_edge_list, iter_bits
+from .graph import Graph, from_edge_list, iter_bits, reach_within
 
 TREE_ORDER_CAP = 18
 CONNECTED_ORDER_CAP = 7
@@ -151,14 +151,7 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
 def _is_non_cut(adj: list[int], v: int) -> bool:
     """Whether the graph stays connected once vertex v is removed."""
     rest = ((1 << len(adj)) - 1) & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        nxt = 0
-        for w in iter_bits(frontier):
-            nxt |= adj[w]
-        frontier = nxt & rest & ~seen
-        seen |= frontier
-    return seen == rest
+    return reach_within(adj, rest & -rest, rest) == rest
 
 
 def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:

@@ -44,6 +44,19 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def reach_within(adj: Sequence[int], seed: int, within: int) -> int:
+    """The vertices that walks inside the vertex set within reach from the
+    vertices of seed, a subset of within."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
@@ -82,21 +95,11 @@ class Graph:
                 out.append((u, u + 1 + off))
         return out
 
-    def reach_mask(self, src: int) -> int:
-        seen = 1 << src
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen
-
     def is_connected(self) -> bool:
         """Whether the graph has exactly one component; the 0-vertex graph has
         none, so it is not connected."""
-        return self.n > 0 and self.reach_mask(0) == self.full_mask
+        full = self.full_mask
+        return self.n > 0 and reach_within(self.adj, 1, full) == full
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()

@@ -17,15 +17,8 @@ one of those covers still covers has a number of at most gamma(g), so it is
 settled without a solve.
 Any other H is solved exactly, from the best known cover repaired for H as
 the upper bound, and a minimum cover of H of size gamma(g) that uses no new
-vertex is a minimum cover of g, so it joins the list.
-
-In the sd search, a cover of H of size gamma(g) that does use a new vertex
-is kept in the state under its edge subset: it is lifted to each subset of
-the next row that holds one more edge, and tested there after g's covers.
-(Lifting the cover of e subdivided t - 1 times to t times, the msd analogue,
-never covered the graph it was offered to in any sweep, so msd does not.)
-Every skip and every bound rests on a cover checked against H, so the
-values stay exact.
+vertex is a minimum cover of g, so it joins the list.  Every skip and every
+bound rests on a cover checked against H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -37,7 +30,7 @@ common row ended, and the second search builds none of it.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
@@ -89,13 +82,11 @@ class SearchState:
     and cover_sets domination's _total_covers or _closed_covers.  row_one
     is how the row of single subdivisions ended: None before any search ran
     it, () if no edge raises the number, else ((e,), value) for the first
-    edge that does.  kept maps an edge subset S to a base-size cover of
-    subdivide_edges(graph, S) that uses a new vertex, for the next row to
-    lift.  A new state is empty and binds to the first graph a search uses
-    it for; seeded_state returns one already bound.
+    edge that does.  A new state is empty and binds to the first graph a
+    search uses it for; seeded_state returns one already bound.
     """
 
-    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one", "kept")
+    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one")
 
     def __init__(self) -> None:
         self.graph: Graph | None = None
@@ -104,7 +95,6 @@ class SearchState:
         self.covers: list[int] = []
         self.edges: list[Edge] = []
         self.row_one: tuple | None = None
-        self.kept: dict[tuple[Edge, ...], int] = {}
 
 
 def _bind(g: Graph, cover_sets, memo: SearchState | None, min_n: int) -> SearchState:
@@ -146,28 +136,23 @@ def seeded_state(g: Graph, covers: Iterable[int]) -> SearchState:
     return state
 
 
-def _increase(state: SearchState, h: Graph, subset: tuple[Edge, ...] = ()) -> int | None:
+def _increase(state: SearchState, h: Graph) -> int | None:
     """The number of h if it exceeds the base, else None.
 
-    h is a subdivision of state.graph, and subdivide_edges(state.graph,
-    subset) if subset is non-empty.  A known minimum cover of the graph, or
-    else a cover kept for subset less one edge and relabelled for h, that
-    still covers h shows that h's number is at most the base, without a
+    h is a subdivision of state.graph.  A known minimum cover of the graph
+    that still covers h shows that h's number is at most the base, without a
     solve.  Otherwise the cover that leaves the fewest vertices of h
     uncovered, repaired with the highest candidate of each vertex still
     uncovered, bounds the exact search.  A minimum cover of h of the base
     size inside the original vertices is a minimum cover of the graph too,
     so it joins the known covers: subdividing adds no edge between original
-    vertices, so what covers an original vertex in h covers it in the
-    graph.  A cover of h of the base size that uses a new vertex, lifted or
-    solved, is kept under a non-empty subset in state.kept.
+    vertices, so what covers an original vertex in h covers it in the graph.
     """
     covers = state.cover_sets(h)
     full = h.full_mask
-    n = state.graph.n
     upper = 0
     left = full
-    for cover in chain(state.covers, _lift_subsets(state.kept, subset, n)):
+    for cover in state.covers:
         covered = 0
         rest = cover
         while rest:
@@ -176,8 +161,6 @@ def _increase(state: SearchState, h: Graph, subset: tuple[Edge, ...] = ()) -> in
             rest ^= low
         missed = full & ~covered
         if not missed:
-            if cover >> n:
-                state.kept[subset] = cover
             return None
         if missed.bit_count() < left.bit_count():
             upper, left = cover, missed
@@ -188,23 +171,21 @@ def _increase(state: SearchState, h: Graph, subset: tuple[Edge, ...] = ()) -> in
     value, cover = _min_cover(covers, full, upper)
     if value > state.base:
         return value
-    if not cover >> n:
+    if not cover >> state.graph.n:
         state.covers.append(cover)
-    elif subset:
-        state.kept[subset] = cover
     return None
 
 
 def _row(state: SearchState, subsets, t: int) -> tuple:
     """(subset, number) for the first subset whose graph raises the number,
     or () if none does.  At t = 1 that graph is subdivide_edges(graph,
-    subset), which keeps covers; else subset's one edge subdivided t times.
+    subset), else subset's one edge subdivided t times.
     """
     g = state.graph
     # both builders are read from this module, where tracing and tests wrap them
     for subset in subsets:
         if t == 1:
-            after = _increase(state, subdivide_edges(g, subset), subset)
+            after = _increase(state, subdivide_edges(g, subset))
         else:
             after = _increase(state, subdivide(g, subset[0], t))
         if after is not None:
@@ -217,16 +198,6 @@ def _row_one(state: SearchState) -> tuple:
     if state.row_one is None:
         state.row_one = _row(state, [(e,) for e in state.edges], 1)
     return state.row_one
-
-
-def _lift_subsets(kept: dict, subset: tuple[Edge, ...], n: int):
-    # the graph of subset less its i-th edge numbers the new vertices after
-    # position i one lower, so its bits from n + i up move up by one
-    for i in range(len(subset)):
-        cover = kept.get(subset[:i] + subset[i + 1:])
-        if cover:
-            low = cover & ((1 << (n + i)) - 1)
-            yield low | (cover ^ low) << 1
 
 
 def _msd(g: Graph, cap: int, cover_sets, memo: SearchState | None) -> SubdivisionResult:

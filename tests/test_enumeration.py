@@ -258,6 +258,21 @@ def _without(n, edges, w):
     return n - 1, [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
 
 
+def test_non_cut_test_matches_connectivity_less_the_vertex():
+    # every vertex of every connected graph of order 2..7: the generator's
+    # walk inside the other vertices agrees with the graph built without v
+    checks = 0
+    for n in range(2, 8):
+        for g in enumerate_connected_graphs(n):
+            for v in range(n):
+                rest = _without(n, g.edges(), v)
+                want = naive_is_connected(*rest)
+                assert from_edge_list(*rest).is_connected() == want
+                assert enumeration._is_non_cut(g.adj, v) == want, (g.edges(), v)
+                checks += 1
+    assert checks == 6780
+
+
 def test_non_cut_vertices_of_a_base_stay_non_cut_in_its_extensions():
     # the generator's degree floor: joining a new vertex to two or more
     # vertices of a connected base leaves each non-cut vertex of the base
