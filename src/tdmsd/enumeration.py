@@ -18,12 +18,15 @@ and G arises from that graph's representative by adding a vertex joined to
 some non-empty vertex set.  An extension is kept only when its new vertex
 lies in the orbit of its canonical deletion vertex.  Cheap invariants decide
 most extensions (degree, then sorted neighbour degrees, then the cell of the
-equitable partition).  In a tie, one leaf of the code search below the new
-vertex and below each tied vertex usually shows an automorphism carrying the
-new vertex onto each of them, and then they all share its orbit, whichever of
-them is the deletion vertex.  Only the other ties get a canonical labelling,
-whose order picks the deletion vertex and whose automorphisms give its orbit,
-as geng does (McKay and Piperno, J. Symbolic Comput. 60, 2014).  Neighbour
+equitable partition).  A tie after the first two is settled at once when each
+tied vertex is a twin of the new vertex, with the same neighbours but each
+other: swapping the two is an automorphism, so all of them share the new
+vertex's orbit, whichever of them is the deletion vertex.  In another tie,
+one leaf of the code search below the new vertex and below each tied vertex
+usually shows an automorphism carrying the new vertex onto each of them, to
+the same end.  Only the other ties get a canonical labelling, whose order
+picks the deletion vertex and whose automorphisms give its orbit, as geng
+does (McKay and Piperno, J. Symbolic Comput. 60, 2014).  Neighbour
 sets are tried in ascending order, and only the least set of each orbit under
 the base's automorphisms is extended: an automorphism carrying one set to
 another extends to an isomorphism of the two extensions, which are kept or
@@ -37,7 +40,9 @@ a non-cut vertex has a degree above |S|, or of |S| and lies in S.  Joined to
 one vertex x, the new vertex has degree 1 and every non-cut vertex other than
 x stays non-cut, so {x} is skipped when one of them has degree 2 or more.
 These masks are invariant under the base's automorphisms, so whole orbits are
-skipped, before any is marked or built.
+skipped, before any is marked or built.  The test of an extension reads
+non-cut status off the base in the same way, and walks the graph only for
+the base's cut vertices and the new vertex's only neighbour.
 
 The stream of an order is each base's kept extensions, in the order of the
 bases in the stream below it.  Each base is extended independently of the
@@ -169,23 +174,32 @@ def _mark_orbit(mask: int, autos: list[list[int]], reached: bytearray) -> None:
                 stack.append(out)
 
 
-def _is_canonical_extension(g: Graph) -> bool:
+def _is_canonical_extension(g: Graph, non_cut: int) -> bool:
     """Whether g's last vertex v lies in the orbit of g's canonical deletion
-    vertex; g less v must be connected.
+    vertex; g less v must be connected, and non_cut is the mask of the
+    non-cut vertices of g less v.
 
     The candidates are the non-cut vertices of largest degree among the
     non-cut vertices.  Of those, the ones with the largest sorted neighbour
-    degrees are kept, then of these the ones in the latest cell of the
-    equitable partition.  v is accepted once it is the only one left, and
-    rejected once it is not among them.  Only ties past both invariants
-    are labelled: the canonical deletion vertex is the tied vertex that comes
-    first in the canonical order.
+    degrees are kept.  v is accepted once it is the only one left, or once
+    each other one is a twin of v, and rejected once it is not among them.
+    Otherwise the ones in the latest cell of the equitable partition are
+    kept, and only ties past all three invariants are labelled: the
+    canonical deletion vertex is the tied vertex that comes first in the
+    canonical order.
     """
     adj = g.adj
     v = g.n - 1
     degree = [a.bit_count() for a in adj]
     deg = degree[v]
-    if any(d > deg and _is_non_cut(adj, w) for w, d in enumerate(degree)):
+    # a non-cut vertex of g less v stays non-cut in g unless it is v's only
+    # neighbour; only the others need the walk
+    known = non_cut if deg > 1 else non_cut & ~adj[v]
+
+    def is_non_cut(w: int) -> bool:
+        return bool(known >> w & 1) or _is_non_cut(adj, w)
+
+    if any(d > deg and is_non_cut(w) for w, d in enumerate(degree)):
         return False
 
     def nbr_degrees(w: int) -> list[int]:
@@ -196,11 +210,14 @@ def _is_canonical_extension(g: Graph) -> bool:
     for w in range(v):
         if degree[w] == deg:
             other = nbr_degrees(w)
-            if other >= key and _is_non_cut(adj, w):
+            if other >= key and is_non_cut(w):
                 if other > key:
                     return False
                 tied.append(w)
-    if not tied:
+    # a twin w of v, with the same neighbours but each other, is swapped
+    # with v by an automorphism; when every tied vertex is one, all of them
+    # share v's orbit, whichever of them is the deletion vertex
+    if all(adj[w] & ~(1 << v) == adj[v] & ~(1 << w) for w in tied):
         return True
     cells = equitable_partition(g)
     i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
@@ -240,6 +257,7 @@ def _extensions(base: Graph) -> tuple[Graph, ...]:
         if _is_non_cut(base.adj, v):
             at[a.bit_count()] |= 1 << v
             floor = max(floor, a.bit_count())
+    non_cut = sum(at)
     wide = sum(at[2:])
     reached = bytearray(1 << new)
     out = []
@@ -256,7 +274,7 @@ def _extensions(base: Graph) -> tuple[Graph, ...]:
         adj = [a | (nbrs >> v & 1) << new for v, a in enumerate(base.adj)]
         adj.append(nbrs)
         g = Graph(new + 1, adj)
-        if _is_canonical_extension(g):
+        if _is_canonical_extension(g, non_cut):
             out.append(g)
     return tuple(out)
 

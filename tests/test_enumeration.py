@@ -12,6 +12,7 @@ from tdmsd import (
 )
 from tdmsd import enumeration, graph6_encode
 from tdmsd import verify
+from tdmsd.canonical import automorphisms
 from tdmsd.verify import run_verification
 
 from oracles import (
@@ -233,23 +234,24 @@ def test_connected_generator_labels_only_ties(monkeypatch):
     # order 7 from the cached order-6 bases: 1,405 extensions are built, one
     # per orbit of neighbour sets that the base's non-cut degrees leave (2,407
     # under the single degree floor); 1,157 of them pass the non-cut degree
-    # test, and the invariants decide all but 374 of those.  One leaf below
-    # the new vertex and below each tied vertex settles all but 2 ties, and
-    # only those are labelled.  No canonical code is computed.
+    # test, and the invariants and the twin rule decide all but 138 of those
+    # (374 without the twin rule).  One leaf below the new vertex and below
+    # each tied vertex settles all but 2 ties, and only those are labelled.
+    # No canonical code is computed.
     enumerate_connected_graphs(6)
     enumeration._extensions.cache_clear()
     built, tied, labelled = [], [], []
     is_canonical = enumeration._is_canonical_extension
     leaf, labelling = enumeration.individualized_leaf, enumeration.canonical_labelling
     monkeypatch.setattr(enumeration, "_is_canonical_extension",
-                        lambda g: built.append(g) or is_canonical(g))
+                        lambda g, non_cut: built.append(g) or is_canonical(g, non_cut))
     monkeypatch.setattr(enumeration, "individualized_leaf",
                         lambda g, cells, v: (v == g.n - 1 and tied.append(g)) or leaf(g, cells, v))
     monkeypatch.setattr(enumeration, "canonical_labelling",
                         lambda g, root: labelled.append(g) or labelling(g, root))
     monkeypatch.setattr(enumeration, "canonical_code", None)
     reps = enumeration._connected_reps.__wrapped__(7)
-    assert (len(built), len(tied), len(labelled)) == (1405, 374, 2)
+    assert (len(built), len(tied), len(labelled)) == (1405, 138, 2)
     assert reps == enumerate_connected_graphs(7)
 
 
@@ -258,7 +260,25 @@ def _without(n, edges, w):
     return n - 1, [(u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v)]
 
 
-def test_non_cut_test_matches_connectivity_less_the_vertex():
+def _built_extensions(orders, monkeypatch):
+    # every extension the generator builds at these orders, with the base's
+    # non-cut mask it is tested with and whether it is kept
+    built = []
+    is_canonical = enumeration._is_canonical_extension
+
+    def recording(g, non_cut):
+        kept = is_canonical(g, non_cut)
+        built.append((g, non_cut, kept))
+        return kept
+
+    monkeypatch.setattr(enumeration, "_is_canonical_extension", recording)
+    for n in orders:
+        for base in enumeration._connected_reps(n - 1):
+            enumeration._extensions.__wrapped__(base)
+    return built
+
+
+def test_non_cut_test_matches_connectivity_less_the_vertex(monkeypatch):
     # every vertex of every connected graph of order 2..7: the generator's
     # walk inside the other vertices agrees with the graph built without v
     checks = 0
@@ -271,6 +291,63 @@ def test_non_cut_test_matches_connectivity_less_the_vertex():
                 assert enumeration._is_non_cut(g.adj, v) == want, (g.edges(), v)
                 checks += 1
     assert checks == 6780
+    # every vertex w of every extension built at orders 2..7: the mask passed
+    # in is the base's non-cut vertices, and the inherited rule, that w stays
+    # non-cut when it is non-cut in the base and not the new vertex's only
+    # neighbour, agrees with the walk
+    inherited = lost = 0
+    for g, non_cut, _ in _built_extensions(range(2, 8), monkeypatch):
+        v = g.n - 1
+        base = _without(g.n, g.edges(), v)
+        for w in range(v):
+            if base[0] > 1:
+                assert (non_cut >> w & 1) == naive_is_connected(*_without(*base, w)), (g.edges(), w)
+            if non_cut >> w & 1:
+                walk = enumeration._is_non_cut(g.adj, w)
+                if g.adj[v] != 1 << w:
+                    assert walk, (g.edges(), w)
+                    inherited += 1
+                elif g.n > 2:
+                    assert not walk, (g.edges(), w)
+                    lost += 1
+    assert (inherited, lost) == (6996, 21)
+
+
+def _assert_twin_rule_holds(orders, monkeypatch):
+    # every extension built at these orders whose tied vertices, the non-cut
+    # vertices of largest degree and then of largest sorted neighbour degrees
+    # (found here by brute force), are all twins of the new vertex v: the
+    # generator keeps it, and v shares an orbit with each of them
+    twins = 0
+    for g, _, kept in _built_extensions(orders, monkeypatch):
+        n, edges, v = g.n, g.edges(), g.n - 1
+        non_cut = [w for w in range(n) if naive_is_connected(*_without(n, edges, w))]
+        top = max(g.degree(w) for w in non_cut)
+        ties = [w for w in non_cut if g.degree(w) == top]
+        keys = {w: sorted(g.degree(u) for u in g.neighbors(w)) for w in ties}
+        ties = [w for w in ties if keys[w] == max(keys.values())]
+        if v not in ties or ties == [v]:
+            continue
+        if all(g.adj[w] & ~(1 << v) == g.adj[v] & ~(1 << w) for w in ties if w != v):
+            assert kept, edges
+            autos, orbit, stack = automorphisms(g), {v}, [v]
+            for u in stack:
+                for image in autos:
+                    if image[u] not in orbit:
+                        orbit.add(image[u])
+                        stack.append(image[u])
+            assert set(ties) <= orbit, edges
+            twins += 1
+    return twins
+
+
+def test_twin_rule_keeps_only_orbit_mates(monkeypatch):
+    assert _assert_twin_rule_holds(range(2, 8), monkeypatch) == 302
+
+
+@pytest.mark.slow
+def test_twin_rule_keeps_only_orbit_mates_connected_order_eight(monkeypatch):
+    assert _assert_twin_rule_holds([8], monkeypatch) == 1738
 
 
 def test_non_cut_vertices_of_a_base_stay_non_cut_in_its_extensions():
@@ -316,11 +393,12 @@ def test_degree_masks_skip_only_extensions_the_generator_rejects(monkeypatch):
             enumeration._extensions.__wrapped__(base)
             reached = marked[0]
             edges = base.edges()
+            non_cut = sum(1 << w for w in range(n) if naive_is_connected(*_without(n, edges, w)))
             for nbrs in range(1, 1 << n):
                 if reached[nbrs]:
                     continue
                 ext = from_edge_list(n + 1, edges + [(v, n) for v in range(n) if nbrs >> v & 1])
-                assert not enumeration._is_canonical_extension(ext), (edges, nbrs)
+                assert not enumeration._is_canonical_extension(ext, non_cut), (edges, nbrs)
                 outranked = [w for w in range(n) if ext.degree(w) > ext.degree(n)]
                 assert any(
                     naive_is_connected(*_without(n + 1, ext.edges(), w)) for w in outranked
