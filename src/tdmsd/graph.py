@@ -309,6 +309,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise MalformedInput(f"bad header {lines[0]!r}") from exc
+    if m < 0:
+        raise MalformedInput(f"bad header {lines[0]!r}")
     if len(lines) < 1 + m:
         raise MalformedInput(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

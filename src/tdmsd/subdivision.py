@@ -9,9 +9,9 @@ and no incumbent is kept.  Each count or subset size is one row of
 subdivided graphs.
 
 Most subdivided graphs do not raise the number, and a search only needs to
-know that they do not.  Each search of a graph g works from a SearchState:
-gamma(g) (or gamma_t(g)) and a list of minimum covers of g, seeded by one
-exact solve of g, or by seeded_state from gamma_t_value(g) and minimum total
+know that they do not.  Each search of a graph g works from a
+SearchState(g): gamma(g) (or gamma_t(g)) and a list of minimum covers of g,
+from one exact solve of g, or from gamma_t_value(g) and the minimum total
 dominating sets of g that the caller already has.  A subdivided graph H that
 one of those covers still covers has a number of at most gamma(g), so it is
 settled without a solve.
@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # read here, where perfbench's traced units wrap it
-from .errors import Disconnected, EdgeNotPresent, TooSmall
+from .errors import Disconnected, TooSmall
 from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
@@ -74,66 +74,57 @@ class SubdivisionResult(NamedTuple):
 
 
 class SearchState:
-    """What the searches of one graph learn, shared for as long as the caller
+    """What the searches of graph g learn, shared for as long as the caller
     keeps the state.
 
-    base is the graph's (total) domination number, covers a list of its
-    minimum (total) dominating sets as vertex masks, edges its edge list,
-    and cover_sets domination's _total_covers or _closed_covers.  row_one
-    is how the row of single subdivisions ended: None before any search ran
-    it, () if no edge raises the number, else ((e,), value) for the first
-    edge that does.  A new state is empty and binds to the first graph a
-    search uses it for; seeded_state returns one already bound.
+    base is g's (total) domination number, covers a list of its minimum
+    (total) dominating sets as vertex masks, edges its edge list, and
+    cover_sets domination's _total_covers or _closed_covers.  row_one is how
+    the row of single subdivisions ended: None before any search ran it, ()
+    if no edge raises the number, else ((e,), value) for the first edge that
+    does.
+
+    g must be connected with at least 2 vertices.  The base and first cover
+    come from one exact solve of g, unless seeds are given: then the base is
+    gamma_t_value(g) and the known covers are those of the seeds (vertex
+    masks, such as _all_min_tds_masks(g)) that are total dominating sets of
+    g of the base size.  Dropping the others keeps the values exact whatever
+    masks are given.  Seeds are minimum total dominating sets, so a
+    closed-cover state takes none.
     """
 
     __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one")
 
-    def __init__(self) -> None:
-        self.graph: Graph | None = None
-        self.cover_sets = _total_covers
-        self.base = 0
-        self.covers: list[int] = []
-        self.edges: list[Edge] = []
-        self.row_one: tuple | None = None
-
-
-def _bind(g: Graph, cover_sets, memo: SearchState | None, min_n: int) -> SearchState:
-    if g.n < min_n:
-        raise TooSmall(f"need n >= {min_n}, got n={g.n}")
-    state = SearchState() if memo is None else memo
-    if state.graph is None:
+    def __init__(self, g: Graph, *, seeds: Iterable[int] | None = None,
+                 cover_sets=_total_covers) -> None:
+        if g.n < 2:
+            raise TooSmall(f"need n >= 2, got n={g.n}")
         if not g.is_connected():
             raise Disconnected("subdivision invariants need a connected graph")
-        # g is connected with n >= 2, so it has no isolated vertex
-        state.base, cover = _min_cover(cover_sets(g), g.full_mask)
-        state.graph, state.cover_sets, state.covers = g, cover_sets, [cover]
-        state.edges = g.edges()
-    elif state.graph != g:
+        self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
+        self.row_one: tuple | None = None
+        if seeds is None:
+            # g is connected with n >= 2, so it has no isolated vertex
+            self.base, cover = _min_cover(cover_sets(g), g.full_mask)
+            self.covers = [cover]
+        elif cover_sets is _total_covers:
+            self.base = gamma_t_value(g)
+            # a mask with a bit past g's vertices that passed would totally
+            # dominate g with fewer than base of them, so none does
+            self.covers = [c for c in seeds if c.bit_count() == self.base and all(a & c for a in g.adj)]
+        else:
+            raise ValueError("seeds are minimum total dominating sets, for a gamma_t state")
+
+
+def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
+    """memo, once checked to be a state of g, or else a new state of g."""
+    if g.n < min_n:
+        raise TooSmall(f"need n >= {min_n}, got n={g.n}")
+    if memo is None:
+        return SearchState(g, cover_sets=cover_sets)
+    if memo.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
-    return state
-
-
-def seeded_state(g: Graph, covers: Iterable[int]) -> SearchState:
-    """A SearchState for the gamma_t searches of g, bound to g without a
-    seed solve: its base is gamma_t_value(g), the solve _bind would make,
-    and its known covers are the given minimum total dominating sets of g
-    (vertex masks), such as _all_min_tds_masks(g).
-
-    A mask that is not a total dominating set of g of the base size is
-    dropped, so the values stay exact whatever masks are given.  Like _bind,
-    it refuses a graph of one vertex or a disconnected one; the search still
-    checks the order it needs.
-    """
-    if g.n < 2:
-        raise TooSmall(f"need n >= 2, got n={g.n}")
-    if not g.is_connected():
-        raise Disconnected("subdivision invariants need a connected graph")
-    state = SearchState()
-    state.graph, state.base, state.edges = g, gamma_t_value(g), g.edges()
-    # a mask with a bit past g's vertices that passed would totally dominate
-    # g with fewer than base of them, so none does
-    state.covers = [c for c in covers if c.bit_count() == state.base and all(a & c for a in g.adj)]
-    return state
+    return memo
 
 
 def _increase(state: SearchState, h: Graph) -> int | None:
@@ -200,8 +191,7 @@ def _row_one(state: SearchState) -> tuple:
     return state.row_one
 
 
-def _msd(g: Graph, cap: int, cover_sets, memo: SearchState | None) -> SubdivisionResult:
-    state = _bind(g, cover_sets, memo, 2)
+def _msd(state: SearchState, cap: int) -> SubdivisionResult:
     singles = [(e,) for e in state.edges]
     # count-major: the first count at which any edge succeeds is the minimum
     # over edges, and the first edge to succeed at it is the lowest such edge
@@ -213,8 +203,7 @@ def _msd(g: Graph, cap: int, cover_sets, memo: SearchState | None) -> Subdivisio
     return SubdivisionResult(None, (), (), state.base, None)
 
 
-def _sd(g: Graph, cap: int | None, cover_sets, memo: SearchState | None) -> SubdivisionResult:
-    state = _bind(g, cover_sets, memo, 3)
+def _sd(state: SearchState, cap: int | None) -> SubdivisionResult:
     edges = state.edges
     limit = len(edges) if cap is None else min(cap, len(edges))
     for k in range(1, limit + 1):
@@ -227,15 +216,14 @@ def _sd(g: Graph, cap: int | None, cover_sets, memo: SearchState | None) -> Subd
 
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
-    state = _bind(g, _total_covers, None, 2)
-    u, v = normalize_edge(*e)
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
+    state = SearchState(g)
+    # the first subdivided graph built raises EdgeNotPresent if e is not g's
+    e = normalize_edge(*e)
     for t in range(1, cap + 1):
-        hit = _row(state, [((u, v),)], t)
+        hit = _row(state, [(e,)], t)
         if hit:
-            return SubdivisionResult(t, ((u, v),), (t,), state.base, hit[1])
-    return SubdivisionResult(None, ((u, v),), (), state.base, None)
+            return SubdivisionResult(t, (e,), (t,), state.base, hit[1])
+    return SubdivisionResult(None, (e,), (), state.base, None)
 
 
 def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP, *,
@@ -247,10 +235,9 @@ def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP, *,
     (msd_gamma_t_edge) were at most 3 too on every edge of every connected
     graph of order <= 7 and every tree of order <= 12; no edge that needs
     more is known, but none is ruled out.
-    memo, if given, is the SearchState of g's gamma_t searches; the search
-    reads and extends it.
+    memo, if given, is a SearchState(g); the search reads and extends it.
     """
-    return _msd(g, cap, _total_covers, memo)
+    return _msd(_state(g, memo, 2), cap)
 
 
 def sd_gamma_t(g: Graph, cap: int | None = None, *,
@@ -262,14 +249,14 @@ def sd_gamma_t(g: Graph, cap: int | None = None, *,
     achieving subset.  cap=None searches up to all m edges.  memo is as for
     msd_gamma_t.
     """
-    return _sd(g, cap, _total_covers, memo)
+    return _sd(_state(g, memo, 3), cap)
 
 
 def msd_gamma(g: Graph, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Domination multisubdivision number."""
-    return _msd(g, cap, _closed_covers, None)
+    return _msd(_state(g, None, 2, _closed_covers), cap)
 
 
 def sd_gamma(g: Graph, cap: int | None = None) -> SubdivisionResult:
     """Domination subdivision number."""
-    return _sd(g, cap, _closed_covers, None)
+    return _sd(_state(g, None, 3, _closed_covers), cap)

@@ -39,7 +39,7 @@ from .enumeration import (
     enumerate_trees,
     extension_batches,
 )
-from .subdivision import SearchState, msd_gamma_t, sd_gamma_t, seeded_state
+from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
 from .workers import fork_map as _fork_map, usable_workers
 
 
@@ -81,7 +81,7 @@ def _sd3(t: Graph) -> int | None:
 def _sd1(t: Graph) -> int | None:
     # every caller has just enumerated t's minimum sets, solving gamma_t(t)
     # on the way: both seed the search
-    return sd_gamma_t(t, cap=1, memo=seeded_state(t, _all_min_tds_masks(t))).value
+    return sd_gamma_t(t, cap=1, memo=SearchState(t, seeds=_all_min_tds_masks(t))).value
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +91,7 @@ def _msd3(t: Graph) -> int | None:
 
 def _sd_msd(g: Graph) -> tuple[int | None, int | None]:
     # one state per graph: msd shares the covers and solves sd found
-    memo = SearchState()
+    memo = SearchState(g)
     return sd_gamma_t(g, cap=3, memo=memo).value, msd_gamma_t(g, cap=3, memo=memo).value
 
 

@@ -136,6 +136,8 @@ def test_edge_list_and_graph6_files_read_back(tmp_path, read_back):
 @pytest.mark.parametrize("spec, message", [
     # a first line holding whitespace is an edge-list header
     ("3 x", "error: bad header '3 x'\n"),
+    # a negative edge count is the header's fault, not a trailing line
+    ("3 -1", "error: bad header '3 -1'\n"),
     # any other text is graph6: order 2 needs one data byte
     ("A", "error: expected 1 data bytes for n=2, got 0\n"),
 ])

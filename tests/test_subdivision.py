@@ -35,7 +35,7 @@ from tdmsd.domination import (
     solve_gamma_t,
 )
 from tdmsd.graph import iter_bits
-from tdmsd.subdivision import SearchState, seeded_state
+from tdmsd.subdivision import SearchState
 from tdmsd.verify import path_cycle_formula
 
 from oracles import (
@@ -54,8 +54,10 @@ def test_msd_edge_examples():
 
 
 def test_msd_edge_missing():
-    with pytest.raises(errors.EdgeNotPresent):
-        msd_gamma_t_edge(path(4), (0, 2))
+    # the first subdivided graph the search builds refuses the edge
+    for e in ((0, 2), (0, 99), (-1, 0), (2, 2)):
+        with pytest.raises(errors.EdgeNotPresent, match=r"edge \(.*\) not in graph"):
+            msd_gamma_t_edge(path(4), e)
 
 
 def test_msd_gamma_t_examples():
@@ -83,14 +85,17 @@ def test_sd_gamma_examples():
     assert sd_gamma(path(6)).value == 1
 
 
-def test_disconnected_and_small_inputs():
+def test_disconnected_and_small_inputs(monkeypatch):
     disconnected = from_edge_list(4, [(0, 1), (2, 3)])
     with pytest.raises(errors.Disconnected):
         msd_gamma_t(disconnected)
     with pytest.raises(errors.Disconnected):
         sd_gamma_t(disconnected)
-    with pytest.raises(errors.TooSmall):
-        sd_gamma_t(from_edge_list(2, [(0, 1)]))
+    # sd refuses K2 before it solves anything
+    monkeypatch.setattr(subdivision, "_min_cover", None)
+    for search in (sd_gamma_t, sd_gamma):
+        with pytest.raises(errors.TooSmall, match="need n >= 3, got n=2"):
+            search(from_edge_list(2, [(0, 1)]))
 
 
 def test_msd_k2_is_three():
@@ -248,10 +253,10 @@ def test_sd_and_msd_sharing_one_state_match_the_references():
         msd_want = edge_major_msd(
             g.edges(), 4, gamma_t_value(g), lambda e, t: solve_gamma_t(subdivide(g, e, t)),
         )
-        state = SearchState()
+        state = SearchState(g)
         assert tuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
         assert tuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
-        state = SearchState()
+        state = SearchState(g)
         assert tuple(msd_gamma_t(g, 4, memo=state)) == msd_want, g.edges()
         assert tuple(sd_gamma_t(g, 3, memo=state)) == sd_want, g.edges()
 
@@ -265,13 +270,9 @@ def test_state_covers_are_minimum_covers_of_their_graph(total):
     for g in _trees_and_graphs():
         if g.n < 3:
             continue
-        state = SearchState()
-        if total:
-            sd_gamma_t(g, cap=3, memo=state)
-            msd_gamma_t(g, memo=state)
-        else:
-            subdivision._sd(g, 3, _closed_covers, state)
-            subdivision._msd(g, 3, _closed_covers, state)
+        state = SearchState(g) if total else SearchState(g, cover_sets=_closed_covers)
+        subdivision._sd(state, 3)
+        subdivision._msd(state, 3)
         for cover in state.covers:
             assert not cover >> g.n, g.edges()
             assert cover.bit_count() == state.base
@@ -283,7 +284,7 @@ def test_state_covers_are_minimum_covers_of_their_graph(total):
 
 
 def test_state_serves_one_graph():
-    state = SearchState()
+    state = SearchState(path(5))
     sd_gamma_t(path(5), memo=state)
     with pytest.raises(ValueError):
         msd_gamma_t(path(6), memo=state)
@@ -291,19 +292,22 @@ def test_state_serves_one_graph():
 
 
 def test_bound_state_still_checks_the_order():
-    # msd binds a state to K2, which sd must still refuse
-    state = SearchState()
+    # a state of K2 serves msd, and sd must still refuse K2
+    state = SearchState(path(2))
     assert msd_gamma_t(path(2), memo=state).value == 3
-    with pytest.raises(errors.TooSmall):
+    with pytest.raises(errors.TooSmall, match="need n >= 3, got n=2"):
         sd_gamma_t(path(2), memo=state)
 
 
 @pytest.mark.parametrize("search", [sd_gamma_t, msd_gamma_t])
 def test_fresh_state_refuses_a_disconnected_graph(search):
-    state = SearchState()
-    with pytest.raises(errors.Disconnected):
-        search(from_edge_list(4, [(0, 1), (2, 3)]), memo=state)
-    assert state.graph is None
+    # the state a search makes for itself refuses the graph, as one made
+    # by its caller does
+    g = from_edge_list(4, [(0, 1), (2, 3)])
+    with pytest.raises(errors.Disconnected, match="need a connected graph"):
+        SearchState(g)
+    with pytest.raises(errors.Disconnected, match="need a connected graph"):
+        search(g)
 
 
 def test_seeded_sd_one_matches_the_unseeded_search():
@@ -312,7 +316,7 @@ def test_seeded_sd_one_matches_the_unseeded_search():
     graphs += [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
     for g in graphs:
         masks = _all_min_tds_masks(g)
-        state = seeded_state(g, masks)
+        state = SearchState(g, seeds=masks)
         assert state.base == gamma_t_value(g) and state.covers == list(masks)
         assert tuple(sd_gamma_t(g, cap=1, memo=state)) == tuple(sd_gamma_t(g, cap=1)), g.edges()
 
@@ -326,18 +330,21 @@ def test_seeded_state_drops_bogus_hints():
     assert not is_total_dominating(g, iter_bits(not_total))
     want = tuple(sd_gamma_t(g, cap=1))
     for hints, kept in (((not_total, too_big), []), ((too_big, good, not_total), [good])):
-        state = seeded_state(g, hints)
+        state = SearchState(g, seeds=hints)
         assert state.covers == kept
         assert tuple(sd_gamma_t(g, cap=1, memo=state)) == want
 
 
 def test_seeded_state_refuses_what_a_search_refuses():
     with pytest.raises(errors.Disconnected):
-        seeded_state(from_edge_list(4, [(0, 1), (2, 3)]), ())
-    with pytest.raises(errors.TooSmall):
-        seeded_state(from_edge_list(1, []), ())
+        SearchState(from_edge_list(4, [(0, 1), (2, 3)]), seeds=())
+    with pytest.raises(errors.TooSmall, match="need n >= 2, got n=1"):
+        SearchState(from_edge_list(1, []), seeds=())
+    # minimum total dominating sets do not seed a domination state
+    with pytest.raises(ValueError):
+        SearchState(path(4), seeds=_all_min_tds_masks(path(4)), cover_sets=_closed_covers)
     # K2 seeds a state for msd, which sd must still refuse
-    state = seeded_state(path(2), _all_min_tds_masks(path(2)))
+    state = SearchState(path(2), seeds=_all_min_tds_masks(path(2)))
     with pytest.raises(errors.TooSmall):
         sd_gamma_t(path(2), cap=1, memo=state)
     assert msd_gamma_t(path(2), memo=state) == msd_gamma_t(path(2))
@@ -387,11 +394,11 @@ def test_memo_does_not_change_results():
     for g in _trees_and_graphs():
         if g.n < 3:
             continue
-        memo = SearchState()
+        memo = SearchState(g)
         assert sd_gamma_t(g, cap=3, memo=memo) == sd_gamma_t(g, cap=3)
         assert msd_gamma_t(g, memo=memo) == msd_gamma_t(g)
         # a state filled by the other search first gives the same results
-        memo = SearchState()
+        memo = SearchState(g)
         assert msd_gamma_t(g, cap=4, memo=memo) == msd_gamma_t(g, cap=4)
         assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
 
@@ -463,12 +470,30 @@ def test_tree_check_subdivided_graphs_built_are_pinned(builds):
     assert len(builds) == 4712
 
 
-def test_tree_check_records_are_frozen():
-    # sha256 of every record of the tree check to order 12, one line each,
+_FROZEN = [
     # taken before the searches shared their first row and lifted covers
-    records = verify.run_verification("tree-sd-eq-msd", 12).records
+    ("tree-sd-eq-msd", 12, 985, "236216eb797e9d23881bdfad0b86c6ec9ded0a2560dd4110c9a7f4bf6c438634"),
+    # every theorem at its default n_max, taken before each SearchState was
+    # bound to its graph when made
+    ("bc-minimum", None, 15, "ad2cc2d030322cfb1df35bdc8a1b46b47b330564526ffc7568b02fb61b13e3bc"),
+    ("family-sd3", None, 5445, "0a99fce51606c2a3d7b0d1af1e3515fbfdf20b5085d938c5032b688b56bf8dc6"),
+    ("lemma14-implies", None, 985, "163ba2b1c8496874378e2315b9dd6dc27bb36e6abc992c59d1ccb922cb2a14f3"),
+    ("lemma2-implies", None, 1979, "d45ff5a6e67eb56859f9990fe36551a20a7fd285e98c51f2a27424b5a112b38e"),
+    ("msd-le-3", None, 995, "e636ce0ab6e8f3671a4e0e4c8eeafd23de9fe778ae1dd2846281303535d44dbb"),
+    ("path-cycle-formulas", None, 28, "7c3b13343d51265bdb1b84d7da568aa5c1006a37444d8ce4e56684e07b2d5a18"),
+    ("sd1-characterization", None, 985, "d769a63e7f2defcdb83005d51e55cdbffe632131ca532b09d084b044a30df2a7"),
+    ("strong-support", None, 5445, "dbda59e6380230fefe3f82cd3e380037039f79b1c00c52902947dffd0d8322fc"),
+    ("tree-sd-eq-msd", None, 5445, "2b6b8c35bf1c284582b5aae9b1a52aac0ec59e7f632d03fe65f398c877c78369"),
+    ("universal-vertex", None, 994, "4375fcdf2909c3f2f913e26d267235abca84575034dcd98d4d807a46f71d2389"),
+]
+
+
+@pytest.mark.parametrize("theorem, n_max, count, digest", _FROZEN, ids=[
+    theorem if n_max is None else f"{theorem}-{n_max}" for theorem, n_max, _, _ in _FROZEN
+])
+def test_records_are_frozen(theorem, n_max, count, digest):
+    # sha256 of every record of the sweep, one line each
+    records = verify.run_verification(theorem, n_max).records
     lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
-    assert len(records) == 985
-    assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "236216eb797e9d23881bdfad0b86c6ec9ded0a2560dd4110c9a7f4bf6c438634"
-    )
+    assert len(records) == count
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
