@@ -108,7 +108,7 @@ def inner_edge_condition(t: Graph, e: Edge) -> EdgeConditionReport:
     """Check the every-minimum-set condition on an inner edge of a tree."""
     _require_tree(t)
     u, v = normalize_edge(*e)
-    if not (0 <= u < t.n and 0 <= v < t.n) or not t.has_edge(u, v):
+    if not t.has_edge(u, v):
         raise NotInnerEdge(f"({u}, {v}) is not an edge")
     lv = leaves_mask(t)
     if (lv >> u & 1) or (lv >> v & 1):

@@ -98,8 +98,10 @@ def _graph_json(fmt: str, g: Graph) -> str:
 
 
 def _cmd_compute(args, out) -> int:
-    g = _read_graph(args.input)
     inv = args.invariant
+    if args.cap is not None and inv in ("gamma", "gamma_t"):
+        raise MalformedInput(f"--cap applies to sd, msd, sd_t and msd_t, not to {inv}")
+    g = _read_graph(args.input)
     if inv in ("gamma", "gamma_t"):
         cert = gamma(g) if inv == "gamma" else gamma_t(g)
         _emit({
@@ -115,10 +117,7 @@ def _cmd_compute(args, out) -> int:
         "msd": msd_gamma,
         "msd_t": msd_gamma_t,
     }
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    result = fns[inv](g, **kwargs)
+    result = fns[inv](g) if args.cap is None else fns[inv](g, args.cap)
     _emit({
         "invariant": inv,
         "value": result.value,

@@ -42,10 +42,12 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
-def _greedy_cover(covers: tuple[int, ...], full: int, covered: int = 0) -> int | None:
-    """Vertices whose cover sets, picked greedily by gain, union with
-    covered to full; None if none do."""
-    chosen = 0
+def _greedy_cover(covers: tuple[int, ...], full: int, chosen: int) -> int | None:
+    """chosen and the vertices whose cover sets, picked greedily by gain,
+    union with chosen's to full; None if none do."""
+    covered = 0
+    for u in iter_bits(chosen):
+        covered |= covers[u]
     while covered != full:
         best_gain = 0
         best_u = -1
@@ -61,20 +63,21 @@ def _greedy_cover(covers: tuple[int, ...], full: int, covered: int = 0) -> int |
     return chosen
 
 
-def _min_cover(covers: tuple[int, ...], full: int,
-               upper: int | None = None) -> tuple[int, int] | None:
+def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
+               chosen: int = 0) -> tuple[int, int] | None:
     """A minimum set of vertices whose cover sets union to ``full``, as
     (size, vertex mask); None if no set covers ``full``.
 
-    upper, if given, is a vertex mask known to cover ``full``: the search
-    starts from it in place of the greedy bound, and returns it when nothing
-    smaller covers.
+    Every cover tried contains chosen, a vertex mask that some minimum
+    cover contains, such as _forced(g).  upper, if given, is a vertex mask
+    known to cover ``full``: the search starts from it in place of the
+    greedy bound, and returns it when nothing smaller covers.
     """
     if upper is None:
-        upper = _greedy_cover(covers, full)
+        upper = _greedy_cover(covers, full, chosen)
         if upper is None:
             return None
-    best = _search(covers, full, upper.bit_count())
+    best = _search(covers, full, upper.bit_count(), chosen)
     best = upper if best is None else best
     return best.bit_count(), best
 
@@ -197,6 +200,14 @@ def _closed_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
+def _forced(g: Graph) -> int:
+    """The supports of the leaves, less any leaf (K2 forces nothing): each
+    is in every total dominating set, and some minimum dominating set holds
+    them all, since a leaf's closed neighbourhood lies in its support's."""
+    leaves = leaves_mask(g)
+    return closed_neighborhood_mask(g, leaves) & ~leaves
+
+
 def _require_no_isolated(g: Graph) -> None:
     for v in range(g.n):
         if g.adj[v] == 0:
@@ -206,7 +217,7 @@ def _require_no_isolated(g: Graph) -> None:
 def solve_gamma_t(g: Graph) -> int:
     """Total domination number, value only, solved afresh on every call."""
     _require_no_isolated(g)
-    found = _min_cover(_total_covers(g), g.full_mask)
+    found = _min_cover(_total_covers(g), g.full_mask, chosen=_forced(g))
     if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")
     return found[0]
@@ -220,21 +231,8 @@ def gamma_t_value(g: Graph) -> int:
 
 
 def gamma_value(g: Graph) -> int:
-    """Domination number, value only, solved afresh on every call.
-
-    A leaf's closed neighbourhood lies in its support vertex's, so some
-    minimum dominating set holds the support of every leaf whose support is
-    not itself a leaf (K2 forces nothing); the search starts from them.
-    """
-    covers = _closed_covers(g)
-    leaves = leaves_mask(g)
-    chosen = 0
-    for v in iter_bits(leaves):
-        chosen |= g.adj[v]
-    chosen &= ~leaves
-    upper = chosen | _greedy_cover(covers, g.full_mask, closed_neighborhood_mask(g, chosen))
-    best = _search(covers, g.full_mask, upper.bit_count(), chosen)
-    return (upper if best is None else best).bit_count()
+    """Domination number, value only, solved afresh on every call."""
+    return _min_cover(_closed_covers(g), g.full_mask, chosen=_forced(g))[0]
 
 
 def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:

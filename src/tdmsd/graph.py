@@ -84,7 +84,8 @@ class Graph:
         return self.adj[v] | (1 << v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        """False also when u or v is not a vertex of the graph."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[Edge]:
         """All edges as normalized (u, v) pairs with u < v, sorted."""
@@ -168,7 +169,7 @@ def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:
     """g with each normalized edge (u, v) of edges replaced by a path of t
     new vertices, numbered from n up, edge by edge, in path order from u."""
     for u, v in edges:
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+        if not g.has_edge(u, v):
             raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
     n2 = g.n + len(edges) * t
     if n2 > MAX_VERTICES:

@@ -14,11 +14,12 @@ SearchState(g): gamma(g) (or gamma_t(g)) and a list of minimum covers of g,
 from one exact solve of g, or from gamma_t_value(g) and the minimum total
 dominating sets of g that the caller already has.  A subdivided graph H that
 one of those covers still covers has a number of at most gamma(g), so it is
-settled without a solve.
-Any other H is solved exactly, from the best known cover repaired for H as
-the upper bound, and a minimum cover of H of size gamma(g) that uses no new
-vertex is a minimum cover of g, so it joins the list.  Every skip and every
-bound rests on a cover checked against H, so the values stay exact.
+settled without a solve.  Any other H is solved exactly, from the best known
+cover repaired for H as the upper bound, and a minimum cover of H of size
+gamma(g) that uses no new vertex is a minimum cover of g, so it joins the
+list.  Every skip and every bound rests on a cover checked against H, so the
+values stay exact.  Each exact solve, of g or of H, starts from the forced
+supports of the graph it solves, as gamma_value and solve_gamma_t do.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -33,9 +34,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .domination import _closed_covers, _min_cover, _total_covers
+from .domination import _closed_covers, _forced, _min_cover, _total_covers
 from .domination import gamma_t_value  # read here, where perfbench's traced units wrap it
-from .errors import Disconnected, TooSmall
+from .errors import Disconnected, EdgeNotPresent, TooSmall
 from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
@@ -105,7 +106,7 @@ class SearchState:
         self.row_one: tuple | None = None
         if seeds is None:
             # g is connected with n >= 2, so it has no isolated vertex
-            self.base, cover = _min_cover(cover_sets(g), g.full_mask)
+            self.base, cover = _min_cover(cover_sets(g), g.full_mask, chosen=_forced(g))
             self.covers = [cover]
         elif cover_sets is _total_covers:
             self.base = gamma_t_value(g)
@@ -159,7 +160,7 @@ def _increase(state: SearchState, h: Graph) -> int | None:
         u = covers[(left & -left).bit_length() - 1].bit_length() - 1
         upper |= 1 << u
         left &= ~covers[u]
-    value, cover = _min_cover(covers, full, upper)
+    value, cover = _min_cover(covers, full, upper, _forced(h))
     if value > state.base:
         return value
     if not cover >> state.graph.n:
@@ -217,8 +218,9 @@ def _sd(state: SearchState, cap: int | None) -> SubdivisionResult:
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
     state = SearchState(g)
-    # the first subdivided graph built raises EdgeNotPresent if e is not g's
-    e = normalize_edge(*e)
+    u, v = e = normalize_edge(*e)
+    if not g.has_edge(u, v):
+        raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
     for t in range(1, cap + 1):
         hit = _row(state, [(e,)], t)
         if hit:

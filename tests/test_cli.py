@@ -398,18 +398,21 @@ def test_every_theorem_default_lies_in_its_order_range():
     ("verify", "--theorem", "msd-le-3", "--n-max", "1"),
     ("verify", "--theorem", "tree-sd-eq-msd", "--n-max", "19"),
     ("enum", "--kind", "trees", "--n", "40"),
+    ("compute", "--input", "p6", "--invariant", "gamma", "--cap", "2"),
+    ("compute", "--input", "p6", "--invariant", "gamma_t", "--cap", "1"),
 ])
 def test_out_of_range_orders_are_usage_errors(argv, monkeypatch, capsys):
     from tdmsd import verify as verify_mod
 
     def no_sweep(*args):
-        raise AssertionError("the sweep started before n_max was checked")
+        raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(verify_mod, "_map_graphs", no_sweep)
+    monkeypatch.setattr(cli, "_read_graph", no_sweep)
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_out_writes_the_summary(tmp_path):

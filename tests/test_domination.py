@@ -29,6 +29,7 @@ from tdmsd.domination import (
     _min_cover,
     _search,
     _total_covers,
+    solve_gamma_t,
 )
 from tdmsd.graph import iter_bits, leaves_mask
 
@@ -127,9 +128,9 @@ def test_values_match_naive_on_all_small_connected_graphs():
 
 
 def test_gamma_value_from_forced_supports_matches_the_oracle():
-    # gamma_value starts from the support of every leaf; a K2, whose
-    # support is itself a leaf, forces nothing, so graphs with K2 components
-    # and isolated vertices are checked too
+    # gamma_value and solve_gamma_t start from the support of every leaf; a
+    # K2, whose support is itself a leaf, forces nothing, so graphs with K2
+    # components and isolated vertices are checked too
     graphs = [t for n in range(1, 11) for t in enumerate_trees(n)]
     graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
     graphs += [from_edge_list(2, [(0, 1)]), from_edge_list(4, [(0, 1), (2, 3)])]
@@ -141,6 +142,8 @@ def test_gamma_value_from_forced_supports_matches_the_oracle():
         graphs.append(from_edge_list(n + 2 * k2s, edges))
     for g in graphs:
         assert gamma_value(g) == naive_gamma(g.n, g.edges()), g.edges()
+        if all(g.adj):
+            assert solve_gamma_t(g) == naive_gamma_t(g.n, g.edges()), g.edges()
 
 
 def test_gamma_t_closed_forms_paths_cycles():

@@ -69,6 +69,8 @@ def test_subdivide_k2_gives_p3():
     assert g.n == 3 and g.m == 2
     # new vertex 2 sits between 0 and 1
     assert g.has_edge(0, 2) and g.has_edge(2, 1) and not g.has_edge(0, 1)
+    # a vertex outside the graph has no edge, and no index wraps around
+    assert not g.has_edge(-1, 1) and not g.has_edge(1, -1) and not g.has_edge(0, 3)
 
 
 def test_subdivide_path_stays_path():

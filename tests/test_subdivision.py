@@ -54,10 +54,11 @@ def test_msd_edge_examples():
 
 
 def test_msd_edge_missing():
-    # the first subdivided graph the search builds refuses the edge
+    # refused at every cap, also where the search builds no subdivided graph
     for e in ((0, 2), (0, 99), (-1, 0), (2, 2)):
-        with pytest.raises(errors.EdgeNotPresent, match=r"edge \(.*\) not in graph"):
-            msd_gamma_t_edge(path(4), e)
+        for cap in (3, 0, -2):
+            with pytest.raises(errors.EdgeNotPresent, match=r"edge \(.*\) not in graph"):
+                msd_gamma_t_edge(path(4), e, cap=cap)
 
 
 def test_msd_gamma_t_examples():
@@ -200,19 +201,28 @@ def test_complete_graphs_skip_the_factorial_canonical_path(search, n, expected, 
 
 
 def _trees_and_graphs():
+    # every tree of order <= 10 and every connected graph of order <= 6
     for n in range(2, 11):
         yield from enumerate_trees(n)
     for n in range(2, 7):
         yield from enumerate_connected_graphs(n)
 
 
-@pytest.mark.parametrize("search, base_fn, solve_fn", [
-    (msd_gamma_t, gamma_t_value, solve_gamma_t),
-    (msd_gamma, gamma_value, gamma_value),
+def _trees_of_order_11_to_13():
+    for n in range(11, 14):
+        yield from enumerate_trees(n)
+
+
+@pytest.mark.parametrize("search, base_fn, solve_fn, graphs", [
+    pytest.param(msd_gamma_t, gamma_t_value, solve_gamma_t, _trees_and_graphs,
+                 id="msd_gamma_t-gamma_t_value-solve_gamma_t"),
+    pytest.param(msd_gamma, gamma_value, gamma_value, _trees_and_graphs,
+                 id="msd_gamma-gamma_value-gamma_value"),
+    pytest.param(msd_gamma, gamma_value, gamma_value, _trees_of_order_11_to_13,
+                 id="msd_gamma-trees_11_to_13", marks=pytest.mark.slow),
 ])
-def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn):
-    # every tree of order <= 10 and every connected graph of order <= 6
-    for g in _trees_and_graphs():
+def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn, graphs):
+    for g in graphs():
         for cap in range(1, 5):
             want = edge_major_msd(
                 g.edges(), cap, base_fn(g), lambda e, t: solve_fn(subdivide(g, e, t)),
@@ -229,19 +239,43 @@ def _sd_reference(g, cap, base_fn, solve_fn, solved):
     return subset_major_sd(g.edges(), cap, base_fn(g), solve_subdivided)
 
 
-@pytest.mark.parametrize("search, base_fn, solve_fn", [
-    (sd_gamma_t, gamma_t_value, solve_gamma_t),
-    (sd_gamma, gamma_value, gamma_value),
+@pytest.mark.parametrize("search, base_fn, solve_fn, graphs", [
+    pytest.param(sd_gamma_t, gamma_t_value, solve_gamma_t, _trees_and_graphs,
+                 id="sd_gamma_t-gamma_t_value-solve_gamma_t"),
+    pytest.param(sd_gamma, gamma_value, gamma_value, _trees_and_graphs,
+                 id="sd_gamma-gamma_value-gamma_value"),
+    pytest.param(sd_gamma, gamma_value, gamma_value, _trees_of_order_11_to_13,
+                 id="sd_gamma-trees_11_to_13", marks=pytest.mark.slow),
 ])
-def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn):
-    # every tree of order <= 10 and every connected graph of order <= 6
-    for g in _trees_and_graphs():
+def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn, graphs):
+    for g in graphs():
         if g.n < 3:
             continue
         solved = {}
         for cap in range(1, 5):
             want = _sd_reference(g, cap, base_fn, solve_fn, solved)
             assert tuple(search(g, cap)) == want, (g.edges(), cap)
+
+
+def _random_trees():
+    # trees of 60, 61 and 62 vertices drawn in that order from one stream
+    rng = random.Random(7)
+    return [from_edge_list(n, [(rng.randrange(v), v) for v in range(1, n)]) for n in (60, 61, 62)]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["n60", "n61", "n62"])
+def test_gamma_searches_of_larger_trees_match_the_references(index):
+    # every solve starts from the forced supports, as gamma_value's does;
+    # without them the two searches took seconds on each of these trees
+    g = _random_trees()[index]
+    start = time.process_time()
+    got = tuple(msd_gamma(g)), tuple(sd_gamma(g, 3))
+    assert time.process_time() - start < 1.0
+    base = gamma_value(g)
+    assert got == (
+        edge_major_msd(g.edges(), 3, base, lambda e, t: gamma_value(subdivide(g, e, t))),
+        _sd_reference(g, 3, gamma_value, gamma_value, {}),
+    )
 
 
 def test_sd_and_msd_sharing_one_state_match_the_references():
@@ -359,10 +393,10 @@ def solves(monkeypatch):
     """
     count = [0]
 
-    def counting(covers, full, upper=None):
+    def counting(covers, full, upper=None, chosen=0):
         if upper is not None:
             count[0] += 1
-        return _min_cover(covers, full, upper)
+        return _min_cover(covers, full, upper, chosen)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     return count
@@ -415,9 +449,9 @@ def test_sd_one_searches_start_from_the_enumerated_minimum_sets(theorem, solved,
     # gamma_t solve behind them seed the sd = 1 search, which solves no seed
     calls = {"seed": 0, "subdivided": 0}
 
-    def counting(covers, full, upper=None):
+    def counting(covers, full, upper=None, chosen=0):
         calls["seed" if upper is None else "subdivided"] += 1
-        return _min_cover(covers, full, upper)
+        return _min_cover(covers, full, upper, chosen)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
@@ -431,7 +465,7 @@ def test_tree_check_subdivided_solves_are_pinned(solves):
     # less raises it
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert solves[0] == 3293
+    assert solves[0] == 3287
 
 
 @pytest.fixture
