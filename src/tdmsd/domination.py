@@ -1,6 +1,9 @@
 """Exact domination and total domination: values, certificates, enumeration.
 
-One branch-and-bound set-cover search serves every answer.  It shrinks its
+Every value comes from one solve, _min_cover.  It first walks the graph
+once from the leaves up, for a cover and a packing; when their sizes meet,
+as they do on every tree, the cover is minimum and no search runs.  One
+branch-and-bound set-cover search serves every other answer.  It shrinks its
 bound for the values, collects every cover below the minimum plus one for
 the complete list of minimum sets, and fixes a witness vertex by vertex in
 index order, so reported witnesses are the lexicographically smallest
@@ -63,23 +66,99 @@ def _greedy_cover(covers: tuple[int, ...], full: int, chosen: int) -> int | None
     return chosen
 
 
-def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
-               chosen: int = 0) -> tuple[int, int] | None:
-    """A minimum set of vertices whose cover sets union to ``full``, as
-    (size, vertex mask); None if no set covers ``full``.
+def _leaf_up(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
+    """A cover of ``full`` and a packing, as vertex masks, from one leaf-up
+    walk; None if some element has no candidate.
 
-    Every cover tried contains chosen, a vertex mask that some minimum
-    cover contains, such as _forced(g).  upper, if given, is a vertex mask
-    known to cover ``full``: the search starts from it in place of the
-    greedy bound, and returns it when nothing smaller covers.
+    The walk visits a BFS forest (each tree rooted at its lowest vertex)
+    deepest first.  An element nothing chosen covers yet gets a BFS parent
+    chosen (its highest candidate in the layer above), a root its highest
+    candidate.  An element is packed when its cover set misses those of
+    every element packed so far; each packed element needs a cover vertex of
+    its own, so every cover has at least that many vertices.  On a forest,
+    with total or closed cover sets, the cover is minimum and the packing as
+    large (Rall, Discuss. Math. Graph Theory 25, 2005; Meir and Moon,
+    Pacific J. Math. 61, 1975).
     """
+    # BFS layers as (layer, the layer above it); above a root's layer is 0
+    layers = []
+    seen = 0
+    everything = (1 << len(covers)) - 1
+    while seen != everything:
+        above = 0
+        layer = (seen + 1) & ~seen
+        while layer:
+            seen |= layer
+            layers.append((layer, above))
+            below = 0
+            rest = layer
+            while rest:
+                low = rest & -rest
+                below |= covers[low.bit_length() - 1]
+                rest ^= low
+            above, layer = layer, below & ~seen
+    chosen = packing = packed = 0
+    covered = ~full
+    for layer, above in reversed(layers):
+        rest = layer
+        while rest:
+            low = rest & -rest
+            cands = covers[low.bit_length() - 1]
+            if not covered & low:
+                if not cands:
+                    return None
+                # the parent, or a root's highest candidate
+                u = (cands & above or cands).bit_length() - 1
+                chosen |= 1 << u
+                covered |= covers[u]
+            if not cands & packed and full & low:
+                packing |= low
+                packed |= cands
+            rest ^= low
+    return chosen, packing
+
+
+def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
+               leaves: int = 0, stop: int = 0) -> tuple[int, int] | None:
+    """A minimum set of vertices whose cover sets union to ``full``, as
+    (size, vertex mask); None if no set covers ``full``.  With ``stop``,
+    any such set of at most ``stop`` vertices, if the minimum is that small.
+
+    Each vertex of the leaf-up walk's packing needs a cover vertex of its
+    own, so a cover no larger than the packing is minimum.  The leaf-up
+    cover settles most problems without a search: it is returned when it
+    has at most ``stop`` vertices or as many as the packing.  Otherwise the
+    branch-and-bound starts from the smallest of it, upper (a vertex mask
+    known to cover ``full``) and, with no upper given, the greedy cover, and
+    stops at the first cover no larger than ``stop`` or the packing.
+
+    leaves is a mask of degree-1 vertices.  The support of each, less any
+    leaf (K2 forces nothing), is in every total cover, and some minimum
+    closed cover holds them all, since a leaf's closed neighbourhood lies in
+    its support's; so every cover the search tries holds them, and they are
+    found only when it runs.
+    """
+    found = _leaf_up(covers, full)
+    if found is None:
+        return None
+    cover, packing = found
+    size = cover.bit_count()
+    floor = max(stop, packing.bit_count())
+    if size <= floor:
+        return size, cover
+    chosen = 0
+    for leaf in iter_bits(leaves):
+        chosen |= covers[leaf]
+    chosen &= ~leaves
     if upper is None:
         upper = _greedy_cover(covers, full, chosen)
-        if upper is None:
-            return None
-    best = _search(covers, full, upper.bit_count(), chosen)
-    best = upper if best is None else best
-    return best.bit_count(), best
+    if upper.bit_count() < size:
+        cover, size = upper, upper.bit_count()
+    if size > floor:
+        best = _search(covers, full, size, chosen, stop=floor)
+        if best is not None:
+            cover, size = best, best.bit_count()
+    return size, cover
 
 
 def _search(covers: tuple[int, ...], full: int, bound: int, chosen: int = 0,
@@ -200,14 +279,6 @@ def _closed_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
-def _forced(g: Graph) -> int:
-    """The supports of the leaves, less any leaf (K2 forces nothing): each
-    is in every total dominating set, and some minimum dominating set holds
-    them all, since a leaf's closed neighbourhood lies in its support's."""
-    leaves = leaves_mask(g)
-    return closed_neighborhood_mask(g, leaves) & ~leaves
-
-
 def _require_no_isolated(g: Graph) -> None:
     for v in range(g.n):
         if g.adj[v] == 0:
@@ -217,7 +288,7 @@ def _require_no_isolated(g: Graph) -> None:
 def solve_gamma_t(g: Graph) -> int:
     """Total domination number, value only, solved afresh on every call."""
     _require_no_isolated(g)
-    found = _min_cover(_total_covers(g), g.full_mask, chosen=_forced(g))
+    found = _min_cover(_total_covers(g), g.full_mask, leaves=leaves_mask(g))
     if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")
     return found[0]
@@ -232,7 +303,7 @@ def gamma_t_value(g: Graph) -> int:
 
 def gamma_value(g: Graph) -> int:
     """Domination number, value only, solved afresh on every call."""
-    return _min_cover(_closed_covers(g), g.full_mask, chosen=_forced(g))[0]
+    return _min_cover(_closed_covers(g), g.full_mask, leaves=leaves_mask(g))[0]
 
 
 def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:

@@ -14,12 +14,18 @@ SearchState(g): gamma(g) (or gamma_t(g)) and a list of minimum covers of g,
 from one exact solve of g, or from gamma_t_value(g) and the minimum total
 dominating sets of g that the caller already has.  A subdivided graph H that
 one of those covers still covers has a number of at most gamma(g), so it is
-settled without a solve.  Any other H is solved exactly, from the best known
-cover repaired for H as the upper bound, and a minimum cover of H of size
-gamma(g) that uses no new vertex is a minimum cover of g, so it joins the
-list.  Every skip and every bound rests on a cover checked against H, so the
-values stay exact.  Each exact solve, of g or of H, starts from the forced
-supports of the graph it solves, as gamma_value and solve_gamma_t do.
+settled without a search.  Any other H goes to domination's one solve with
+gamma(g) as its stop, since a row asks only whether H's number exceeds it:
+H's leaf-up cover settles H when it has at most gamma(g) vertices or as many
+as the packing of the same walk (on every subdivided tree), and otherwise
+a search bounded by the best known cover repaired for H stops at the first
+cover of at most gamma(g) vertices and is exact above it.  A cover of H of at most
+gamma(g) vertices that uses no new vertex is a minimum cover of g, so it
+joins the list.  Every skip and every bound rests on a cover checked against
+H, so the values stay exact.  Each search, of g or of H, keeps the forced
+supports of the graph it solves, as gamma_value and solve_gamma_t do; H's
+leaves are g's, since subdividing keeps every degree and adds vertices of
+degree 2, so the state keeps g's leaf mask.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -34,10 +40,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .domination import _closed_covers, _forced, _min_cover, _total_covers
+from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # read here, where perfbench's traced units wrap it
 from .errors import Disconnected, EdgeNotPresent, TooSmall
-from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
+from .graph import Edge, Graph, leaves_mask, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
 
@@ -79,7 +85,8 @@ class SearchState:
     keeps the state.
 
     base is g's (total) domination number, covers a list of its minimum
-    (total) dominating sets as vertex masks, edges its edge list, and
+    (total) dominating sets as vertex masks, edges its edge list, leaves
+    its leaf mask (every subdivision of g has the same leaves), and
     cover_sets domination's _total_covers or _closed_covers.  row_one is how
     the row of single subdivisions ended: None before any search ran it, ()
     if no edge raises the number, else ((e,), value) for the first edge that
@@ -94,7 +101,7 @@ class SearchState:
     closed-cover state takes none.
     """
 
-    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "row_one")
+    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "leaves", "row_one")
 
     def __init__(self, g: Graph, *, seeds: Iterable[int] | None = None,
                  cover_sets=_total_covers) -> None:
@@ -103,10 +110,11 @@ class SearchState:
         if not g.is_connected():
             raise Disconnected("subdivision invariants need a connected graph")
         self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
+        self.leaves = leaves_mask(g)
         self.row_one: tuple | None = None
         if seeds is None:
             # g is connected with n >= 2, so it has no isolated vertex
-            self.base, cover = _min_cover(cover_sets(g), g.full_mask, chosen=_forced(g))
+            self.base, cover = _min_cover(cover_sets(g), g.full_mask, leaves=self.leaves)
             self.covers = [cover]
         elif cover_sets is _total_covers:
             self.base = gamma_t_value(g)
@@ -133,12 +141,13 @@ def _increase(state: SearchState, h: Graph) -> int | None:
 
     h is a subdivision of state.graph.  A known minimum cover of the graph
     that still covers h shows that h's number is at most the base, without a
-    solve.  Otherwise the cover that leaves the fewest vertices of h
-    uncovered, repaired with the highest candidate of each vertex still
-    uncovered, bounds the exact search.  A minimum cover of h of the base
-    size inside the original vertices is a minimum cover of the graph too,
-    so it joins the known covers: subdividing adds no edge between original
-    vertices, so what covers an original vertex in h covers it in the graph.
+    solve.  Otherwise h is solved with the base as the stop, and the cover
+    that leaves the fewest vertices of h uncovered, repaired with the
+    highest candidate of each vertex still uncovered, as the upper bound.  A
+    cover of h of at most the base size inside the original vertices is a
+    minimum cover of the graph too, so it joins the known covers:
+    subdividing adds no edge between original vertices, so what covers an
+    original vertex in h covers it in the graph.
     """
     covers = state.cover_sets(h)
     full = h.full_mask
@@ -160,7 +169,7 @@ def _increase(state: SearchState, h: Graph) -> int | None:
         u = covers[(left & -left).bit_length() - 1].bit_length() - 1
         upper |= 1 << u
         left &= ~covers[u]
-    value, cover = _min_cover(covers, full, upper, _forced(h))
+    value, cover = _min_cover(covers, full, upper, state.leaves, state.base)
     if value > state.base:
         return value
     if not cover >> state.graph.n:

@@ -26,6 +26,7 @@ from tdmsd.domination import (
     _all_min_tds_masks,
     _closed_covers,
     _first_cover,
+    _leaf_up,
     _min_cover,
     _search,
     _total_covers,
@@ -304,3 +305,82 @@ def test_cover_search_seeded_with_any_cover_finds_the_minimum(problem):
     seeded_size, seeded_mask = _min_cover(covers, full, upper)
     assert seeded_size == size
     assert seeded_mask.bit_count() == size and _covered_by(covers, seeded_mask) == full
+
+
+def _check_certificate(g, covers, minimum):
+    # the leaf-up cover covers, the packing's cover sets are pairwise
+    # disjoint, packing <= minimum <= cover, and the solve with any stop
+    # answers below the stop or exactly
+    full = g.full_mask
+    cover, packing = _leaf_up(covers, full)
+    assert _covered_by(covers, cover) == full
+    packed = 0
+    for v in iter_bits(packing):
+        assert not covers[v] & packed
+        packed |= covers[v]
+    assert packing.bit_count() <= minimum <= cover.bit_count()
+    for stop in range(g.n + 1):
+        size, mask = _min_cover(covers, full, leaves=leaves_mask(g), stop=stop)
+        assert mask.bit_count() == size and _covered_by(covers, mask) == full
+        if minimum <= stop:
+            assert size <= stop
+        else:
+            assert size == minimum
+
+
+def test_leaf_up_certificate_is_sound_on_small_trees_and_graphs():
+    graphs = [t for n in range(2, 11) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        edges = g.edges()
+        _check_certificate(g, _total_covers(g), naive_gamma_t(g.n, edges))
+        _check_certificate(g, _closed_covers(g), naive_gamma(g.n, edges))
+        if g.is_tree():
+            # Rall's and Meir and Moon's theorems: the walk closes on trees
+            for covers in (_total_covers(g), _closed_covers(g)):
+                cover, packing = _leaf_up(covers, g.full_mask)
+                assert cover.bit_count() == packing.bit_count(), edges
+
+
+@st.composite
+def isolate_free_graphs_of_several_components(draw):
+    """Two or three components of 2 to 4 vertices each (K2 among them), each
+    a random spanning tree plus chords, with the labels shuffled so that
+    components interleave."""
+    edges, n = [], 0
+    for k in draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)):
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        component = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+        component += draw(st.lists(st.sampled_from(pairs), max_size=k))
+        edges += [(n + u, n + v) for u, v in component]
+        n += k
+    label = draw(st.permutations(range(n)))
+    return from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+
+
+@given(isolate_free_graphs_of_several_components())
+def test_leaf_up_certificate_is_sound_on_graphs_of_several_components(g):
+    edges = g.edges()
+    _check_certificate(g, _total_covers(g), naive_gamma_t(g.n, edges))
+    _check_certificate(g, _closed_covers(g), naive_gamma(g.n, edges))
+
+
+def test_total_cover_of_a_graph_with_an_isolated_vertex_is_none():
+    # the isolated vertex as the first root, and as a later one
+    for g in (from_edge_list(3, [(1, 2)]), from_edge_list(3, [(0, 1)]),
+              from_edge_list(5, [(0, 4), (1, 2)])):
+        assert _leaf_up(_total_covers(g), g.full_mask) is None
+        assert _min_cover(_total_covers(g), g.full_mask) is None
+        assert _min_cover(_total_covers(g), g.full_mask, stop=g.n) is None
+
+
+@pytest.mark.slow
+def test_leaf_up_certificate_closes_on_every_tree_through_order_sixteen():
+    count = 0
+    for n in range(2, 17):
+        for t in enumerate_trees(n):
+            for covers in (_total_covers(t), _closed_covers(t)):
+                cover, packing = _leaf_up(covers, t.full_mask)
+                assert cover.bit_count() == packing.bit_count(), t.edges()
+            count += 1
+    assert count == 32507

@@ -25,7 +25,7 @@ from tdmsd import (
     subdivide_edges,
     wheel,
 )
-from tdmsd import canonical, subdivision, verify
+from tdmsd import canonical, domination, subdivision, verify
 from tdmsd.domination import (
     _all_min_tds_masks,
     _closed_covers,
@@ -265,8 +265,9 @@ def _random_trees():
 
 @pytest.mark.parametrize("index", range(3), ids=["n60", "n61", "n62"])
 def test_gamma_searches_of_larger_trees_match_the_references(index):
-    # every solve starts from the forced supports, as gamma_value's does;
-    # without them the two searches took seconds on each of these trees
+    # every solve goes through gamma_value's, whose leaf-up cover settles
+    # trees; before it, a search without the forced supports took seconds
+    # on each of these trees
     g = _random_trees()[index]
     start = time.process_time()
     got = tuple(msd_gamma(g)), tuple(sd_gamma(g, 3))
@@ -393,10 +394,10 @@ def solves(monkeypatch):
     """
     count = [0]
 
-    def counting(covers, full, upper=None, chosen=0):
+    def counting(covers, full, upper=None, leaves=0, stop=0):
         if upper is not None:
             count[0] += 1
-        return _min_cover(covers, full, upper, chosen)
+        return _min_cover(covers, full, upper, leaves, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     return count
@@ -449,9 +450,9 @@ def test_sd_one_searches_start_from_the_enumerated_minimum_sets(theorem, solved,
     # gamma_t solve behind them seed the sd = 1 search, which solves no seed
     calls = {"seed": 0, "subdivided": 0}
 
-    def counting(covers, full, upper=None, chosen=0):
+    def counting(covers, full, upper=None, leaves=0, stop=0):
         calls["seed" if upper is None else "subdivided"] += 1
-        return _min_cover(covers, full, upper, chosen)
+        return _min_cover(covers, full, upper, leaves, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
@@ -462,10 +463,25 @@ def test_sd_one_searches_start_from_the_enumerated_minimum_sets(theorem, solved,
 def test_tree_check_subdivided_solves_are_pinned(solves):
     # 4,712 at the search that solved every subdivided graph it met; known
     # minimum covers of the tree settle the rest, so skipping or harvesting
-    # less raises it
+    # less raises it.  3,287 when each solve harvested the B&B's cover, not
+    # the leaf-up one
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert solves[0] == 3287
+    assert solves[0] == 3393
+
+
+def test_tree_check_runs_no_branch_and_bound(monkeypatch):
+    # 4,272 searches before the leaf-up cover and packing settled every solve
+    calls = [0]
+    search = domination._search
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "_search", counting)
+    assert verify.run_verification("tree-sd-eq-msd", 12).ok
+    assert calls[0] == 0
 
 
 @pytest.fixture
