@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import Disconnected, IsolatedVertex, IsStar, NotFound, TooLarge, TooSmall
-from .graph import Graph, closed_neighborhood_mask, iter_bits, leaves_mask, mask_of, structure_profile
+from .graph import Graph, closed_neighborhood_mask, iter_bits, leaves_mask, structure_profile, vertex_mask
 
 ENUMERATION_CAP = 20
 
@@ -36,12 +36,12 @@ class MembershipProfile(NamedTuple):
 
 
 def is_dominating(g: Graph, s) -> bool:
-    return closed_neighborhood_mask(g, mask_of(s)) == g.full_mask
+    return closed_neighborhood_mask(g, vertex_mask(g, s)) == g.full_mask
 
 
 def is_total_dominating(g: Graph, s) -> bool:
     """True iff every vertex of g, including members of s, has a neighbor in s."""
-    s_mask = mask_of(s)
+    s_mask = vertex_mask(g, s)
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
@@ -118,8 +118,8 @@ def _leaf_up(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
     return chosen, packing
 
 
-def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
-               leaves: int = 0, stop: int = 0) -> tuple[int, int] | None:
+def _min_cover(covers: tuple[int, ...], full: int, leaves: int = 0,
+               stop: int = 0) -> tuple[int, int] | None:
     """A minimum set of vertices whose cover sets union to ``full``, as
     (size, vertex mask); None if no set covers ``full``.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
@@ -128,8 +128,7 @@ def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
     own, so a cover no larger than the packing is minimum.  The leaf-up
     cover settles most problems without a search: it is returned when it
     has at most ``stop`` vertices or as many as the packing.  Otherwise the
-    branch-and-bound starts from the smallest of it, upper (a vertex mask
-    known to cover ``full``) and, with no upper given, the greedy cover, and
+    branch-and-bound starts from the smaller of it and the greedy cover, and
     stops at the first cover no larger than ``stop`` or the packing.
 
     leaves is a mask of degree-1 vertices.  The support of each, less any
@@ -150,10 +149,9 @@ def _min_cover(covers: tuple[int, ...], full: int, upper: int | None = None,
     for leaf in iter_bits(leaves):
         chosen |= covers[leaf]
     chosen &= ~leaves
-    if upper is None:
-        upper = _greedy_cover(covers, full, chosen)
-    if upper.bit_count() < size:
-        cover, size = upper, upper.bit_count()
+    greedy = _greedy_cover(covers, full, chosen)
+    if greedy.bit_count() < size:
+        cover, size = greedy, greedy.bit_count()
     if size > floor:
         best = _search(covers, full, size, chosen, stop=floor)
         if best is not None:

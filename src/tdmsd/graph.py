@@ -33,9 +33,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
+def vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """The bitmask of a set of g's vertices; IndexOutOfRange if one is not
+    in 0..n-1."""
     bits = 0
     for v in vertices:
+        if not 0 <= v < g.n:
+            raise IndexOutOfRange(f"vertex {v} out of range for n={g.n}")
         bits |= 1 << v
     return bits
 
@@ -227,10 +231,8 @@ def private_neighborhood_mask(g: Graph, u: int, d_mask: int) -> int:
 
 def private_neighborhood(g: Graph, u: int, d: Iterable[int]) -> frozenset[int]:
     """Private neighbours of u with respect to d: N[u] - N[d - {u}]."""
-    d_mask = mask_of(d)
-    if not (0 <= u < g.n) or d_mask >> g.n:
-        raise IndexOutOfRange(f"vertex out of range for n={g.n}")
-    if not d_mask >> u & 1:
+    d_mask = vertex_mask(g, d)
+    if not vertex_mask(g, (u,)) & d_mask:
         raise NotInSet(f"vertex {u} not in the set")
     return frozenset(iter_bits(private_neighborhood_mask(g, u, d_mask)))
 

@@ -10,22 +10,18 @@ subdivided graphs.
 
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a
-SearchState(g): gamma(g) (or gamma_t(g)) and a list of minimum covers of g,
-from one exact solve of g, or from gamma_t_value(g) and the minimum total
-dominating sets of g that the caller already has.  A subdivided graph H that
-one of those covers still covers has a number of at most gamma(g), so it is
-settled without a search.  Any other H goes to domination's one solve with
-gamma(g) as its stop, since a row asks only whether H's number exceeds it:
-H's leaf-up cover settles H when it has at most gamma(g) vertices or as many
-as the packing of the same walk (on every subdivided tree), and otherwise
-a search bounded by the best known cover repaired for H stops at the first
-cover of at most gamma(g) vertices and is exact above it.  A cover of H of at most
-gamma(g) vertices that uses no new vertex is a minimum cover of g, so it
-joins the list.  Every skip and every bound rests on a cover checked against
-H, so the values stay exact.  Each search, of g or of H, keeps the forced
-supports of the graph it solves, as gamma_value and solve_gamma_t do; H's
-leaves are g's, since subdividing keeps every degree and adds vertices of
-degree 2, so the state keeps g's leaf mask.
+SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
+one exact solve of g.  A subdivided graph H that this cover still covers has
+a number of at most gamma(g), so it is settled without a search.  Any other
+H goes to domination's one solve with gamma(g) as its stop, since a row asks
+only whether H's number exceeds it: H's leaf-up cover settles H when it has
+at most gamma(g) vertices or as many as the packing of the same walk (on
+every subdivided tree), and otherwise a search stops at the first cover of
+at most gamma(g) vertices and is exact above it.  Every skip rests on a
+cover checked against H, so the values stay exact.  Each search, of g or of
+H, keeps the forced supports of the graph it solves, as gamma_value and
+solve_gamma_t do; H's leaves are g's, since subdividing keeps every degree
+and adds vertices of degree 2, so the state keeps g's leaf mask.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -38,10 +34,10 @@ common row ended, and the second search builds none of it.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
-from .domination import gamma_t_value  # read here, where perfbench's traced units wrap it
+from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooSmall
 from .graph import Edge, Graph, leaves_mask, normalize_edge, subdivide, subdivide_edges
 
@@ -84,27 +80,20 @@ class SearchState:
     """What the searches of graph g learn, shared for as long as the caller
     keeps the state.
 
-    base is g's (total) domination number, covers a list of its minimum
-    (total) dominating sets as vertex masks, edges its edge list, leaves
-    its leaf mask (every subdivision of g has the same leaves), and
-    cover_sets domination's _total_covers or _closed_covers.  row_one is how
-    the row of single subdivisions ended: None before any search ran it, ()
-    if no edge raises the number, else ((e,), value) for the first edge that
-    does.
+    base is g's (total) domination number and cover one of its minimum
+    (total) dominating sets as a vertex mask, both from one exact solve of
+    g; edges is its edge list, leaves its leaf mask (every subdivision of g
+    has the same leaves), and cover_sets domination's _total_covers or
+    _closed_covers.  row_one is how the row of single subdivisions ended:
+    None before any search ran it, () if no edge raises the number, else
+    ((e,), value) for the first edge that does.
 
-    g must be connected with at least 2 vertices.  The base and first cover
-    come from one exact solve of g, unless seeds are given: then the base is
-    gamma_t_value(g) and the known covers are those of the seeds (vertex
-    masks, such as _all_min_tds_masks(g)) that are total dominating sets of
-    g of the base size.  Dropping the others keeps the values exact whatever
-    masks are given.  Seeds are minimum total dominating sets, so a
-    closed-cover state takes none.
+    g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "cover_sets", "base", "covers", "edges", "leaves", "row_one")
+    __slots__ = ("graph", "cover_sets", "base", "cover", "edges", "leaves", "row_one")
 
-    def __init__(self, g: Graph, *, seeds: Iterable[int] | None = None,
-                 cover_sets=_total_covers) -> None:
+    def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
         if g.n < 2:
             raise TooSmall(f"need n >= 2, got n={g.n}")
         if not g.is_connected():
@@ -112,17 +101,8 @@ class SearchState:
         self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
         self.leaves = leaves_mask(g)
         self.row_one: tuple | None = None
-        if seeds is None:
-            # g is connected with n >= 2, so it has no isolated vertex
-            self.base, cover = _min_cover(cover_sets(g), g.full_mask, leaves=self.leaves)
-            self.covers = [cover]
-        elif cover_sets is _total_covers:
-            self.base = gamma_t_value(g)
-            # a mask with a bit past g's vertices that passed would totally
-            # dominate g with fewer than base of them, so none does
-            self.covers = [c for c in seeds if c.bit_count() == self.base and all(a & c for a in g.adj)]
-        else:
-            raise ValueError("seeds are minimum total dominating sets, for a gamma_t state")
+        # g is connected with n >= 2, so it has no isolated vertex
+        self.base, self.cover = _min_cover(cover_sets(g), g.full_mask, leaves=self.leaves)
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -139,42 +119,22 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
 def _increase(state: SearchState, h: Graph) -> int | None:
     """The number of h if it exceeds the base, else None.
 
-    h is a subdivision of state.graph.  A known minimum cover of the graph
-    that still covers h shows that h's number is at most the base, without a
-    solve.  Otherwise h is solved with the base as the stop, and the cover
-    that leaves the fewest vertices of h uncovered, repaired with the
-    highest candidate of each vertex still uncovered, as the upper bound.  A
-    cover of h of at most the base size inside the original vertices is a
-    minimum cover of the graph too, so it joins the known covers:
-    subdividing adds no edge between original vertices, so what covers an
-    original vertex in h covers it in the graph.
+    h is a subdivision of state.graph.  The state's minimum cover of the
+    graph, if it still covers h, shows that h's number is at most the base
+    without a solve.  Otherwise h is solved with the base as the stop.
     """
     covers = state.cover_sets(h)
     full = h.full_mask
-    upper = 0
-    left = full
-    for cover in state.covers:
-        covered = 0
-        rest = cover
-        while rest:
-            low = rest & -rest
-            covered |= covers[low.bit_length() - 1]
-            rest ^= low
-        missed = full & ~covered
-        if not missed:
-            return None
-        if missed.bit_count() < left.bit_count():
-            upper, left = cover, missed
-    while left:
-        u = covers[(left & -left).bit_length() - 1].bit_length() - 1
-        upper |= 1 << u
-        left &= ~covers[u]
-    value, cover = _min_cover(covers, full, upper, state.leaves, state.base)
-    if value > state.base:
-        return value
-    if not cover >> state.graph.n:
-        state.covers.append(cover)
-    return None
+    covered = 0
+    rest = state.cover
+    while rest:
+        low = rest & -rest
+        covered |= covers[low.bit_length() - 1]
+        rest ^= low
+    if covered == full:
+        return None
+    value = _min_cover(covers, full, state.leaves, stop=state.base)[0]
+    return value if value > state.base else None
 
 
 def _row(state: SearchState, subsets, t: int) -> tuple:

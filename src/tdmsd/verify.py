@@ -26,7 +26,6 @@ from .characterization import (
     longest_paths,
     predicts_sd_one,
 )
-from .domination import _all_min_tds_masks
 from .errors import OutOfRange, UnknownTheorem
 from .family import FAMILY_ORDER_CAP, generate_family, is_in_family, verify_bc_property
 from .fixtures import cycle, path
@@ -79,9 +78,7 @@ def _sd3(t: Graph) -> int | None:
 
 @lru_cache(maxsize=None)
 def _sd1(t: Graph) -> int | None:
-    # every caller has just enumerated t's minimum sets, solving gamma_t(t)
-    # on the way: both seed the search
-    return sd_gamma_t(t, cap=1, memo=SearchState(t, seeds=_all_min_tds_masks(t))).value
+    return sd_gamma_t(t, cap=1).value
 
 
 @lru_cache(maxsize=None)

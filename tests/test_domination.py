@@ -263,9 +263,8 @@ def test_avoiding_leaves_always_exists_for_non_stars():
 
 
 @st.composite
-def cover_problems_with_a_cover(draw):
-    """Total or closed cover sets of an isolate-free graph of order <= 12,
-    and a vertex mask that covers every vertex."""
+def cover_problems(draw):
+    """Total or closed cover sets of an isolate-free graph of order <= 12."""
     n = draw(st.integers(2, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
@@ -276,17 +275,7 @@ def cover_problems_with_a_cover(draw):
             edges.append((v, w if w < v else w + 1))
     g = from_edge_list(n, edges)
     covers = draw(st.sampled_from((_total_covers, _closed_covers)))(g)
-    upper = draw(st.integers(0, g.full_mask))
-    covered = 0
-    for u in range(n):
-        if upper >> u & 1:
-            covered |= covers[u]
-    for v in range(n):
-        if not covered >> v & 1:
-            u = draw(st.sampled_from([w for w in range(n) if covers[v] >> w & 1]))
-            upper |= 1 << u
-            covered |= covers[u]
-    return covers, g.full_mask, upper
+    return covers, g.full_mask
 
 
 def _covered_by(covers, mask):
@@ -297,14 +286,14 @@ def _covered_by(covers, mask):
     return covered
 
 
-@given(cover_problems_with_a_cover())
+@given(cover_problems())
 def test_cover_search_seeded_with_any_cover_finds_the_minimum(problem):
-    covers, full, upper = problem
+    # the search starts from the smaller of the leaf-up and the greedy cover,
+    # and whichever it is, no smaller cover exists
+    covers, full = problem
     size, mask = _min_cover(covers, full)
     assert mask.bit_count() == size and _covered_by(covers, mask) == full
-    seeded_size, seeded_mask = _min_cover(covers, full, upper)
-    assert seeded_size == size
-    assert seeded_mask.bit_count() == size and _covered_by(covers, seeded_mask) == full
+    assert not covers_of_size(covers, full, size - 1, full, True)
 
 
 def _check_certificate(g, covers, minimum):

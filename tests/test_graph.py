@@ -10,6 +10,8 @@ from tdmsd import (
     format_edge_list,
     from_edge_list,
     gstar,
+    is_dominating,
+    is_total_dominating,
     parse_edge_list,
     path,
     private_neighborhood,
@@ -240,6 +242,20 @@ def test_private_neighborhood_singleton_is_closed_neighborhood():
 def test_private_neighborhood_requires_membership():
     with pytest.raises(errors.NotInSet):
         private_neighborhood(path(4), 0, {1, 2})
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 5], [3], [-1], [0, -2]], ids=["five", "n", "minus-one", "minus-two"])
+def test_vertex_sets_outside_the_graph_are_refused(vertices):
+    # each predicate refuses the set, rather than ignoring the stray bit,
+    # indexing past adj or shifting by a negative count
+    g = path(3)
+    for predicate in (is_dominating, is_total_dominating):
+        with pytest.raises(errors.IndexOutOfRange, match="out of range for n=3"):
+            predicate(g, vertices)
+    with pytest.raises(errors.IndexOutOfRange, match="out of range for n=3"):
+        private_neighborhood(g, 0, [0, *vertices])
+    with pytest.raises(errors.IndexOutOfRange, match="out of range for n=3"):
+        private_neighborhood(g, vertices[-1], [0])
 
 
 def test_edge_list_roundtrip():

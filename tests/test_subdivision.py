@@ -27,7 +27,6 @@ from tdmsd import (
 )
 from tdmsd import canonical, domination, subdivision, verify
 from tdmsd.domination import (
-    _all_min_tds_masks,
     _closed_covers,
     _min_cover,
     is_dominating,
@@ -299,23 +298,19 @@ def test_sd_and_msd_sharing_one_state_match_the_references():
 @pytest.mark.parametrize("total", [True, False], ids=["total", "closed"])
 def test_state_covers_are_minimum_covers_of_their_graph(total):
     # every tree of order <= 10 and every connected graph of order <= 6: the
-    # seed cover and each one harvested from a solved subdivided graph
+    # state's one cover, which the searches read and never change
     dominates = is_total_dominating if total else is_dominating
-    graphs = covers = 0
     for g in _trees_and_graphs():
         if g.n < 3:
             continue
         state = SearchState(g) if total else SearchState(g, cover_sets=_closed_covers)
+        cover = state.cover
+        assert not cover >> g.n, g.edges()
+        assert cover.bit_count() == state.base
+        assert dominates(g, iter_bits(cover)), g.edges()
         subdivision._sd(state, 3)
         subdivision._msd(state, 3)
-        for cover in state.covers:
-            assert not cover >> g.n, g.edges()
-            assert cover.bit_count() == state.base
-            assert dominates(g, iter_bits(cover)), g.edges()
-        graphs += 1
-        covers += len(state.covers)
-    # some searches harvest covers beyond the seed
-    assert covers > graphs
+        assert state.cover == cover, g.edges()
 
 
 def test_state_serves_one_graph():
@@ -343,61 +338,23 @@ def test_fresh_state_refuses_a_disconnected_graph(search):
         SearchState(g)
     with pytest.raises(errors.Disconnected, match="need a connected graph"):
         search(g)
-
-
-def test_seeded_sd_one_matches_the_unseeded_search():
-    # every tree of order 3..11 and every connected graph of order 3..6
-    graphs = [t for n in range(3, 12) for t in enumerate_trees(n)]
-    graphs += [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
-    for g in graphs:
-        masks = _all_min_tds_masks(g)
-        state = SearchState(g, seeds=masks)
-        assert state.base == gamma_t_value(g) and state.covers == list(masks)
-        assert tuple(sd_gamma_t(g, cap=1, memo=state)) == tuple(sd_gamma_t(g, cap=1)), g.edges()
-
-
-def test_seeded_state_drops_bogus_hints():
-    g = path(6)  # gamma_t = 4, and {1, 2, 3, 4} is one of its minimum sets
-    good = 0b011110
-    not_total = 0b001111  # vertex 5 has no neighbour in it
-    too_big = 0b111110
-    assert is_total_dominating(g, iter_bits(too_big))
-    assert not is_total_dominating(g, iter_bits(not_total))
-    want = tuple(sd_gamma_t(g, cap=1))
-    for hints, kept in (((not_total, too_big), []), ((too_big, good, not_total), [good])):
-        state = SearchState(g, seeds=hints)
-        assert state.covers == kept
-        assert tuple(sd_gamma_t(g, cap=1, memo=state)) == want
-
-
-def test_seeded_state_refuses_what_a_search_refuses():
-    with pytest.raises(errors.Disconnected):
-        SearchState(from_edge_list(4, [(0, 1), (2, 3)]), seeds=())
     with pytest.raises(errors.TooSmall, match="need n >= 2, got n=1"):
-        SearchState(from_edge_list(1, []), seeds=())
-    # minimum total dominating sets do not seed a domination state
-    with pytest.raises(ValueError):
-        SearchState(path(4), seeds=_all_min_tds_masks(path(4)), cover_sets=_closed_covers)
-    # K2 seeds a state for msd, which sd must still refuse
-    state = SearchState(path(2), seeds=_all_min_tds_masks(path(2)))
-    with pytest.raises(errors.TooSmall):
-        sd_gamma_t(path(2), cap=1, memo=state)
-    assert msd_gamma_t(path(2), memo=state) == msd_gamma_t(path(2))
+        SearchState(from_edge_list(1, []))
 
 
 @pytest.fixture
 def solves(monkeypatch):
     """Counts the solves of subdivided graphs.
 
-    Each of them starts from a repaired known cover as its upper bound; the
-    one solve that seeds a search state has none and is not counted.
+    Each of them stops at the base of its search state; the one solve that
+    makes a search state has no stop and is not counted.
     """
     count = [0]
 
-    def counting(covers, full, upper=None, leaves=0, stop=0):
-        if upper is not None:
+    def counting(covers, full, leaves=0, stop=0):
+        if stop:
             count[0] += 1
-        return _min_cover(covers, full, upper, leaves, stop)
+        return _min_cover(covers, full, leaves, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     return count
@@ -438,36 +395,36 @@ def test_memo_does_not_change_results():
         assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
 
 
-@pytest.mark.parametrize("theorem, solved", [
-    # 1,793, 650 and 1,785 subdivided graphs, plus one seed solve per search
-    # (985, 88 and 1,396), when each search seeded itself with one cover
-    ("sd1-characterization", 1562),
-    ("lemma14-implies", 515),
-    ("lemma2-implies", 1546),
+@pytest.mark.parametrize("theorem, seeds, solved", [
+    # 0/1,562, 0/515 and 0/1,546 when the enumerated minimum sets of each
+    # graph were its state's known covers, so no state solved its graph
+    ("sd1-characterization", 985, 1817),
+    ("lemma14-implies", 88, 666),
+    ("lemma2-implies", 1396, 1769),
 ])
-def test_sd_one_searches_start_from_the_enumerated_minimum_sets(theorem, solved, monkeypatch):
-    # each check enumerated the graph's minimum sets already: they and the
-    # gamma_t solve behind them seed the sd = 1 search, which solves no seed
+def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, solved, monkeypatch):
+    # each sd = 1 search solves its graph once for the state's base and
+    # cover, then every subdivided graph that cover does not settle
     calls = {"seed": 0, "subdivided": 0}
 
-    def counting(covers, full, upper=None, leaves=0, stop=0):
-        calls["seed" if upper is None else "subdivided"] += 1
-        return _min_cover(covers, full, upper, leaves, stop)
+    def counting(covers, full, leaves=0, stop=0):
+        calls["subdivided" if stop else "seed"] += 1
+        return _min_cover(covers, full, leaves, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
     assert verify.run_verification(theorem).ok
-    assert calls == {"seed": 0, "subdivided": solved}
+    assert calls == {"seed": seeds, "subdivided": solved}
 
 
 def test_tree_check_subdivided_solves_are_pinned(solves):
-    # 4,712 at the search that solved every subdivided graph it met; known
-    # minimum covers of the tree settle the rest, so skipping or harvesting
-    # less raises it.  3,287 when each solve harvested the B&B's cover, not
-    # the leaf-up one
+    # 4,712 at the search that solved every subdivided graph it met; the
+    # state's minimum cover of the tree settles the rest, so skipping less
+    # raises it.  3,393 when each solve of a subdivided graph that stayed at
+    # the base added its cover to the state's known covers
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert solves[0] == 3393
+    assert solves[0] == 3428
 
 
 def test_tree_check_runs_no_branch_and_bound(monkeypatch):
