@@ -45,9 +45,10 @@ def is_total_dominating(g: Graph, s) -> bool:
     return all(g.adj[v] & s_mask for v in range(g.n))
 
 
-def _greedy_cover(covers: tuple[int, ...], full: int, chosen: int) -> int | None:
+def _greedy_cover(covers: tuple[int, ...], chosen: int) -> int | None:
     """chosen and the vertices whose cover sets, picked greedily by gain,
-    union with chosen's to full; None if none do."""
+    union with chosen's to every element; None if none do."""
+    full = (1 << len(covers)) - 1
     covered = 0
     for u in iter_bits(chosen):
         covered |= covers[u]
@@ -66,9 +67,9 @@ def _greedy_cover(covers: tuple[int, ...], full: int, chosen: int) -> int | None
     return chosen
 
 
-def _leaf_up(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
-    """A cover of ``full`` and a packing, as vertex masks, from one leaf-up
-    walk; None if some element has no candidate.
+def _leaf_up(covers: tuple[int, ...]) -> tuple[int, int] | None:
+    """A cover of every element and a packing, as vertex masks, from one
+    leaf-up walk; None if some element has no candidate.
 
     The walk visits a BFS forest (each tree rooted at its lowest vertex)
     deepest first.  An element nothing chosen covers yet gets a BFS parent
@@ -97,8 +98,7 @@ def _leaf_up(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
                 below |= covers[low.bit_length() - 1]
                 rest ^= low
             above, layer = layer, below & ~seen
-    chosen = packing = packed = 0
-    covered = ~full
+    chosen = packing = packed = covered = 0
     for layer, above in reversed(layers):
         rest = layer
         while rest:
@@ -111,17 +111,16 @@ def _leaf_up(covers: tuple[int, ...], full: int) -> tuple[int, int] | None:
                 u = (cands & above or cands).bit_length() - 1
                 chosen |= 1 << u
                 covered |= covers[u]
-            if not cands & packed and full & low:
+            if not cands & packed:
                 packing |= low
                 packed |= cands
             rest ^= low
     return chosen, packing
 
 
-def _min_cover(covers: tuple[int, ...], full: int, leaves: int = 0,
-               stop: int = 0) -> tuple[int, int] | None:
-    """A minimum set of vertices whose cover sets union to ``full``, as
-    (size, vertex mask); None if no set covers ``full``.  With ``stop``,
+def _min_cover(covers: tuple[int, ...], stop: int = 0) -> tuple[int, int] | None:
+    """A minimum set of vertices whose cover sets union to every element, as
+    (size, vertex mask); None if no set covers them all.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
@@ -131,13 +130,13 @@ def _min_cover(covers: tuple[int, ...], full: int, leaves: int = 0,
     branch-and-bound starts from the smaller of it and the greedy cover, and
     stops at the first cover no larger than ``stop`` or the packing.
 
-    leaves is a mask of degree-1 vertices.  The support of each, less any
-    leaf (K2 forces nothing), is in every total cover, and some minimum
-    closed cover holds them all, since a leaf's closed neighbourhood lies in
-    its support's; so every cover the search tries holds them, and they are
-    found only when it runs.
+    A leaf is an element with one candidate besides itself, its support.
+    Every support that is not a leaf (K2 forces nothing) is in every total
+    cover, and some minimum closed cover holds them all, since a leaf's
+    closed neighbourhood lies in its support's; so every cover the search
+    tries holds them, and they are found only when it runs.
     """
-    found = _leaf_up(covers, full)
+    found = _leaf_up(covers)
     if found is None:
         return None
     cover, packing = found
@@ -145,24 +144,28 @@ def _min_cover(covers: tuple[int, ...], full: int, leaves: int = 0,
     floor = max(stop, packing.bit_count())
     if size <= floor:
         return size, cover
-    chosen = 0
-    for leaf in iter_bits(leaves):
-        chosen |= covers[leaf]
+    leaves = chosen = 0
+    for v, cands in enumerate(covers):
+        support = cands & ~(1 << v)
+        if support.bit_count() == 1:
+            leaves |= 1 << v
+            chosen |= support
     chosen &= ~leaves
-    greedy = _greedy_cover(covers, full, chosen)
+    greedy = _greedy_cover(covers, chosen)
     if greedy.bit_count() < size:
         cover, size = greedy, greedy.bit_count()
     if size > floor:
-        best = _search(covers, full, size, chosen, stop=floor)
+        best = _search(covers, size, chosen, stop=floor)
         if best is not None:
             cover, size = best, best.bit_count()
     return size, cover
 
 
-def _search(covers: tuple[int, ...], full: int, bound: int, chosen: int = 0,
-            banned: int = 0, stop: int = 0, found: list[int] | None = None) -> int | None:
-    """The branch-and-bound over vertex sets that cover ``full``, contain
-    ``chosen``, avoid ``banned`` and have fewer than ``bound`` vertices.
+def _search(covers: tuple[int, ...], bound: int, chosen: int = 0, banned: int = 0,
+            stop: int = 0, found: list[int] | None = None) -> int | None:
+    """The branch-and-bound over vertex sets that cover every element,
+    contain ``chosen``, avoid ``banned`` and have fewer than ``bound``
+    vertices.
 
     covers[u] is the element mask vertex u covers; the relation is symmetric
     (u covers v iff v covers u), so candidate covers of element v are the
@@ -174,6 +177,7 @@ def _search(covers: tuple[int, ...], full: int, bound: int, chosen: int = 0,
     once, because a branch bans its candidate once it is done.
     """
     n = len(covers)
+    full = (1 << n) - 1
     best = bound
     best_mask = None
 
@@ -247,21 +251,21 @@ def _search(covers: tuple[int, ...], full: int, bound: int, chosen: int = 0,
     return best_mask
 
 
-def _first_cover(covers: tuple[int, ...], full: int, k: int, allowed: int) -> int | None:
-    """The first cover of ``full`` by k allowed vertices, ordered by sorted
-    vertex indices; None if there is none.  k must be the minimum size.
+def _first_cover(covers: tuple[int, ...], k: int, banned: int) -> int | None:
+    """The first cover of every element by k vertices outside ``banned``,
+    ordered by sorted vertex indices; None if there is none.  k must be the
+    minimum size.
 
     The vertices are fixed in index order: one joins if some cover of size
     k holds it and the vertices fixed so far, and is banned otherwise.
     """
-    banned = full & ~allowed
     witness = 0
     for v in range(len(covers)):
         bit = 1 << v
         # a vertex of the current witness joins without a search
         if (banned | witness) & bit:
             continue
-        cover = _search(covers, full, k + 1, (witness & (bit - 1)) | bit, banned, k)
+        cover = _search(covers, k + 1, (witness & (bit - 1)) | bit, banned, k)
         if cover is None:
             banned |= bit
         else:
@@ -286,7 +290,7 @@ def _require_no_isolated(g: Graph) -> None:
 def solve_gamma_t(g: Graph) -> int:
     """Total domination number, value only, solved afresh on every call."""
     _require_no_isolated(g)
-    found = _min_cover(_total_covers(g), g.full_mask, leaves=leaves_mask(g))
+    found = _min_cover(_total_covers(g))
     if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")
     return found[0]
@@ -301,20 +305,20 @@ def gamma_t_value(g: Graph) -> int:
 
 def gamma_value(g: Graph) -> int:
     """Domination number, value only, solved afresh on every call."""
-    return _min_cover(_closed_covers(g), g.full_mask, leaves=leaves_mask(g))[0]
+    return _min_cover(_closed_covers(g))[0]
 
 
-def _certificate(g: Graph, covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:
-    witness = _first_cover(covers, g.full_mask, value, g.full_mask)
+def _certificate(covers: tuple[int, ...], value: int, kind: str) -> DominationCertificate:
+    witness = _first_cover(covers, value, 0)
     return DominationCertificate(value, frozenset(iter_bits(witness)), kind)
 
 
 def gamma_t(g: Graph) -> DominationCertificate:
-    return _certificate(g, _total_covers(g), gamma_t_value(g), "total_domination")
+    return _certificate(_total_covers(g), gamma_t_value(g), "total_domination")
 
 
 def gamma(g: Graph) -> DominationCertificate:
-    return _certificate(g, _closed_covers(g), gamma_value(g), "domination")
+    return _certificate(_closed_covers(g), gamma_value(g), "domination")
 
 
 @lru_cache(maxsize=50_000)
@@ -323,7 +327,7 @@ def _all_min_tds_masks(g: Graph) -> tuple[int, ...]:
     if g.n > ENUMERATION_CAP:
         raise TooLarge(f"n={g.n} above the enumeration cap {ENUMERATION_CAP}")
     found: list[int] = []
-    _search(_total_covers(g), g.full_mask, gamma_t_value(g) + 1, found=found)
+    _search(_total_covers(g), gamma_t_value(g) + 1, found=found)
     return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
 
 
@@ -357,8 +361,7 @@ def gamma_t_set_avoiding_leaves(g: Graph) -> frozenset[int]:
         raise Disconnected("graph must be connected")
     if structure_profile(g).is_star:
         raise IsStar("stars have no leaf-avoiding total dominating set")
-    allowed = g.full_mask & ~leaves_mask(g)
-    witness = _first_cover(_total_covers(g), g.full_mask, gamma_t_value(g), allowed)
+    witness = _first_cover(_total_covers(g), gamma_t_value(g), leaves_mask(g))
     if witness is None:
         raise NotFound("no leaf-avoiding minimum total dominating set: bug")
     return frozenset(iter_bits(witness))

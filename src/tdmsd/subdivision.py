@@ -18,10 +18,7 @@ only whether H's number exceeds it: H's leaf-up cover settles H when it has
 at most gamma(g) vertices or as many as the packing of the same walk (on
 every subdivided tree), and otherwise a search stops at the first cover of
 at most gamma(g) vertices and is exact above it.  Every skip rests on a
-cover checked against H, so the values stay exact.  Each search, of g or of
-H, keeps the forced supports of the graph it solves, as gamma_value and
-solve_gamma_t do; H's leaves are g's, since subdividing keeps every degree
-and adds vertices of degree 2, so the state keeps g's leaf mask.
+cover checked against H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -39,7 +36,7 @@ from typing import NamedTuple
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooSmall
-from .graph import Edge, Graph, leaves_mask, normalize_edge, subdivide, subdivide_edges
+from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
 
@@ -82,8 +79,7 @@ class SearchState:
 
     base is g's (total) domination number and cover one of its minimum
     (total) dominating sets as a vertex mask, both from one exact solve of
-    g; edges is its edge list, leaves its leaf mask (every subdivision of g
-    has the same leaves), and cover_sets domination's _total_covers or
+    g; edges is its edge list, and cover_sets domination's _total_covers or
     _closed_covers.  row_one is how the row of single subdivisions ended:
     None before any search ran it, () if no edge raises the number, else
     ((e,), value) for the first edge that does.
@@ -91,7 +87,7 @@ class SearchState:
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "cover_sets", "base", "cover", "edges", "leaves", "row_one")
+    __slots__ = ("graph", "cover_sets", "base", "cover", "edges", "row_one")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
         if g.n < 2:
@@ -99,10 +95,9 @@ class SearchState:
         if not g.is_connected():
             raise Disconnected("subdivision invariants need a connected graph")
         self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
-        self.leaves = leaves_mask(g)
         self.row_one: tuple | None = None
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(cover_sets(g), g.full_mask, leaves=self.leaves)
+        self.base, self.cover = _min_cover(cover_sets(g))
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -124,16 +119,15 @@ def _increase(state: SearchState, h: Graph) -> int | None:
     without a solve.  Otherwise h is solved with the base as the stop.
     """
     covers = state.cover_sets(h)
-    full = h.full_mask
     covered = 0
     rest = state.cover
     while rest:
         low = rest & -rest
         covered |= covers[low.bit_length() - 1]
         rest ^= low
-    if covered == full:
+    if covered == h.full_mask:
         return None
-    value = _min_cover(covers, full, state.leaves, stop=state.base)[0]
+    value = _min_cover(covers, stop=state.base)[0]
     return value if value > state.base else None
 
 

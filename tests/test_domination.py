@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tdmsd import domination
 from tdmsd import (
     all_min_total_dominating_sets,
     complete,
@@ -17,6 +18,8 @@ from tdmsd import (
     gamma_t_set_avoiding_leaves,
     gamma_t_value,
     gamma_value,
+    graph6_decode,
+    gstar,
     is_dominating,
     is_total_dominating,
     path,
@@ -188,14 +191,14 @@ def test_search_modes_match_the_subset_search_oracle():
     for g in graphs:
         full = g.full_mask
         for covers in (_total_covers(g), _closed_covers(g)):
-            k = _min_cover(covers, full)[0]
-            for allowed in (full, full & ~leaves_mask(g)):
-                expected = covers_of_size(covers, full, k, allowed, False)
+            k = _min_cover(covers)[0]
+            for banned in (0, leaves_mask(g)):
+                expected = covers_of_size(covers, full, k, full & ~banned, False)
                 found = []
-                _search(covers, full, k + 1, banned=full & ~allowed, found=found)
+                _search(covers, k + 1, banned=banned, found=found)
                 assert sorted(found, key=lambda m: list(iter_bits(m))) == expected
-                first = covers_of_size(covers, full, k, allowed, True)
-                assert _first_cover(covers, full, k, allowed) == (first[0] if first else None)
+                first = covers_of_size(covers, full, k, full & ~banned, True)
+                assert _first_cover(covers, k, banned) == (first[0] if first else None)
         assert _all_min_tds_masks(g) == tuple(covers_of_size(g.adj, full, gamma_t_value(g), full, False))
 
 
@@ -291,7 +294,7 @@ def test_cover_search_seeded_with_any_cover_finds_the_minimum(problem):
     # the search starts from the smaller of the leaf-up and the greedy cover,
     # and whichever it is, no smaller cover exists
     covers, full = problem
-    size, mask = _min_cover(covers, full)
+    size, mask = _min_cover(covers)
     assert mask.bit_count() == size and _covered_by(covers, mask) == full
     assert not covers_of_size(covers, full, size - 1, full, True)
 
@@ -301,7 +304,7 @@ def _check_certificate(g, covers, minimum):
     # disjoint, packing <= minimum <= cover, and the solve with any stop
     # answers below the stop or exactly
     full = g.full_mask
-    cover, packing = _leaf_up(covers, full)
+    cover, packing = _leaf_up(covers)
     assert _covered_by(covers, cover) == full
     packed = 0
     for v in iter_bits(packing):
@@ -309,7 +312,7 @@ def _check_certificate(g, covers, minimum):
         packed |= covers[v]
     assert packing.bit_count() <= minimum <= cover.bit_count()
     for stop in range(g.n + 1):
-        size, mask = _min_cover(covers, full, leaves=leaves_mask(g), stop=stop)
+        size, mask = _min_cover(covers, stop=stop)
         assert mask.bit_count() == size and _covered_by(covers, mask) == full
         if minimum <= stop:
             assert size <= stop
@@ -327,7 +330,7 @@ def test_leaf_up_certificate_is_sound_on_small_trees_and_graphs():
         if g.is_tree():
             # Rall's and Meir and Moon's theorems: the walk closes on trees
             for covers in (_total_covers(g), _closed_covers(g)):
-                cover, packing = _leaf_up(covers, g.full_mask)
+                cover, packing = _leaf_up(covers)
                 assert cover.bit_count() == packing.bit_count(), edges
 
 
@@ -358,9 +361,92 @@ def test_total_cover_of_a_graph_with_an_isolated_vertex_is_none():
     # the isolated vertex as the first root, and as a later one
     for g in (from_edge_list(3, [(1, 2)]), from_edge_list(3, [(0, 1)]),
               from_edge_list(5, [(0, 4), (1, 2)])):
-        assert _leaf_up(_total_covers(g), g.full_mask) is None
-        assert _min_cover(_total_covers(g), g.full_mask) is None
-        assert _min_cover(_total_covers(g), g.full_mask, stop=g.n) is None
+        assert _leaf_up(_total_covers(g)) is None
+        assert _min_cover(_total_covers(g)) is None
+        assert _min_cover(_total_covers(g), stop=g.n) is None
+
+
+# a tree of 53 vertices with two chords, gamma 19 and gamma_t 23: its gamma
+# solve takes over a thousand times as long with no support forced
+_CHORDED_TREE53 = (
+    "tiPA?G@@?O?OC?O???__??C?_??_??A???A??A????_A???@???O???G???????A??OOA"
+    "?????????O???C??@???G?????????A?????a????A????C_????_???A???????????C?C"
+    "?????C???????@????????@?????G?????????A??????@???????_???????????_@????"
+    "????@????????C??????"
+)
+
+
+def test_forced_supports_reach_the_search(monkeypatch):
+    # every search _min_cover runs starts from the supports of the leaves
+    # that are not half of a K2, read off the cover sets alone; the chorded
+    # tree also goes in with a K2 beside it, whose two leaves force nothing
+    chosen_seen = []
+    search = domination._search
+
+    def recording(covers, bound, chosen=0, *args, **kwargs):
+        chosen_seen.append(chosen)
+        return search(covers, bound, chosen, *args, **kwargs)
+
+    monkeypatch.setattr(domination, "_search", recording)
+    graphs = [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    tree = graph6_decode(_CHORDED_TREE53)
+    graphs += [from_edge_list(55, tree.edges() + [(53, 54)]), tree]
+    searched = forced = 0
+    for g in graphs:
+        leaves = leaves_mask(g)
+        supports = 0
+        for v in iter_bits(leaves):
+            supports |= g.adj[v]
+        supports &= ~leaves
+        for covers in (_total_covers(g), _closed_covers(g)):
+            chosen_seen.clear()
+            _min_cover(covers)
+            assert chosen_seen in ([], [supports]), g.edges()
+            searched += len(chosen_seen)
+            forced += bool(chosen_seen and supports)
+    # solves that reach a search, and those of them with a support forced
+    assert (searched, forced) == (744, 88)
+    assert chosen_seen == [supports] and supports.bit_count() == 17
+    assert (gamma_value(tree), solve_gamma_t(tree)) == (19, 23)
+
+
+class _CountingCovers(tuple):
+    """Cover sets that count every element a solve reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingCovers.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _grid(rows, cols):
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return from_edge_list(rows * cols, edges)
+
+
+def _petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, edges)
+
+
+@pytest.mark.parametrize("g, total_reads, closed_reads", [
+    # a prune that lets a branch through at count + lower == best read
+    # 1,266/8,085, 233/145, 192/21 and 416/288
+    (_grid(5, 5), 1102, 3863),
+    (_petersen(), 88, 76),
+    (cycle(9), 91, 21),
+    (gstar(), 384, 208),
+], ids=["grid5x5", "petersen", "c9", "gstar"])
+def test_cover_solve_work_is_pinned(g, total_reads, closed_reads):
+    reads = []
+    for covers in (_total_covers(g), _closed_covers(g)):
+        _CountingCovers.reads = 0
+        _min_cover(_CountingCovers(covers))
+        reads.append(_CountingCovers.reads)
+    assert reads == [total_reads, closed_reads]
 
 
 @pytest.mark.slow
@@ -369,7 +455,7 @@ def test_leaf_up_certificate_closes_on_every_tree_through_order_sixteen():
     for n in range(2, 17):
         for t in enumerate_trees(n):
             for covers in (_total_covers(t), _closed_covers(t)):
-                cover, packing = _leaf_up(covers, t.full_mask)
+                cover, packing = _leaf_up(covers)
                 assert cover.bit_count() == packing.bit_count(), t.edges()
             count += 1
     assert count == 32507

@@ -104,8 +104,8 @@ def test_tree_sd_eq_msd_through_order_sixteen():
 @pytest.mark.slow
 @pytest.mark.parametrize("theorem", [
     "tree-sd-eq-msd", "family-sd3", "strong-support",
-    # the paper's sd = 1 characterization and its two lemmas, through
-    # minimum-set enumeration and the sd = 1 search those sets seed
+    # the paper's sd = 1 characterization and its two lemmas, each check
+    # comparing its minimum-set predicate with an sd = 1 search
     "sd1-characterization", "lemma14-implies", "lemma2-implies",
 ])
 def test_tree_theorems_through_order_eighteen(theorem):

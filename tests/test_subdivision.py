@@ -351,10 +351,10 @@ def solves(monkeypatch):
     """
     count = [0]
 
-    def counting(covers, full, leaves=0, stop=0):
+    def counting(covers, stop=0):
         if stop:
             count[0] += 1
-        return _min_cover(covers, full, leaves, stop)
+        return _min_cover(covers, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     return count
@@ -407,9 +407,9 @@ def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, solved, mo
     # cover, then every subdivided graph that cover does not settle
     calls = {"seed": 0, "subdivided": 0}
 
-    def counting(covers, full, leaves=0, stop=0):
+    def counting(covers, stop=0):
         calls["subdivided" if stop else "seed"] += 1
-        return _min_cover(covers, full, leaves, stop)
+        return _min_cover(covers, stop)
 
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)

@@ -45,13 +45,21 @@ CASES = [
     ("path-cycle-formulas", "path_cycle_formula", _returns(3), path(5), "sd=1 msd=1"),
 ]
 
+# further violations of theorems CASES already covers, with their own ids:
+# no tree's sd exceeds the cap, so only a patch reaches this branch
+MORE_CASES = [
+    ("tree-sd-eq-msd", "_sd_msd", _returns((None, None)), path(4), "sd=>cap msd=>cap"),
+]
+
 
 def test_every_theorem_has_a_violation_case():
     assert sorted(case[0] for case in CASES) == sorted(verify.THEOREMS)
 
 
-@pytest.mark.parametrize("theorem, binding, replacement, graph, actual", CASES,
-                         ids=[case[0] for case in CASES])
+@pytest.mark.parametrize(
+    "theorem, binding, replacement, graph, actual", CASES + MORE_CASES,
+    ids=[case[0] for case in CASES] + ["tree-sd-eq-msd-both-over-cap"],
+)
 def test_check_reports_a_violation(theorem, binding, replacement, graph, actual, monkeypatch):
     check = verify.THEOREMS[theorem].check
     assert check(graph).ok
