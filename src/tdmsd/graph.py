@@ -54,8 +54,10 @@ def reach_within(adj: Sequence[int], seed: int, within: int) -> int:
     seen = frontier = seed
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
@@ -94,10 +96,12 @@ class Graph:
     def edges(self) -> list[Edge]:
         """All edges as normalized (u, v) pairs with u < v, sorted."""
         out = []
-        for u in range(self.n):
-            higher = self.adj[u] >> (u + 1)
-            for off in iter_bits(higher):
-                out.append((u, u + 1 + off))
+        for u, nbrs in enumerate(self.adj):
+            higher = nbrs >> u + 1 << u + 1
+            while higher:
+                low = higher & -higher
+                out.append((u, low.bit_length() - 1))
+                higher ^= low
         return out
 
     def is_connected(self) -> bool:
@@ -171,25 +175,29 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:
     """g with each normalized edge (u, v) of edges replaced by a path of t
-    new vertices, numbered from n up, edge by edge, in path order from u."""
+    new vertices, numbered from n up, edge by edge, in path order from u.
+
+    edges must be distinct.  Every edge is checked before the vertex count,
+    so a missing edge is reported first; the new vertices are then appended
+    in one pass, each with its two path neighbours.
+    """
+    n, adj = g.n, list(g.adj)
     for u, v in edges:
-        if not g.has_edge(u, v):
+        if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
             raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
-    n2 = g.n + len(edges) * t
+    n2 = n + len(edges) * t
     if n2 > MAX_VERTICES:
         raise TooLarge(f"subdivision would need {n2} vertices")
-    adj = list(g.adj) + [0] * (n2 - g.n)
-    x = g.n
     for u, v in edges:
+        x = len(adj)
         last = x + t - 1
-        adj[u] = adj[u] & ~(1 << v) | 1 << x
-        adj[v] = adj[v] & ~(1 << u) | 1 << last
-        adj[x] |= 1 << u
-        adj[last] |= 1 << v
+        adj[u] ^= 1 << v | 1 << x
+        adj[v] ^= 1 << u | 1 << last
+        prev = u
         for y in range(x, last):
-            adj[y] |= 1 << y + 1
-            adj[y + 1] |= 1 << y
-        x = last + 1
+            adj.append(1 << prev | 1 << y + 1)
+            prev = y
+        adj.append(1 << prev | 1 << v)
     return Graph(n2, adj)
 
 

@@ -12,7 +12,9 @@ Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a
 SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
 one exact solve of g.  A subdivided graph H that this cover still covers has
-a number of at most gamma(g), so it is settled without a search.  Any other
+a number of at most gamma(g), so it is settled without a search.  The cover
+is tested at H's subdivided edges, where alone H differs from g, so such an
+H is never built: a subdivided graph is built only to be solved.  Any other
 H goes to domination's one solve with gamma(g) as its stop, since a row asks
 only whether H's number exceeds it: H's leaf-up cover settles H when it has
 at most gamma(g) vertices or as many as the packing of the same walk (on
@@ -23,9 +25,9 @@ cover checked against H, so the values stay exact.
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
 than the solves they save (and are factorial on symmetric graphs).  The sd
-and msd searches of g may share one state: both build their row of single
-subdivisions as subdivide_edges(g, (e,)), so the state records how that
-common row ended, and the second search builds none of it.
+and msd searches of g may share one state: both start with the same row of
+single subdivisions, subdivide_edges(g, (e,)) for each edge e, so the state
+records how that common row ended, and the second search runs none of it.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import NamedTuple
 
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
-from .errors import Disconnected, EdgeNotPresent, TooSmall
-from .graph import Edge, Graph, normalize_edge, subdivide, subdivide_edges
+from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
+from .graph import MAX_VERTICES, Edge, Graph, normalize_edge, subdivide, subdivide_edges
 
 MSD_DEFAULT_CAP = 3
 
@@ -77,17 +79,17 @@ class SearchState:
     """What the searches of graph g learn, shared for as long as the caller
     keeps the state.
 
-    base is g's (total) domination number and cover one of its minimum
-    (total) dominating sets as a vertex mask, both from one exact solve of
-    g; edges is its edge list, and cover_sets domination's _total_covers or
-    _closed_covers.  row_one is how the row of single subdivisions ended:
-    None before any search ran it, () if no edge raises the number, else
-    ((e,), value) for the first edge that does.
+    cover_sets is domination's _total_covers or _closed_covers, and sets
+    is cover_sets(g).  base is g's (total) domination number and cover one
+    of its minimum (total) dominating sets as a vertex mask, both from one
+    exact solve of sets; edges is g's edge list.  row_one is how the row of
+    single subdivisions ended: None before any search ran it, () if no edge
+    raises the number, else ((e,), value) for the first edge that does.
 
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "cover_sets", "base", "cover", "edges", "row_one")
+    __slots__ = ("graph", "cover_sets", "sets", "base", "cover", "edges", "row_one")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
         if g.n < 2:
@@ -96,54 +98,75 @@ class SearchState:
             raise Disconnected("subdivision invariants need a connected graph")
         self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
         self.row_one: tuple | None = None
+        self.sets = cover_sets(g)
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(cover_sets(g))
+        self.base, self.cover = _min_cover(self.sets)
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
-    """memo, once checked to be a state of g, or else a new state of g."""
+    """memo, once checked to be a state of g with cover_sets, or else a new
+    state of g."""
     if g.n < min_n:
         raise TooSmall(f"need n >= {min_n}, got n={g.n}")
     if memo is None:
         return SearchState(g, cover_sets=cover_sets)
     if memo.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
+    if memo.cover_sets is not cover_sets:
+        raise ValueError("a SearchState serves the searches of one kind of domination")
     return memo
-
-
-def _increase(state: SearchState, h: Graph) -> int | None:
-    """The number of h if it exceeds the base, else None.
-
-    h is a subdivision of state.graph.  The state's minimum cover of the
-    graph, if it still covers h, shows that h's number is at most the base
-    without a solve.  Otherwise h is solved with the base as the stop.
-    """
-    covers = state.cover_sets(h)
-    covered = 0
-    rest = state.cover
-    while rest:
-        low = rest & -rest
-        covered |= covers[low.bit_length() - 1]
-        rest ^= low
-    if covered == h.full_mask:
-        return None
-    value = _min_cover(covers, stop=state.base)[0]
-    return value if value > state.base else None
 
 
 def _row(state: SearchState, subsets, t: int) -> tuple:
     """(subset, number) for the first subset whose graph raises the number,
-    or () if none does.  At t = 1 that graph is subdivide_edges(graph,
+    or () if none does.  At t = 1 that graph H is subdivide_edges(graph,
     subset), else subset's one edge subdivided t times.
+
+    Each subset runs three steps.  H's vertex count is checked first, so a
+    row over the vertex cap fails at its first subset, settled or not.
+    Then the state's minimum cover C of the graph is tested against H at
+    the subdivided edges, building nothing; if C covers H, H's number is at
+    most the base.  Only otherwise is H built, and solved with the base as
+    the stop.
+
+    The test decides exactly whether C covers H, for total and closed cover
+    sets alike.  C holds old vertices only.  A new vertex's candidates are
+    its path neighbours and, for closed sets, itself, so it is covered
+    exactly when it is next to an end in C.  At t = 1 the new vertex is next
+    to both ends, so each subdivided edge needs an end in C; at t = 2 each
+    new vertex is next to one end, so each edge needs both; at t >= 3 a
+    middle new vertex has no old neighbour, and C covers no H.  An end w
+    keeps its cover set of the graph less lost, the other ends of its
+    subdivided edges, and gains new vertices, which are not in C; the cover
+    relation is symmetric, so w is covered exactly when sets[w] & ~lost & C
+    is not empty.  Every other old vertex keeps its cover set, which C
+    meets because C covers the graph.
     """
-    g = state.graph
-    # both builders are read from this module, where tracing and tests wrap them
+    g, base, cover, sets = state.graph, state.base, state.cover, state.sets
     for subset in subsets:
+        n2 = g.n + len(subset) * t
+        if n2 > MAX_VERTICES:
+            raise TooLarge(f"subdivision would need {n2} vertices")
+        if t <= 2:
+            for u, v in subset:
+                if (cover >> u & 1) + (cover >> v & 1) < t:
+                    break
+                # the other ends of the subdivided edges at u and at v
+                lost_u = lost_v = 0
+                for a, b in subset:
+                    lost_u |= (a == u) << b | (b == u) << a
+                    lost_v |= (a == v) << b | (b == v) << a
+                if not (sets[u] & cover & ~lost_u and sets[v] & cover & ~lost_v):
+                    break
+            else:
+                continue
+        # both builders are read from this module, where tracing and tests wrap them
         if t == 1:
-            after = _increase(state, subdivide_edges(g, subset))
+            h = subdivide_edges(g, subset)
         else:
-            after = _increase(state, subdivide(g, subset[0], t))
-        if after is not None:
+            h = subdivide(g, subset[0], t)
+        after = _min_cover(state.cover_sets(h), stop=base)[0]
+        if after > base:
             return subset, after
     return ()
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ from tdmsd import canonical, domination, subdivision, verify
 from tdmsd.domination import (
     _closed_covers,
     _min_cover,
+    _total_covers,
     is_dominating,
     is_total_dominating,
     solve_gamma_t,
@@ -212,6 +214,11 @@ def _trees_of_order_11_to_13():
         yield from enumerate_trees(n)
 
 
+def _connected_of_order_seven():
+    # dense graphs, where rows meet subsets with both ends in a closed cover
+    return enumerate_connected_graphs(7)
+
+
 @pytest.mark.parametrize("search, base_fn, solve_fn, graphs", [
     pytest.param(msd_gamma_t, gamma_t_value, solve_gamma_t, _trees_and_graphs,
                  id="msd_gamma_t-gamma_t_value-solve_gamma_t"),
@@ -219,6 +226,10 @@ def _trees_of_order_11_to_13():
                  id="msd_gamma-gamma_value-gamma_value"),
     pytest.param(msd_gamma, gamma_value, gamma_value, _trees_of_order_11_to_13,
                  id="msd_gamma-trees_11_to_13", marks=pytest.mark.slow),
+    pytest.param(msd_gamma_t, gamma_t_value, solve_gamma_t, _connected_of_order_seven,
+                 id="msd_gamma_t-connected_order_seven", marks=pytest.mark.slow),
+    pytest.param(msd_gamma, gamma_value, gamma_value, _connected_of_order_seven,
+                 id="msd_gamma-connected_order_seven", marks=pytest.mark.slow),
 ])
 def test_count_major_msd_matches_edge_major_reference(search, base_fn, solve_fn, graphs):
     for g in graphs():
@@ -245,6 +256,10 @@ def _sd_reference(g, cap, base_fn, solve_fn, solved):
                  id="sd_gamma-gamma_value-gamma_value"),
     pytest.param(sd_gamma, gamma_value, gamma_value, _trees_of_order_11_to_13,
                  id="sd_gamma-trees_11_to_13", marks=pytest.mark.slow),
+    pytest.param(sd_gamma_t, gamma_t_value, solve_gamma_t, _connected_of_order_seven,
+                 id="sd_gamma_t-connected_order_seven", marks=pytest.mark.slow),
+    pytest.param(sd_gamma, gamma_value, gamma_value, _connected_of_order_seven,
+                 id="sd_gamma-connected_order_seven", marks=pytest.mark.slow),
 ])
 def test_sd_matches_solve_every_subset_reference(search, base_fn, solve_fn, graphs):
     for g in graphs():
@@ -319,6 +334,49 @@ def test_state_serves_one_graph():
     with pytest.raises(ValueError):
         msd_gamma_t(path(6), memo=state)
     assert msd_gamma_t(path(5), memo=state) == msd_gamma_t(path(5))
+
+
+@pytest.mark.parametrize("search", [sd_gamma_t, msd_gamma_t])
+def test_state_serves_one_kind_of_domination(search):
+    # a state of closed covers would answer for gamma: 1 on P6, where sd_t
+    # and msd_t are 3
+    closed = SearchState(path(6), cover_sets=_closed_covers)
+    with pytest.raises(ValueError, match="one kind of domination"):
+        search(path(6), memo=closed)
+    with pytest.raises(ValueError, match="one graph"):
+        search(path(5), memo=SearchState(path(6)))
+    assert search(path(6), memo=SearchState(path(6))).value == 3
+
+
+def _covered(covers, cover):
+    """The union of the cover sets of the vertices of the mask cover."""
+    out = 0
+    for c in iter_bits(cover):
+        out |= covers[c]
+    return out
+
+
+def test_rows_over_the_vertex_cap_fail():
+    # sd's row of edge pairs and msd's row at t = 3 are the first over the cap
+    with pytest.raises(errors.TooLarge, match="subdivision would need 65 vertices"):
+        sd_gamma_t(path(63), cap=2)
+    with pytest.raises(errors.TooLarge, match="subdivision would need 65 vertices"):
+        msd_gamma_t(path(62))
+
+
+def test_row_over_the_cap_fails_at_a_subset_the_cover_settles(builds, monkeypatch):
+    # the state's cover of C6 covers it with (0, 5) subdivided once or twice,
+    # so a row that tested the cover before the size would skip t = 1 and 2
+    # and fail only at t = 3, needing 9 vertices
+    g, e = cycle(6), (0, 5)
+    cover = SearchState(g).cover
+    for t in (1, 2):
+        h = subdivide(g, e, t)
+        assert _covered(_total_covers(h), cover) == h.full_mask
+    monkeypatch.setattr(subdivision, "MAX_VERTICES", g.n)
+    with pytest.raises(errors.TooLarge, match="subdivision would need 7 vertices"):
+        msd_gamma_t_edge(g, e)
+    assert builds == []
 
 
 def test_bound_state_still_checks_the_order():
@@ -461,6 +519,28 @@ def builds(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
+def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds):
+    # every subset a row tries, on every tree of order <= 10 and connected
+    # graph of order <= 6: single edges at t = 1, 2, 3 and edge pairs and
+    # triples at t = 1.  The row's test at the subdivided edges must build
+    # the graph exactly when the state's cover misses some vertex of it
+    settled = {1: 0, 2: 0, 3: 0}
+    for g in _trees_and_graphs():
+        state = SearchState(g, cover_sets=cover_sets)
+        tries = [((e,), t) for e in state.edges for t in (1, 2, 3)]
+        tries += [(subset, 1) for k in (2, 3) for subset in combinations(state.edges, k)]
+        for subset, t in tries:
+            h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
+            misses = _covered(cover_sets(h), state.cover) != h.full_mask
+            builds.clear()
+            subdivision._row(state, [subset], t)
+            assert len(builds) == misses, (g.edges(), subset, t)
+            settled[t] += not misses
+    # the test settles graphs at t = 1 and 2, and none at t = 3
+    assert settled[1] and settled[2] and not settled[3], settled
+
+
 def test_tree_check_builds_each_single_subdivision_once(builds):
     # sd runs the row of single subdivisions first, and msd reads how it
     # ended: msd builds graphs at t >= 2 only
@@ -471,10 +551,12 @@ def test_tree_check_builds_each_single_subdivision_once(builds):
 
 
 def test_tree_check_subdivided_graphs_built_are_pinned(builds):
-    # 7,696 when msd rebuilt the row of single subdivisions sd had settled
+    # 7,696 when msd rebuilt the row of single subdivisions sd had settled,
+    # 4,712 when every graph was built before the state's cover was tested;
+    # now a graph is built only to be solved, so this is the solve pin
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert len(builds) == 4712
+    assert len(builds) == 3428
 
 
 _FROZEN = [
