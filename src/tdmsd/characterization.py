@@ -110,8 +110,7 @@ def inner_edge_condition(t: Graph, e: Edge) -> EdgeConditionReport:
     u, v = normalize_edge(*e)
     if not t.has_edge(u, v):
         raise NotInnerEdge(f"({u}, {v}) is not an edge")
-    lv = leaves_mask(t)
-    if (lv >> u & 1) or (lv >> v & 1):
+    if (u, v) not in inner_edges(t):
         raise NotInnerEdge(f"({u}, {v}) is a pendant edge")
     failing = _failing_set(t, u, v, _all_min_tds_masks(t))
     if failing is None:
@@ -172,29 +171,20 @@ def _tree_path(t: Graph, a: int, to_b: list[int]) -> tuple[int, ...]:
 
 
 def longest_paths(t: Graph) -> tuple[tuple[int, ...], ...]:
-    """Every diametral path of a tree, one per ordered-by-endpoints pair."""
+    """Every diametral path of a tree, from a to b for each pair of ends
+    a <= b, in order of (a, b); K1's one path is (0,)."""
     if not t.is_tree():
         raise NotATree("longest paths computed on trees")
     dists = [t.bfs_distances(v) for v in range(t.n)]
     diam = max(max(row) for row in dists)
     out = []
     for a in range(t.n):
-        for b in range(a + 1, t.n):
+        for b in range(a, t.n):
             if dists[a][b] == diam:
                 out.append(_tree_path(t, a, dists[b]))
     return tuple(out)
 
 
 def longest_path(t: Graph) -> tuple[int, ...]:
-    """One deterministic longest path: double BFS, ties to smallest endpoints."""
-    if not t.is_tree():
-        raise NotATree("longest paths computed on trees")
-    d0 = t.bfs_distances(0)
-    ecc0 = max(d0)
-    a = min(v for v in range(t.n) if d0[v] == ecc0)
-    da = t.bfs_distances(a)
-    ecc = max(da)
-    b = min(v for v in range(t.n) if da[v] == ecc)
-    # the path from the smaller endpoint to the larger
-    path = _tree_path(t, b, da)
-    return path if b < a else path[::-1]
+    """The first of longest_paths: ties go to the smallest endpoints."""
+    return longest_paths(t)[0]

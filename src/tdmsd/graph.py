@@ -288,12 +288,12 @@ def structure_profile(g: Graph) -> StructureProfile:
     diameter: int | None = None
     if connected:
         diameter = max(max(g.bfs_distances(v)) for v in range(g.n))
+    is_tree = connected and g.m == g.n - 1
     non_leaf = g.n - lv.bit_count()
-    is_star = connected and g.n >= 2 and g.m == g.n - 1 and non_leaf <= 1
     return StructureProfile(
         is_connected=connected,
-        is_tree=connected and g.m == g.n - 1,
-        is_star=is_star,
+        is_tree=is_tree,
+        is_star=is_tree and g.n >= 2 and non_leaf <= 1,
         leaves=frozenset(iter_bits(lv)),
         supports=frozenset(iter_bits(supports)),
         strong_supports=frozenset(iter_bits(strong)),

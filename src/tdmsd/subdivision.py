@@ -135,7 +135,8 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     exactly when it is next to an end in C.  At t = 1 the new vertex is next
     to both ends, so each subdivided edge needs an end in C; at t = 2 each
     new vertex is next to one end, so each edge needs both; at t >= 3 a
-    middle new vertex has no old neighbour, and C covers no H.  An end w
+    middle new vertex has no old neighbour, and C covers no H: an edge needs
+    t of its two ends in C, which fails at the first edge.  An end w
     keeps its cover set of the graph less lost, the other ends of its
     subdivided edges, and gains new vertices, which are not in C; the cover
     relation is symmetric, so w is covered exactly when sets[w] & ~lost & C
@@ -147,19 +148,18 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
         n2 = g.n + len(subset) * t
         if n2 > MAX_VERTICES:
             raise TooLarge(f"subdivision would need {n2} vertices")
-        if t <= 2:
-            for u, v in subset:
-                if (cover >> u & 1) + (cover >> v & 1) < t:
-                    break
-                # the other ends of the subdivided edges at u and at v
-                lost_u = lost_v = 0
-                for a, b in subset:
-                    lost_u |= (a == u) << b | (b == u) << a
-                    lost_v |= (a == v) << b | (b == v) << a
-                if not (sets[u] & cover & ~lost_u and sets[v] & cover & ~lost_v):
-                    break
-            else:
-                continue
+        for u, v in subset:
+            if (cover >> u & 1) + (cover >> v & 1) < t:
+                break
+            # the other ends of the subdivided edges at u and at v
+            lost_u = lost_v = 0
+            for a, b in subset:
+                lost_u |= (a == u) << b | (b == u) << a
+                lost_v |= (a == v) << b | (b == v) << a
+            if not (sets[u] & cover & ~lost_u and sets[v] & cover & ~lost_v):
+                break
+        else:
+            continue
         # both builders are read from this module, where tracing and tests wrap them
         if t == 1:
             h = subdivide_edges(g, subset)

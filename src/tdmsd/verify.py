@@ -187,7 +187,7 @@ def _check_lemma14(t: Graph) -> Record:
 
 
 def _check_universal(g: Graph) -> Record:
-    if g.n < 3 or not any(g.degree(v) == g.n - 1 for v in range(g.n)):
+    if not any(g.degree(v) == g.n - 1 for v in range(g.n)):
         return Record(graph6_encode(g), True, "no universal vertex", "skipped")
     value = _msd3(g)
     return Record(graph6_encode(g), value == 2, "msd_gamma_t == 2", _fmt(value))

@@ -87,6 +87,22 @@ def naive_diameter(n, edges):
     return max(max(bfs_distances(n, edges, s).values()) for s in range(n))
 
 
+def double_bfs_longest_path(n, edges):
+    """A tree's diametral path by double BFS: a is the least vertex farthest
+    from 0, b the least vertex farthest from a; the path runs from the
+    smaller of the two to the larger."""
+    adj = adjacency(n, edges)
+    d0 = bfs_distances(n, edges, 0)
+    a = min(v for v, d in d0.items() if d == max(d0.values()))
+    da = bfs_distances(n, edges, a)
+    b = min(v for v, d in da.items() if d == max(da.values()))
+    # walk from b towards a, each step to the neighbour one closer to a
+    path = [b]
+    while path[-1] != a:
+        path.append(min(w for w in adj[path[-1]] if da[w] == da[path[-1]] - 1))
+    return tuple(path) if b < a else tuple(reversed(path))
+
+
 def subdivide_once_each(n, edges, subset):
     edges = [tuple(sorted(e)) for e in edges]
     out = list(edges)

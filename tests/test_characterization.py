@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tdmsd import (
@@ -19,7 +21,7 @@ from tdmsd.characterization import _branches
 from tdmsd.domination import _all_min_tds_masks
 from tdmsd.enumeration import enumerate_connected_graphs, enumerate_trees
 
-from oracles import edge_condition_on_set, lemma14_edge_ok
+from oracles import double_bfs_longest_path, edge_condition_on_set, lemma14_edge_ok
 
 
 def test_leaf_condition_examples():
@@ -53,6 +55,17 @@ def test_inner_edge_condition_rejects_pendant():
         inner_edge_condition(path(5), (0, 1))
     with pytest.raises(errors.NotInnerEdge):
         inner_edge_condition(path(5), (0, 2))
+
+
+@pytest.mark.parametrize("e, message", [
+    ((0, 2), "(0, 2) is not an edge"),
+    ((1, 0), "(0, 1) is a pendant edge"),
+    ((4, 3), "(3, 4) is a pendant edge"),
+])
+def test_inner_edge_condition_names_the_edge_it_refuses(e, message):
+    with pytest.raises(errors.NotInnerEdge) as info:
+        inner_edge_condition(path(5), e)
+    assert str(info.value) == message
 
 
 def test_predicts_sd_one_examples():
@@ -112,6 +125,26 @@ def test_longest_paths_enumerates_all_diametral_pairs():
     assert len(paths) == 3  # three pairs of leaves at distance 4
     for p in paths:
         assert len(p) == 5
+
+
+def test_longest_paths_of_k1_is_its_one_vertex():
+    assert longest_paths(path(1)) == ((0,),)
+
+
+def test_longest_path_matches_double_bfs_on_trees_to_twelve():
+    # longest_path is the first of longest_paths; the double BFS oracle is
+    # the routine it replaced, checked here under seeded relabelings too
+    rng = random.Random(33)
+    count = 0
+    for n in range(2, 13):
+        for t in enumerate_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = from_edge_list(n, [(perm[u], perm[v]) for u, v in t.edges()])
+            for g in (t, relabeled):
+                assert longest_path(g) == double_bfs_longest_path(n, g.edges()), g.edges()
+            count += 1
+    assert count == 986
 
 
 def test_longest_path_rejects_non_tree():

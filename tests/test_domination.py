@@ -11,6 +11,7 @@ from tdmsd import (
     enumerate_connected_graphs,
     enumerate_trees,
     errors,
+    fixture_by_name,
     from_edge_list,
     gamma,
     gamma_t,
@@ -447,6 +448,38 @@ def test_cover_solve_work_is_pinned(g, total_reads, closed_reads):
         _min_cover(_CountingCovers(covers))
         reads.append(_CountingCovers.reads)
     assert reads == [total_reads, closed_reads]
+
+
+@pytest.mark.parametrize("name, total_searches, closed_searches", [
+    # searching again for a vertex already in the witness made
+    # 12/12, 9/9, 6/6, 7/7, 4/4, 6/6 and 6/6
+    ("gstar", 7, 9),
+    ("c9", 5, 7),
+    ("wheel5", 5, 6),
+    ("p7", 4, 5),
+    ("k4", 3, 4),
+    ("star6", 5, 6),
+    ("p6", 3, 5),
+])
+def test_witness_search_work_is_pinned(name, total_searches, closed_searches, monkeypatch):
+    # the searches _first_cover makes itself, for gamma_t's and gamma's
+    # witnesses; the value solve is not counted, since gamma_t_value's cache
+    # may skip it
+    g = fixture_by_name(name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _search(*args, **kwargs)
+
+    monkeypatch.setattr(domination, "_search", counting)
+    searches = []
+    for covers in (_total_covers(g), _closed_covers(g)):
+        k = _min_cover(covers)[0]
+        calls.clear()
+        assert _first_cover(covers, k, 0) is not None
+        searches.append(len(calls))
+    assert searches == [total_searches, closed_searches]
 
 
 @pytest.mark.slow

@@ -168,6 +168,20 @@ def test_structure_profile_k1():
     assert prof.is_tree and prof.diameter == 0
 
 
+@pytest.mark.parametrize("g, is_tree, is_star", [
+    (path(1), True, False),
+    (path(2), True, True),
+    (path(3), True, True),
+    (path(4), True, False),
+    (cycle(4), False, False),
+    (star(5), True, True),
+    (from_edge_list(4, [(0, 1), (2, 3)]), False, False),
+], ids=["K1", "K2", "P3", "P4", "C4", "star5", "2K2"])
+def test_structure_profile_tree_and_star(g, is_tree, is_star):
+    prof = structure_profile(g)
+    assert (prof.is_tree, prof.is_star) == (is_tree, is_star)
+
+
 def test_zero_vertex_graph_is_not_connected():
     g = Graph(0, ())
     assert not g.is_connected() and not g.is_tree()

@@ -69,6 +69,30 @@ def test_subdivision_resolves_canonical_code_on_first_access():
         getattr(subdivision, "no_such_name")
 
 
+def test_every_submodule_loads_only_the_standard_library():
+    # without site, only PYTHONPATH's src is importable beside the standard
+    # library, so a third-party import fails here even when it is installed
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    code = (
+        "import json, pkgutil, sys\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import tdmsd\n"
+        "names = [m.name for m in pkgutil.iter_modules(tdmsd.__path__)]\n"
+        "for name in names:\n"
+        "    __import__('tdmsd.' + name)\n"
+        "after = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(json.dumps([names, sorted(after - before)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, loaded = json.loads(proc.stdout)
+    assert len(names) == 13
+    allowed = set(sys.stdlib_module_names) | set(sys.builtin_module_names) | {"tdmsd"}
+    assert "tdmsd" in loaded
+    assert [name for name in loaded if name not in allowed] == []
+
+
 def test_package_import_loads_no_submodule():
     out = _fresh_python("import json, sys, tdmsd; print(json.dumps(sorted(sys.modules)))")
     assert not [name for name in json.loads(out) if name.startswith("tdmsd.")]

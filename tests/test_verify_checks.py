@@ -8,7 +8,7 @@ so the failure comes from the patch alone.
 
 import pytest
 
-from tdmsd import complete, generate_family, path, star
+from tdmsd import complete, errors, generate_family, path, star
 from tdmsd import verify
 
 
@@ -73,3 +73,15 @@ def test_path_cycle_violation_names_the_wrong_formula(monkeypatch):
     monkeypatch.setattr(verify, "path_cycle_formula", lambda n: 3)
     record = verify.THEOREMS["path-cycle-formulas"].check(path(5))
     assert record.expected == "sd=msd=3 for path n=5"
+
+
+def test_universal_vertex_starts_at_the_connected_graphs_of_order_three():
+    # P3 and K3, each with a universal vertex, so neither is skipped; the
+    # theorem table's lower order is the check's only domain rule
+    report = verify.run_verification("universal-vertex", 3)
+    assert report.graphs_checked == 2 and report.ok
+    assert [(r.graph6, r.expected) for r in report.records] == [
+        ("Bo", "msd_gamma_t == 2"), ("Bw", "msd_gamma_t == 2"),
+    ]
+    with pytest.raises(errors.OutOfRange):
+        verify.run_verification("universal-vertex", 2)
