@@ -2,7 +2,9 @@
 
 Every value comes from one solve, _min_cover.  It first walks the graph
 once from the leaves up, for a cover and a packing; when their sizes meet,
-as they do on every tree, the cover is minimum and no search runs.  One
+as they do on every tree, the cover is minimum and no search runs.  The
+walk's order (_leaf_order, one BFS) is apart from the walk (_walk), so a
+caller that has the order, or one it spliced, walks it without a BFS.  One
 branch-and-bound set-cover search serves every other answer.  It shrinks its
 bound for the values, collects every cover below the minimum plus one for
 the complete list of minimum sets, and fixes a witness vertex by vertex in
@@ -67,22 +69,14 @@ def _greedy_cover(covers: tuple[int, ...], chosen: int) -> int | None:
     return chosen
 
 
-def _leaf_up(covers: tuple[int, ...]) -> tuple[int, int] | None:
-    """A cover of every element and a packing, as vertex masks, from one
-    leaf-up walk; None if some element has no candidate.
-
-    The walk visits a BFS forest (each tree rooted at its lowest vertex)
-    deepest first.  An element nothing chosen covers yet gets a BFS parent
-    chosen (its highest candidate in the layer above), a root its highest
-    candidate.  An element is packed when its cover set misses those of
-    every element packed so far; each packed element needs a cover vertex of
-    its own, so every cover has at least that many vertices.  On a forest,
-    with total or closed cover sets, the cover is minimum and the packing as
-    large (Rall, Discuss. Math. Graph Theory 25, 2005; Meir and Moon,
-    Pacific J. Math. 61, 1975).
+def _leaf_order(covers: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The leaf-up walk's order of the elements, as (element, mask of the
+    BFS layer above it) pairs: a BFS forest, each tree rooted at its lowest
+    element, deepest layer first and each layer ascending.  A root's mask is
+    0, so the forest is one tree exactly when only the last pair, the first
+    root, has mask 0.
     """
-    # BFS layers as (layer, the layer above it); above a root's layer is 0
-    layers = []
+    order = []
     seen = 0
     everything = (1 << len(covers)) - 1
     while seen != everything:
@@ -90,38 +84,63 @@ def _leaf_up(covers: tuple[int, ...]) -> tuple[int, int] | None:
         layer = (seen + 1) & ~seen
         while layer:
             seen |= layer
-            layers.append((layer, above))
             below = 0
+            # high to low, so the reversed list runs each layer ascending
             rest = layer
             while rest:
-                low = rest & -rest
-                below |= covers[low.bit_length() - 1]
-                rest ^= low
+                v = rest.bit_length() - 1
+                order.append((v, above))
+                below |= covers[v]
+                rest ^= 1 << v
             above, layer = layer, below & ~seen
+    order.reverse()
+    return order
+
+
+def _walk(covers: tuple[int, ...], order) -> tuple[int, int] | None:
+    """A cover of every element and a packing, as vertex masks, from one
+    walk of the elements in ``order``, pairs as _leaf_order gives them;
+    None if some element has no candidate.
+
+    An element nothing chosen covers yet gets its parent chosen (its highest
+    candidate in its mask above), a root its highest candidate.  An element
+    is packed when its cover set misses those of every element packed so
+    far; each packed element needs a cover vertex of its own, so every cover
+    has at least that many vertices.  Whatever the order, the cover covers
+    and the packing packs.  On a forest, with total or closed cover sets,
+    the cover is minimum and the packing as large in any order that puts
+    each vertex after its children, its mask above holding its parent
+    (Rall, Discuss. Math. Graph Theory 25, 2005; Meir and Moon, Pacific J.
+    Math. 61, 1975).
+    """
     chosen = packing = packed = covered = 0
-    for layer, above in reversed(layers):
-        rest = layer
-        while rest:
-            low = rest & -rest
-            cands = covers[low.bit_length() - 1]
-            if not covered & low:
-                if not cands:
-                    return None
-                # the parent, or a root's highest candidate
-                u = (cands & above or cands).bit_length() - 1
-                chosen |= 1 << u
-                covered |= covers[u]
-            if not cands & packed:
-                packing |= low
-                packed |= cands
-            rest ^= low
+    for v, above in order:
+        bit = 1 << v
+        cands = covers[v]
+        if not covered & bit:
+            if not cands:
+                return None
+            # the parent, or a root's highest candidate
+            u = (cands & above or cands).bit_length() - 1
+            chosen |= 1 << u
+            covered |= covers[u]
+        if not cands & packed:
+            packing |= bit
+            packed |= cands
     return chosen, packing
 
 
-def _min_cover(covers: tuple[int, ...], stop: int = 0) -> tuple[int, int] | None:
+def _leaf_up(covers: tuple[int, ...]) -> tuple[int, int] | None:
+    """_walk over covers' own _leaf_order."""
+    return _walk(covers, _leaf_order(covers))
+
+
+def _min_cover(covers: tuple[int, ...], stop: int = 0,
+               walked: tuple[int, int] | None = None) -> tuple[int, int] | None:
     """A minimum set of vertices whose cover sets union to every element, as
     (size, vertex mask); None if no set covers them all.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
+    ``walked``, if given, is _leaf_up(covers), already walked by the caller.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
     own, so a cover no larger than the packing is minimum.  The leaf-up
@@ -136,7 +155,7 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0) -> tuple[int, int] | None
     closed neighbourhood lies in its support's; so every cover the search
     tries holds them, and they are found only when it runs.
     """
-    found = _leaf_up(covers)
+    found = _leaf_up(covers) if walked is None else walked
     if found is None:
         return None
     cover, packing = found

@@ -11,16 +11,19 @@ subdivided graphs.
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a
 SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
-one exact solve of g.  A subdivided graph H that this cover still covers has
-a number of at most gamma(g), so it is settled without a search.  The cover
-is tested at H's subdivided edges, where alone H differs from g, so such an
-H is never built: a subdivided graph is built only to be solved.  Any other
-H goes to domination's one solve with gamma(g) as its stop, since a row asks
-only whether H's number exceeds it: H's leaf-up cover settles H when it has
-at most gamma(g) vertices or as many as the packing of the same walk (on
-every subdivided tree), and otherwise a search stops at the first cover of
-at most gamma(g) vertices and is exact above it.  Every skip rests on a
-cover checked against H, so the values stay exact.
+one BFS and one exact solve of g.  A subdivided graph H that this cover
+still covers has a number of at most gamma(g), so it is settled without a
+search.  The cover is tested at H's subdivided edges, where alone H differs
+from g, so such an H is never built.  A row asks only whether H's number
+exceeds gamma(g).  On a tree, H is a tree too, and it is walked leaf-up
+without being built: g's BFS order with H's new paths spliced in is an
+order in which the walk's cover is minimum, so the walk settles H when its
+cover has at most gamma(g) vertices or as many as its packing.  Any other H
+is built and goes to domination's one solve with gamma(g) as its stop:
+H's own leaf-up cover settles H in the same two cases, and otherwise a
+search stops at the first cover of at most gamma(g) vertices and is exact
+above it.  Every skip rests on a cover checked against H, so the values
+stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -35,7 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .domination import _closed_covers, _min_cover, _total_covers
+from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers, _walk
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
 from .graph import MAX_VERTICES, Edge, Graph, normalize_edge, subdivide, subdivide_edges
@@ -80,27 +83,40 @@ class SearchState:
     keeps the state.
 
     cover_sets is domination's _total_covers or _closed_covers, and sets
-    is cover_sets(g).  base is g's (total) domination number and cover one
-    of its minimum (total) dominating sets as a vertex mask, both from one
-    exact solve of sets; edges is g's edge list.  row_one is how the row of
-    single subdivisions ended: None before any search ran it, () if no edge
-    raises the number, else ((e,), value) for the first edge that does.
+    is cover_sets(g).  order is domination's _leaf_order(sets), g's one
+    BFS, which serves the connectivity check, the walk of g's solve and, on
+    a tree, the rows' walks.  base is g's (total) domination number and
+    cover one of its minimum (total) dominating sets as a vertex mask, both
+    from one exact solve of sets; edges is g's edge list.  position is,
+    on a tree, each vertex's index in order, and None on any other graph.
+    row_one is how the row of single subdivisions ended: None before any
+    search ran it, () if no edge raises the number, else ((e,), value) for
+    the first edge that does.
 
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "cover_sets", "sets", "base", "cover", "edges", "row_one")
+    __slots__ = ("graph", "cover_sets", "sets", "order", "base", "cover", "edges",
+                 "position", "row_one")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
         if g.n < 2:
             raise TooSmall(f"need n >= 2, got n={g.n}")
-        if not g.is_connected():
+        sets = cover_sets(g)
+        order = _leaf_order(sets)
+        # each BFS tree has one root, the one pair with no layer above it
+        if [above for _, above in order].count(0) > 1:
             raise Disconnected("subdivision invariants need a connected graph")
-        self.graph, self.cover_sets, self.edges = g, cover_sets, g.edges()
+        self.graph, self.cover_sets, self.sets, self.order = g, cover_sets, sets, order
+        self.edges = g.edges()
         self.row_one: tuple | None = None
-        self.sets = cover_sets(g)
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(self.sets)
+        self.base, self.cover = _min_cover(sets, walked=_walk(sets, order))
+        self.position = None
+        if len(self.edges) == g.n - 1:
+            self.position = [0] * g.n
+            for i, (v, _) in enumerate(order):
+                self.position[v] = i
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -117,17 +133,70 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
     return memo
 
 
+def _spliced_walk(state: SearchState, subset, t: int) -> tuple[int, int]:
+    """domination's _walk cover and packing of the graph H with subset's
+    edges subdivided t times, numbered as the builders number them, walked
+    in the state's order with H's new paths spliced in.  state.position
+    must be set.
+
+    Each new path goes right after its lower end, the end that comes first
+    in the order, and runs from there to its upper end: each new vertex's
+    mask above is its neighbour toward the upper end, and the lower end's
+    is its new neighbour.  On a tree the lower end is the child, so every
+    vertex still comes after its children, with its parent above it, and
+    the cover is minimum.  H's cover sets are the state's, with each
+    subdivided edge's ends pointed at their new neighbours and the new
+    vertices appended, each with its own bit in closed sets.
+    """
+    order, position = state.order, state.position
+    covers = list(state.sets)
+    own = state.cover_sets is _closed_covers
+    splices = []
+    x = len(covers)
+    for u, v in subset:
+        # the path u, x, ..., last, v
+        last = x + t - 1
+        covers[u] ^= 1 << v | 1 << x
+        covers[v] ^= 1 << u | 1 << last
+        prev = u
+        for y in range(x, last):
+            covers.append(1 << prev | 1 << y + 1 | own << y)
+            prev = y
+        covers.append(1 << prev | 1 << v | own << last)
+        # from the lower end up, each vertex with the next one above it
+        if position[u] < position[v]:
+            steps = [(u, 1 << x), *[(y, 1 << y + 1) for y in range(x, last)], (last, 1 << v)]
+            splices.append((position[u], steps))
+        else:
+            steps = [(v, 1 << last), *[(y, 1 << y - 1) for y in range(last, x, -1)], (x, 1 << u)]
+            splices.append((position[v], steps))
+        x = last + 1
+    splices.sort()
+    spliced = []
+    start = 0
+    for at, steps in splices:
+        spliced += order[start:at]
+        spliced += steps
+        start = at + 1
+    spliced += order[start:]
+    return _walk(covers, spliced)
+
+
 def _row(state: SearchState, subsets, t: int) -> tuple:
     """(subset, number) for the first subset whose graph raises the number,
     or () if none does.  At t = 1 that graph H is subdivide_edges(graph,
     subset), else subset's one edge subdivided t times.
 
-    Each subset runs three steps.  H's vertex count is checked first, so a
-    row over the vertex cap fails at its first subset, settled or not.
+    Each subset runs up to four steps.  H's vertex count is checked first,
+    so a row over the vertex cap fails at its first subset, settled or not.
     Then the state's minimum cover C of the graph is tested against H at
     the subdivided edges, building nothing; if C covers H, H's number is at
-    most the base.  Only otherwise is H built, and solved with the base as
-    the stop.
+    most the base.  Otherwise, on a tree, H is walked in the state's order
+    with its new paths spliced in (_spliced_walk), still unbuilt: a walk
+    cover of at most the base vertices settles H below it, and one as large
+    as the walk's packing is H's number.  Only a walk that does neither, or
+    any H of a graph that is not a tree, has H built, and solved with the
+    base as the stop.
 
     The test decides exactly whether C covers H, for total and closed cover
     sets alike.  C holds old vertices only.  A new vertex's candidates are
@@ -144,6 +213,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     meets because C covers the graph.
     """
     g, base, cover, sets = state.graph, state.base, state.cover, state.sets
+    tree = state.position is not None
     for subset in subsets:
         n2 = g.n + len(subset) * t
         if n2 > MAX_VERTICES:
@@ -160,6 +230,13 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
                 break
         else:
             continue
+        if tree:
+            walked, packing = _spliced_walk(state, subset, t)
+            size = walked.bit_count()
+            if size <= base:
+                continue
+            if size == packing.bit_count():
+                return subset, size
         # both builders are read from this module, where tracing and tests wrap them
         if t == 1:
             h = subdivide_edges(g, subset)

@@ -30,6 +30,7 @@ from tdmsd.domination import (
     _all_min_tds_masks,
     _closed_covers,
     _first_cover,
+    _leaf_order,
     _leaf_up,
     _min_cover,
     _search,
@@ -333,6 +334,31 @@ def test_leaf_up_certificate_is_sound_on_small_trees_and_graphs():
             for covers in (_total_covers(g), _closed_covers(g)):
                 cover, packing = _leaf_up(covers)
                 assert cover.bit_count() == packing.bit_count(), edges
+
+
+@pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
+def test_leaf_order_runs_the_bfs_layers_deepest_first(cover_sets):
+    # every connected graph of order 2 to 6: the vertices by falling distance
+    # from vertex 0, each layer ascending, each paired with the layer above
+    # it; the root alone has no layer above
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            dist = g.bfs_distances(0)
+            layers = [0] * (max(dist) + 1)
+            for v, d in enumerate(dist):
+                layers[d] |= 1 << v
+            want = [(v, layers[dist[v] - 1] if dist[v] else 0)
+                    for v in sorted(range(n), key=lambda v: (-dist[v], v))]
+            assert _leaf_order(cover_sets(g)) == want, g.edges()
+
+
+def test_leaf_order_roots_each_component_at_its_lowest_vertex():
+    # P3 + K2 with the labels interleaved, and K1 + K2 with the isolated
+    # vertex last: a root per component, the first component's last
+    g = from_edge_list(5, [(0, 2), (2, 4), (1, 3)])
+    assert _leaf_order(_total_covers(g)) == [(3, 0b10), (1, 0), (4, 0b100), (2, 0b1), (0, 0)]
+    g = from_edge_list(3, [(0, 1)])
+    assert _leaf_order(_closed_covers(g)) == [(2, 0), (1, 0b1), (0, 0)]
 
 
 @st.composite

@@ -400,43 +400,149 @@ def test_fresh_state_refuses_a_disconnected_graph(search):
         SearchState(from_edge_list(1, []))
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Counts the solves of subdivided graphs.
+@pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
+def test_state_reads_connectivity_off_its_order(cover_sets):
+    # 2K2, K1 + K2 with the isolated vertex first and last, and P3 + K2
+    # with the components' labels interleaved; K1 is too small before any
+    # check of its connectivity
+    for n, edges in ((4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (3, [(0, 1)]),
+                     (5, [(0, 2), (2, 4), (1, 3)])):
+        with pytest.raises(errors.Disconnected,
+                           match="^subdivision invariants need a connected graph$"):
+            SearchState(from_edge_list(n, edges), cover_sets=cover_sets)
+    with pytest.raises(errors.TooSmall, match="^need n >= 2, got n=1$"):
+        SearchState(from_edge_list(1, []), cover_sets=cover_sets)
 
-    Each of them stops at the base of its search state; the one solve that
-    makes a search state has no stop and is not counted.
+
+def _tree_rows(hi):
+    """(tree, cover sets, subset, t) for every subset a row tries on every
+    tree of order 2 to hi: single edges at t = 1, 2, 3 and edge pairs and
+    triples at t = 1, with total and closed cover sets.
+
+    Each tree comes in its own labels and in a random relabelling.  The
+    generator labels every parent below its children, so in its labels the
+    lower end of an edge (u, v), u < v, is always v; relabelled, it is u on
+    some edges.
     """
-    count = [0]
+    rng = random.Random(35)
+    for n in range(2, hi + 1):
+        for tree in enumerate_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for g in (tree, tree.relabel(perm)):
+                edges = g.edges()
+                tries = [((e,), t) for e in edges for t in (1, 2, 3)]
+                tries += [(subset, 1) for k in (2, 3) for subset in combinations(edges, k)]
+                for cover_sets in (_total_covers, _closed_covers):
+                    for subset, t in tries:
+                        yield g, cover_sets, subset, t
 
-    def counting(covers, stop=0):
-        if stop:
-            count[0] += 1
-        return _min_cover(covers, stop)
 
-    monkeypatch.setattr(subdivision, "_min_cover", counting)
+def _check_spliced_walks(hi):
+    """The spliced walk of every subdivided tree of _tree_rows(hi), walked
+    whether or not the state's cover settles it, against the solve of the
+    built graph: its cover and its packing both have the minimum's size."""
+    count = 0
+    state = None
+    for g, cover_sets, subset, t in _tree_rows(hi):
+        if state is None or state.graph != g or state.cover_sets is not cover_sets:
+            state = SearchState(g, cover_sets=cover_sets)
+        h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
+        covers = cover_sets(h)
+        cover, packing = subdivision._spliced_walk(state, subset, t)
+        assert _covered(covers, cover) == h.full_mask
+        minimum = _min_cover(covers)[0]
+        assert cover.bit_count() == packing.bit_count() == minimum, (g.edges(), subset, t)
+        count += 1
     return count
 
 
-def _solves_of(solves, fn, *args, **kwargs):
-    before = solves[0]
+def test_spliced_walk_is_exact_on_subdivided_trees_through_order_nine():
+    # 15,484 subdivided trees in each labelling
+    assert _check_spliced_walks(9) == 2 * 15484
+
+
+@pytest.mark.slow
+def test_spliced_walk_is_exact_on_subdivided_trees_through_order_twelve():
+    assert _check_spliced_walks(12) == 2 * 417104
+
+
+@pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
+def test_spliced_walk_forced_on_graphs_keeps_every_result(cover_sets, work):
+    # on a graph that is not a tree the spliced walk is sound but need not
+    # be minimum, so a row must settle by it only below the base or at the
+    # packing, and build and solve otherwise.  Forced on every connected
+    # graph of order 3 to 6 that is not a tree, it leaves every sd and msd
+    # value and witness as the graph's own solves give them
+    forced = {"walk": 0, "solve": 0}
+    graphs = 0
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n):
+            want = SearchState(g, cover_sets=cover_sets)
+            if want.position is not None:
+                continue
+            want = subdivision._sd(want, 3), subdivision._msd(want, 3)
+            state = SearchState(g, cover_sets=cover_sets)
+            state.position = [0] * g.n
+            for i, (v, _) in enumerate(state.order):
+                state.position[v] = i
+            work.update(walk=0, solve=0)
+            assert (subdivision._sd(state, 3), subdivision._msd(state, 3)) == want, g.edges()
+            forced["walk"] += work["walk"]
+            forced["solve"] += work["solve"]
+            graphs += 1
+    # the 141 connected graphs of order 3 to 6 less their 12 trees; the
+    # walks settle some row graphs, and the rest are built and solved
+    assert graphs == 129
+    assert forced["walk"] > forced["solve"] > 0, forced
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts how the rows settle the subdivided graphs their state's cover
+    misses: "walk" for each tree's graph walked in its tree's order, "solve"
+    for each graph built and solved.
+
+    Each solve stops at the base of its search state; the one solve that
+    makes a search state has no stop and is not counted.
+    """
+    count = {"walk": 0, "solve": 0}
+    spliced_walk = subdivision._spliced_walk
+
+    def walking(state, subset, t):
+        count["walk"] += 1
+        return spliced_walk(state, subset, t)
+
+    def solving(covers, stop=0, walked=None):
+        if stop:
+            count["solve"] += 1
+        return _min_cover(covers, stop, walked)
+
+    monkeypatch.setattr(subdivision, "_spliced_walk", walking)
+    monkeypatch.setattr(subdivision, "_min_cover", solving)
+    return count
+
+
+def _work_of(work, fn, *args, **kwargs):
+    """The walks and solves of one call, together."""
+    before = work["walk"] + work["solve"]
     fn(*args, **kwargs)
-    return solves[0] - before
+    return work["walk"] + work["solve"] - before
 
 
-def test_tree_check_gets_msd_free_on_sd_one_trees(solves):
+def test_tree_check_gets_msd_free_on_sd_one_trees(work):
     sd_one = [t for t in enumerate_trees(9) if sd_gamma_t(t, cap=1).value == 1]
     assert sd_one
     for t in sd_one:
-        alone = _solves_of(solves, sd_gamma_t, t, cap=3)
-        assert _solves_of(solves, verify._check_tree_sd_eq_msd, t) <= alone
+        alone = _work_of(work, sd_gamma_t, t, cap=3)
+        assert _work_of(work, verify._check_tree_sd_eq_msd, t) <= alone
 
 
-def test_tree_check_keeps_no_memo_between_checks(solves):
+def test_tree_check_keeps_no_memo_between_checks(work):
     for t in enumerate_trees(8):
-        first = _solves_of(solves, verify._check_tree_sd_eq_msd, t)
+        first = _work_of(work, verify._check_tree_sd_eq_msd, t)
         assert first > 0
-        assert _solves_of(solves, verify._check_tree_sd_eq_msd, t) == first
+        assert _work_of(work, verify._check_tree_sd_eq_msd, t) == first
 
 
 def test_memo_does_not_change_results():
@@ -453,36 +559,53 @@ def test_memo_does_not_change_results():
         assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
 
 
-@pytest.mark.parametrize("theorem, seeds, solved", [
-    # 0/1,562, 0/515 and 0/1,546 when the enumerated minimum sets of each
-    # graph were its state's known covers, so no state solved its graph
-    ("sd1-characterization", 985, 1817),
-    ("lemma14-implies", 88, 666),
-    ("lemma2-implies", 1396, 1769),
+_SD_ONE_WORK = [
+    # 0/1,562, 0/515 and 0/1,546 seeds when the enumerated minimum sets of
+    # each graph were its state's known covers, so no state solved its graph.
+    # 1,817, 666 and 1,769 solves when every graph was built and solved; a
+    # tree's graphs are walked instead, one walk for each solve
+    ("sd1-characterization", 985, 1817, 0),
+    ("lemma14-implies", 88, 666, 0),
+    ("lemma2-implies", 1396, 1166, 603),
+]
+
+
+# the ids keep the seeds and the walks and solves together
+@pytest.mark.parametrize("theorem, seeds, walks, solved", _SD_ONE_WORK, ids=[
+    f"{theorem}-{seeds}-{walks + solved}" for theorem, seeds, walks, solved in _SD_ONE_WORK
 ])
-def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, solved, monkeypatch):
+def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, walks, solved, monkeypatch):
     # each sd = 1 search solves its graph once for the state's base and
-    # cover, then every subdivided graph that cover does not settle
-    calls = {"seed": 0, "subdivided": 0}
+    # cover, then walks or solves every subdivided graph that cover does
+    # not settle: walks it on a tree, builds and solves it elsewhere
+    calls = {"seed": 0, "walk": 0, "subdivided": 0}
+    spliced_walk = subdivision._spliced_walk
 
-    def counting(covers, stop=0):
+    def walking(state, subset, t):
+        calls["walk"] += 1
+        return spliced_walk(state, subset, t)
+
+    def counting(covers, stop=0, walked=None):
         calls["subdivided" if stop else "seed"] += 1
-        return _min_cover(covers, stop)
+        return _min_cover(covers, stop, walked)
 
+    monkeypatch.setattr(subdivision, "_spliced_walk", walking)
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
     assert verify.run_verification(theorem).ok
-    assert calls == {"seed": seeds, "subdivided": solved}
+    assert calls == {"seed": seeds, "walk": walks, "subdivided": solved}
 
 
-def test_tree_check_subdivided_solves_are_pinned(solves):
-    # 4,712 at the search that solved every subdivided graph it met; the
-    # state's minimum cover of the tree settles the rest, so skipping less
-    # raises it.  3,393 when each solve of a subdivided graph that stayed at
-    # the base added its cover to the state's known covers
+def test_tree_check_subdivided_solves_are_pinned(work):
+    # 4,712 solves at the search that solved every subdivided graph it met;
+    # the state's minimum cover of the tree settles the rest, so skipping
+    # less raises it.  3,393 when each solve of a subdivided graph that
+    # stayed at the base added its cover to the state's known covers.
+    # 3,428 solves when each graph the cover missed was built and solved;
+    # each is walked in its tree's order now, and none is solved
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert solves[0] == 3428
+    assert work == {"walk": 3428, "solve": 0}
 
 
 def test_tree_check_runs_no_branch_and_bound(monkeypatch):
@@ -520,13 +643,16 @@ def builds(monkeypatch):
 
 
 @pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
-def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds):
+def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds, work):
     # every subset a row tries, on every tree of order <= 10 and connected
     # graph of order <= 6: single edges at t = 1, 2, 3 and edge pairs and
-    # triples at t = 1.  The row's test at the subdivided edges must build
-    # the graph exactly when the state's cover misses some vertex of it
+    # triples at t = 1.  The row's test at the subdivided edges must pass on
+    # exactly the graphs the state's cover misses some vertex of: on a tree
+    # the row walks each of them and builds none, elsewhere it builds and
+    # solves each of them
     settled = {1: 0, 2: 0, 3: 0}
     for g in _trees_and_graphs():
+        tree = g.is_tree()
         state = SearchState(g, cover_sets=cover_sets)
         tries = [((e,), t) for e in state.edges for t in (1, 2, 3)]
         tries += [(subset, 1) for k in (2, 3) for subset in combinations(state.edges, k)]
@@ -534,29 +660,44 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
             h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
             misses = _covered(cover_sets(h), state.cover) != h.full_mask
             builds.clear()
+            work.update(walk=0, solve=0)
             subdivision._row(state, [subset], t)
-            assert len(builds) == misses, (g.edges(), subset, t)
+            want = {"walk": misses, "solve": 0} if tree else {"walk": 0, "solve": misses}
+            assert work == want, (g.edges(), subset, t)
+            assert len(builds) == work["solve"], (g.edges(), subset, t)
             settled[t] += not misses
     # the test settles graphs at t = 1 and 2, and none at t = 3
     assert settled[1] and settled[2] and not settled[3], settled
 
 
-def test_tree_check_builds_each_single_subdivision_once(builds):
+def test_tree_check_builds_each_single_subdivision_once(builds, monkeypatch):
     # sd runs the row of single subdivisions first, and msd reads how it
-    # ended: msd builds graphs at t >= 2 only
+    # ended: msd walks graphs at t >= 2 only, and no row builds a graph
+    walked = []
+    spliced_walk = subdivision._spliced_walk
+
+    def recording(state, subset, t):
+        walked.append((state.graph, subset, t))
+        return spliced_walk(state, subset, t)
+
+    monkeypatch.setattr(subdivision, "_spliced_walk", recording)
     for (t,) in verify._trees(3, 10):
         verify._check_tree_sd_eq_msd(t)
-    counts = [b for b in builds if isinstance(b, int)]
-    assert counts and 1 not in counts
+    singles = [w for w in walked if len(w[1]) == 1 and w[2] == 1]
+    assert len(set(singles)) == len(singles)
+    assert any(w[2] > 1 for w in walked)
+    assert builds == []
 
 
-def test_tree_check_subdivided_graphs_built_are_pinned(builds):
+def test_tree_check_subdivided_graphs_built_are_pinned(builds, work):
     # 7,696 when msd rebuilt the row of single subdivisions sd had settled,
-    # 4,712 when every graph was built before the state's cover was tested;
-    # now a graph is built only to be solved, so this is the solve pin
+    # 4,712 when every graph was built before the state's cover was tested,
+    # 3,428 when every graph the cover missed was built and solved; now
+    # each of those is walked in its tree's order, and none is built
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
-    assert len(builds) == 3428
+    assert len(builds) == 0
+    assert work == {"walk": 3428, "solve": 0}
 
 
 _FROZEN = [
