@@ -140,7 +140,8 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0,
     """A minimum set of vertices whose cover sets union to every element, as
     (size, vertex mask); None if no set covers them all.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
-    ``walked``, if given, is _leaf_up(covers), already walked by the caller.
+    ``walked``, if given, is a _walk of covers the caller made, in
+    _leaf_order(covers) or any other order.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
     own, so a cover no larger than the packing is minimum.  The leaf-up

@@ -72,10 +72,13 @@ def fixture_by_name(name: str) -> Graph:
     name = name.strip().lower()
     if name == "gstar":
         return gstar()
-    m = re.fullmatch(r"([a-z]+)(\d+)", name)
+    m = re.fullmatch(r"([a-z]+)([0-9]+)", name)
     if m and m.group(1) in _PARAMETRIC:
         builder, lo, extra = _PARAMETRIC[m.group(1)]
-        k = int(m.group(2))
+        digits = m.group(2).lstrip("0") or "0"
+        # longer than the cap's digits, it is above the cap; int() of
+        # thousands of digits would raise
+        k = int(digits) if len(digits) <= len(str(MAX_VERTICES)) else MAX_VERTICES + 1
         if k < lo:
             raise MalformedInput(f"{name}: parameter below minimum {lo}")
         # checked before building, since the edge list of k<huge> alone would not fit

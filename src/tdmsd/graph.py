@@ -173,13 +173,31 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
+def _wire(sets: list[int], edges: Sequence[Edge], t: int, own: int = 0) -> None:
+    """Replace each edge (u, v) of edges, in the list of neighbour masks
+    sets, by a path of t new vertices, appended from len(sets) up, edge by
+    edge, in path order from u.  With own = 1 each new vertex's mask also
+    holds its own bit, as closed neighbourhoods do.  edges must be distinct
+    edges of the graph of sets; nothing is checked.
+    """
+    for u, v in edges:
+        x = len(sets)
+        last = x + t - 1
+        sets[u] ^= 1 << v | 1 << x
+        sets[v] ^= 1 << u | 1 << last
+        prev = u
+        for y in range(x, last):
+            sets.append(1 << prev | 1 << y + 1 | own << y)
+            prev = y
+        sets.append(1 << prev | 1 << v | own << last)
+
+
 def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:
     """g with each normalized edge (u, v) of edges replaced by a path of t
-    new vertices, numbered from n up, edge by edge, in path order from u.
+    new vertices, numbered as _wire numbers them.
 
     edges must be distinct.  Every edge is checked before the vertex count,
-    so a missing edge is reported first; the new vertices are then appended
-    in one pass, each with its two path neighbours.
+    so a missing edge is reported first.
     """
     n, adj = g.n, list(g.adj)
     for u, v in edges:
@@ -188,16 +206,7 @@ def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:
     n2 = n + len(edges) * t
     if n2 > MAX_VERTICES:
         raise TooLarge(f"subdivision would need {n2} vertices")
-    for u, v in edges:
-        x = len(adj)
-        last = x + t - 1
-        adj[u] ^= 1 << v | 1 << x
-        adj[v] ^= 1 << u | 1 << last
-        prev = u
-        for y in range(x, last):
-            adj.append(1 << prev | 1 << y + 1)
-            prev = y
-        adj.append(1 << prev | 1 << v)
+    _wire(adj, edges, t)
     return Graph(n2, adj)
 
 

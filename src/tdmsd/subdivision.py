@@ -13,17 +13,17 @@ know that they do not.  Each search of a graph g works from a
 SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
 one BFS and one exact solve of g.  A subdivided graph H that this cover
 still covers has a number of at most gamma(g), so it is settled without a
-search.  The cover is tested at H's subdivided edges, where alone H differs
-from g, so such an H is never built.  A row asks only whether H's number
-exceeds gamma(g).  On a tree, H is a tree too, and it is walked leaf-up
-without being built: g's BFS order with H's new paths spliced in is an
-order in which the walk's cover is minimum, so the walk settles H when its
-cover has at most gamma(g) vertices or as many as its packing.  Any other H
-is built and goes to domination's one solve with gamma(g) as its stop:
-H's own leaf-up cover settles H in the same two cases, and otherwise a
-search stops at the first cover of at most gamma(g) vertices and is exact
-above it.  Every skip rests on a cover checked against H, so the values
-stay exact.
+solve.  The cover is tested at H's subdivided edges, where alone H differs
+from g.  A row asks only whether H's number exceeds gamma(g).  Any other H
+gets its cover sets from g's, with its new paths wired in as the builders
+wire them, and goes to domination's one solve with gamma(g) as its stop.
+The solve's leaf-up walk settles H when its cover has at most gamma(g)
+vertices or as many as its packing, and otherwise a search stops at the
+first cover of at most gamma(g) vertices and is exact above it.  On a tree,
+H is a tree too, and the walk is g's BFS order with H's new paths spliced
+in, an order in which the walk's cover is minimum; on any other graph it is
+H's own.  No search builds a Graph.  Every skip rests on a cover checked
+against H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -41,7 +41,8 @@ from typing import NamedTuple
 from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers, _walk
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
-from .graph import MAX_VERTICES, Edge, Graph, normalize_edge, subdivide, subdivide_edges
+from .graph import MAX_VERTICES, Edge, Graph, _wire, normalize_edge
+from .graph import subdivide, subdivide_edges  # noqa: F401  perfbench's traced units wrap these bindings
 
 MSD_DEFAULT_CAP = 3
 
@@ -133,37 +134,25 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
     return memo
 
 
-def _spliced_walk(state: SearchState, subset, t: int) -> tuple[int, int]:
-    """domination's _walk cover and packing of the graph H with subset's
-    edges subdivided t times, numbered as the builders number them, walked
-    in the state's order with H's new paths spliced in.  state.position
-    must be set.
+def _spliced_walk(state: SearchState, covers: list[int], subset, t: int) -> tuple[int, int]:
+    """domination's _walk of covers, the cover sets of the graph H with
+    subset's edges subdivided t times as graph's _wire numbers them, in the
+    state's order with H's new paths spliced in.  state.position must be
+    set.
 
     Each new path goes right after its lower end, the end that comes first
     in the order, and runs from there to its upper end: each new vertex's
     mask above is its neighbour toward the upper end, and the lower end's
     is its new neighbour.  On a tree the lower end is the child, so every
     vertex still comes after its children, with its parent above it, and
-    the cover is minimum.  H's cover sets are the state's, with each
-    subdivided edge's ends pointed at their new neighbours and the new
-    vertices appended, each with its own bit in closed sets.
+    the cover is minimum.
     """
     order, position = state.order, state.position
-    covers = list(state.sets)
-    own = state.cover_sets is _closed_covers
     splices = []
-    x = len(covers)
+    x = state.graph.n
     for u, v in subset:
-        # the path u, x, ..., last, v
+        # the path u, x, ..., last, v, from the lower end up
         last = x + t - 1
-        covers[u] ^= 1 << v | 1 << x
-        covers[v] ^= 1 << u | 1 << last
-        prev = u
-        for y in range(x, last):
-            covers.append(1 << prev | 1 << y + 1 | own << y)
-            prev = y
-        covers.append(1 << prev | 1 << v | own << last)
-        # from the lower end up, each vertex with the next one above it
         if position[u] < position[v]:
             steps = [(u, 1 << x), *[(y, 1 << y + 1) for y in range(x, last)], (last, 1 << v)]
             splices.append((position[u], steps))
@@ -184,19 +173,19 @@ def _spliced_walk(state: SearchState, subset, t: int) -> tuple[int, int]:
 
 def _row(state: SearchState, subsets, t: int) -> tuple:
     """(subset, number) for the first subset whose graph raises the number,
-    or () if none does.  At t = 1 that graph H is subdivide_edges(graph,
-    subset), else subset's one edge subdivided t times.
+    or () if none does.  At t = 1 that graph H has subset's edges each
+    subdivided once, else subset's one edge subdivided t times.
 
-    Each subset runs up to four steps.  H's vertex count is checked first,
+    Each subset runs up to three steps.  H's vertex count is checked first,
     so a row over the vertex cap fails at its first subset, settled or not.
     Then the state's minimum cover C of the graph is tested against H at
-    the subdivided edges, building nothing; if C covers H, H's number is at
-    most the base.  Otherwise, on a tree, H is walked in the state's order
-    with its new paths spliced in (_spliced_walk), still unbuilt: a walk
-    cover of at most the base vertices settles H below it, and one as large
-    as the walk's packing is H's number.  Only a walk that does neither, or
-    any H of a graph that is not a tree, has H built, and solved with the
-    base as the stop.
+    the subdivided edges; if C covers H, H's number is at most the base.
+    Otherwise H's cover sets are the state's with H's new paths wired in
+    (graph's _wire), and _min_cover solves them with the base as its stop,
+    so a cover of at most the base vertices settles H below it.  On a tree
+    it is handed H's walk in the state's order with the new paths spliced
+    in (_spliced_walk), which is minimum, so no search runs; on any other
+    graph it walks H in H's own leaf-up order.  No search builds H.
 
     The test decides exactly whether C covers H, for total and closed cover
     sets alike.  C holds old vertices only.  A new vertex's candidates are
@@ -213,6 +202,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     meets because C covers the graph.
     """
     g, base, cover, sets = state.graph, state.base, state.cover, state.sets
+    own = state.cover_sets is _closed_covers
     tree = state.position is not None
     for subset in subsets:
         n2 = g.n + len(subset) * t
@@ -230,19 +220,10 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
                 break
         else:
             continue
-        if tree:
-            walked, packing = _spliced_walk(state, subset, t)
-            size = walked.bit_count()
-            if size <= base:
-                continue
-            if size == packing.bit_count():
-                return subset, size
-        # both builders are read from this module, where tracing and tests wrap them
-        if t == 1:
-            h = subdivide_edges(g, subset)
-        else:
-            h = subdivide(g, subset[0], t)
-        after = _min_cover(state.cover_sets(h), stop=base)[0]
+        covers = list(sets)
+        _wire(covers, subset, t, own)
+        walked = _spliced_walk(state, covers, subset, t) if tree else None
+        after = _min_cover(covers, base, walked)[0]
         if after > base:
             return subset, after
     return ()
@@ -296,10 +277,10 @@ def msd_gamma_t(g: Graph, cap: int = MSD_DEFAULT_CAP, *,
     """Total domination multisubdivision number: min of the per-edge values.
 
     Ties pick the lowest normalized edge.  The default cap is the paper's
-    msd <= 3 bound for connected graphs.  The per-edge values
-    (msd_gamma_t_edge) were at most 3 too on every edge of every connected
-    graph of order <= 7 and every tree of order <= 12; no edge that needs
-    more is known, but none is ruled out.
+    msd <= 3 bound for connected graphs.  Every per-edge value
+    (msd_gamma_t_edge) is at most 3 too: gamma_t(g) + 1 <= gamma_t(g with
+    e subdivided 3 times) <= gamma_t(g) + 2 on every edge e of an
+    isolate-free graph (lemma L3, proved in the README).
     memo, if given, is a SearchState(g); the search reads and extends it.
     """
     return _msd(_state(g, memo, 2), cap)

@@ -25,14 +25,13 @@ def _unit(*args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-SEARCH_SPANS = {"graph.subdivide", "subdivision.sd", "subdivision.msd"}
+SEARCH_SPANS = {"subdivision.sd", "subdivision.msd"}
 ROWS = [
     ("path-cycle-formulas", 6, 8, SEARCH_SPANS),
-    # a tree's subdivided graphs are walked in its own order, never built
-    ("tree-sd-eq-msd", 8, 46, SEARCH_SPANS - {"graph.subdivide"}),
+    ("tree-sd-eq-msd", 8, 46, SEARCH_SPANS),
     ("sd1-characterization", 6, 12, {"characterization", "subdivision.sd"}),
-    ("lemma2-implies", 5, 35, {"characterization", "graph.subdivide", "subdivision.sd"}),
-    ("msd-le-3", 5, 30, {"enumeration.connected", "graph.subdivide", "subdivision.msd"}),
+    ("lemma2-implies", 5, 35, {"characterization", "subdivision.sd"}),
+    ("msd-le-3", 5, 30, {"enumeration.connected", "subdivision.msd"}),
 ]
 
 
@@ -45,15 +44,15 @@ def test_traced_sweep_unit_runs_fresh(theorem, n_max, graphs, spans):
     assert out["failures"] == 0
     names = set(out["trace"]["names"])
     assert spans <= names
-    # subdivided graphs are built exactly in the sweeps that list their span
-    assert ("graph.subdivide" in names) == ("graph.subdivide" in spans)
+    # the searches wire a subdivided graph's cover sets and never build it
+    assert "graph.subdivide" not in names
     # the connected generator computes no canonical code
     assert out["trace"]["counters"].get("enumeration.codes", 0) == 0
 
 
 QUERIES = [
     ("p6", "sd_t", 3, {"cli", "subdivision.sd"}),
-    ("gstar", "msd_t", 3, {"cli", "graph.subdivide", "subdivision.msd"}),
+    ("gstar", "msd_t", 3, {"cli", "subdivision.msd"}),
     ("k4", "gamma_t", 2, {"cli", "domination.gamma_t"}),
 ]
 
@@ -64,6 +63,7 @@ def test_traced_query_unit_runs_fresh(graph, invariant, value, spans):
     out = _unit("query", graph, invariant, "--trace")
     assert out["fresh"]
     assert out["value"] == value
+    # the listed spans and no graph.subdivide: queries build no subdivided graph
     assert set(out["trace"]["names"]) == spans
 
 

@@ -26,7 +26,7 @@ from tdmsd import (
     subdivide_edges,
     wheel,
 )
-from tdmsd import canonical, domination, subdivision, verify
+from tdmsd import canonical, domination, graph, subdivision, verify
 from tdmsd.domination import (
     _closed_covers,
     _min_cover,
@@ -373,6 +373,7 @@ def test_row_over_the_cap_fails_at_a_subset_the_cover_settles(builds, monkeypatc
     for t in (1, 2):
         h = subdivide(g, e, t)
         assert _covered(_total_covers(h), cover) == h.full_mask
+    builds.clear()
     monkeypatch.setattr(subdivision, "MAX_VERTICES", g.n)
     with pytest.raises(errors.TooLarge, match="subdivision would need 7 vertices"):
         msd_gamma_t_edge(g, e)
@@ -439,17 +440,21 @@ def _tree_rows(hi):
 
 
 def _check_spliced_walks(hi):
-    """The spliced walk of every subdivided tree of _tree_rows(hi), walked
-    whether or not the state's cover settles it, against the solve of the
-    built graph: its cover and its packing both have the minimum's size."""
+    """The wired cover sets and the spliced walk of every subdivided tree
+    of _tree_rows(hi), walked whether or not the state's cover settles it,
+    against the graph the public builders build: the state's cover sets
+    with the new paths wired in are that graph's, and the walk's cover and
+    packing both have the size of its minimum."""
     count = 0
     state = None
     for g, cover_sets, subset, t in _tree_rows(hi):
         if state is None or state.graph != g or state.cover_sets is not cover_sets:
             state = SearchState(g, cover_sets=cover_sets)
         h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
-        covers = cover_sets(h)
-        cover, packing = subdivision._spliced_walk(state, subset, t)
+        covers = list(state.sets)
+        graph._wire(covers, subset, t, cover_sets is _closed_covers)
+        assert covers == list(cover_sets(h)), (g.edges(), subset, t)
+        cover, packing = subdivision._spliced_walk(state, covers, subset, t)
         assert _covered(covers, cover) == h.full_mask
         minimum = _min_cover(covers)[0]
         assert cover.bit_count() == packing.bit_count() == minimum, (g.edges(), subset, t)
@@ -468,14 +473,21 @@ def test_spliced_walk_is_exact_on_subdivided_trees_through_order_twelve():
 
 
 @pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
-def test_spliced_walk_forced_on_graphs_keeps_every_result(cover_sets, work):
+def test_spliced_walk_forced_on_graphs_keeps_every_result(cover_sets, work, monkeypatch):
     # on a graph that is not a tree the spliced walk is sound but need not
-    # be minimum, so a row must settle by it only below the base or at the
-    # packing, and build and solve otherwise.  Forced on every connected
-    # graph of order 3 to 6 that is not a tree, it leaves every sd and msd
-    # value and witness as the graph's own solves give them
+    # be minimum, so the solve it is handed may settle by it only below the
+    # base or at the packing, and must search otherwise.  Forced on every
+    # connected graph of order 3 to 6 that is not a tree, it leaves every sd
+    # and msd value and witness as the graph's own walks give them
     forced = {"walk": 0, "solve": 0}
     graphs = 0
+    searches = [0]
+    search = domination._search
+
+    def counting(*args, **kwargs):
+        searches[0] += 1
+        return search(*args, **kwargs)
+
     for n in range(3, 7):
         for g in enumerate_connected_graphs(n):
             want = SearchState(g, cover_sets=cover_sets)
@@ -487,21 +499,25 @@ def test_spliced_walk_forced_on_graphs_keeps_every_result(cover_sets, work):
             for i, (v, _) in enumerate(state.order):
                 state.position[v] = i
             work.update(walk=0, solve=0)
+            monkeypatch.setattr(domination, "_search", counting)
             assert (subdivision._sd(state, 3), subdivision._msd(state, 3)) == want, g.edges()
+            monkeypatch.setattr(domination, "_search", search)
             forced["walk"] += work["walk"]
             forced["solve"] += work["solve"]
             graphs += 1
-    # the 141 connected graphs of order 3 to 6 less their 12 trees; the
-    # walks settle some row graphs, and the rest are built and solved
+    # the 141 connected graphs of order 3 to 6 less their 12 trees; every
+    # graph the state's cover misses is walked, and the walks leave some of
+    # them to a search
     assert graphs == 129
-    assert forced["walk"] > forced["solve"] > 0, forced
+    assert forced["walk"] > 0 and forced["solve"] == 0, forced
+    assert searches[0] > 0
 
 
 @pytest.fixture
 def work(monkeypatch):
     """Counts how the rows settle the subdivided graphs their state's cover
     misses: "walk" for each tree's graph walked in its tree's order, "solve"
-    for each graph built and solved.
+    for each graph solved without such a walk, in its own leaf-up order.
 
     Each solve stops at the base of its search state; the one solve that
     makes a search state has no stop and is not counted.
@@ -509,12 +525,12 @@ def work(monkeypatch):
     count = {"walk": 0, "solve": 0}
     spliced_walk = subdivision._spliced_walk
 
-    def walking(state, subset, t):
+    def walking(state, covers, subset, t):
         count["walk"] += 1
-        return spliced_walk(state, subset, t)
+        return spliced_walk(state, covers, subset, t)
 
     def solving(covers, stop=0, walked=None):
-        if stop:
+        if stop and walked is None:
             count["solve"] += 1
         return _min_cover(covers, stop, walked)
 
@@ -563,7 +579,8 @@ _SD_ONE_WORK = [
     # 0/1,562, 0/515 and 0/1,546 seeds when the enumerated minimum sets of
     # each graph were its state's known covers, so no state solved its graph.
     # 1,817, 666 and 1,769 solves when every graph was built and solved; a
-    # tree's graphs are walked instead, one walk for each solve
+    # tree's graphs are walked in its order instead, one walk for each solve,
+    # and the rest are solved in their own order, unbuilt
     ("sd1-characterization", 985, 1817, 0),
     ("lemma14-implies", 88, 666, 0),
     ("lemma2-implies", 1396, 1166, 603),
@@ -576,17 +593,20 @@ _SD_ONE_WORK = [
 ])
 def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, walks, solved, monkeypatch):
     # each sd = 1 search solves its graph once for the state's base and
-    # cover, then walks or solves every subdivided graph that cover does
-    # not settle: walks it on a tree, builds and solves it elsewhere
+    # cover, then solves every subdivided graph that cover does not settle:
+    # on a tree with the walk in its tree's order, elsewhere in its own
     calls = {"seed": 0, "walk": 0, "subdivided": 0}
     spliced_walk = subdivision._spliced_walk
 
-    def walking(state, subset, t):
+    def walking(state, covers, subset, t):
         calls["walk"] += 1
-        return spliced_walk(state, subset, t)
+        return spliced_walk(state, covers, subset, t)
 
     def counting(covers, stop=0, walked=None):
-        calls["subdivided" if stop else "seed"] += 1
+        if not stop:
+            calls["seed"] += 1
+        elif walked is None:
+            calls["subdivided"] += 1
         return _min_cover(covers, stop, walked)
 
     monkeypatch.setattr(subdivision, "_spliced_walk", walking)
@@ -602,7 +622,8 @@ def test_tree_check_subdivided_solves_are_pinned(work):
     # less raises it.  3,393 when each solve of a subdivided graph that
     # stayed at the base added its cover to the state's known covers.
     # 3,428 solves when each graph the cover missed was built and solved;
-    # each is walked in its tree's order now, and none is solved
+    # each is walked in its tree's order now, and none is solved without
+    # that walk
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert work == {"walk": 3428, "solve": 0}
@@ -624,21 +645,16 @@ def test_tree_check_runs_no_branch_and_bound(monkeypatch):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """One entry per subdivided graph built: the count t of a subdivide call,
-    the edge tuple of a subdivide_edges call."""
+    """One entry per subdivided Graph built, by subdivide, subdivide_edges
+    or any other caller of the builder they share: its edges and count."""
     built = []
-    by_count, by_subset = subdivision.subdivide, subdivision.subdivide_edges
+    subdivided = graph._subdivided
 
-    def counting(g, e, t):
-        built.append(t)
-        return by_count(g, e, t)
+    def recording(g, edges, t):
+        built.append((tuple(edges), t))
+        return subdivided(g, edges, t)
 
-    def counting_edges(g, edges):
-        built.append(tuple(edges))
-        return by_subset(g, edges)
-
-    monkeypatch.setattr(subdivision, "subdivide", counting)
-    monkeypatch.setattr(subdivision, "subdivide_edges", counting_edges)
+    monkeypatch.setattr(graph, "_subdivided", recording)
     return built
 
 
@@ -648,8 +664,8 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
     # graph of order <= 6: single edges at t = 1, 2, 3 and edge pairs and
     # triples at t = 1.  The row's test at the subdivided edges must pass on
     # exactly the graphs the state's cover misses some vertex of: on a tree
-    # the row walks each of them and builds none, elsewhere it builds and
-    # solves each of them
+    # the row solves each of them with its walk in its tree's order,
+    # elsewhere in its own order, and it builds none of them
     settled = {1: 0, 2: 0, 3: 0}
     for g in _trees_and_graphs():
         tree = g.is_tree()
@@ -664,7 +680,7 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
             subdivision._row(state, [subset], t)
             want = {"walk": misses, "solve": 0} if tree else {"walk": 0, "solve": misses}
             assert work == want, (g.edges(), subset, t)
-            assert len(builds) == work["solve"], (g.edges(), subset, t)
+            assert builds == [], (g.edges(), subset, t)
             settled[t] += not misses
     # the test settles graphs at t = 1 and 2, and none at t = 3
     assert settled[1] and settled[2] and not settled[3], settled
@@ -676,9 +692,9 @@ def test_tree_check_builds_each_single_subdivision_once(builds, monkeypatch):
     walked = []
     spliced_walk = subdivision._spliced_walk
 
-    def recording(state, subset, t):
+    def recording(state, covers, subset, t):
         walked.append((state.graph, subset, t))
-        return spliced_walk(state, subset, t)
+        return spliced_walk(state, covers, subset, t)
 
     monkeypatch.setattr(subdivision, "_spliced_walk", recording)
     for (t,) in verify._trees(3, 10):
@@ -693,7 +709,7 @@ def test_tree_check_subdivided_graphs_built_are_pinned(builds, work):
     # 7,696 when msd rebuilt the row of single subdivisions sd had settled,
     # 4,712 when every graph was built before the state's cover was tested,
     # 3,428 when every graph the cover missed was built and solved; now
-    # each of those is walked in its tree's order, and none is built
+    # each of those is walked in its tree's order, and no graph is built
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert len(builds) == 0
@@ -721,9 +737,11 @@ _FROZEN = [
 @pytest.mark.parametrize("theorem, n_max, count, digest", _FROZEN, ids=[
     theorem if n_max is None else f"{theorem}-{n_max}" for theorem, n_max, _, _ in _FROZEN
 ])
-def test_records_are_frozen(theorem, n_max, count, digest):
-    # sha256 of every record of the sweep, one line each
+def test_records_are_frozen(theorem, n_max, count, digest, builds):
+    # sha256 of every record of the sweep, one line each; no sweep builds a
+    # subdivided graph
     records = verify.run_verification(theorem, n_max).records
     lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
+    assert builds == []
     assert len(records) == count
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
