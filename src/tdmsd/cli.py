@@ -135,7 +135,8 @@ def _cmd_compute(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     from .verify import run_verification
 
-    report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs)
+    report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs,
+                              records=args.verbose)
     if args.verbose:
         for rec in report.records:
             _emit(rec._asdict(), out)

@@ -68,7 +68,14 @@ _PARAMETRIC = {
 
 
 def fixture_by_name(name: str) -> Graph:
-    """Resolve names like gstar, p7, c9, k4, star6, wheel5."""
+    """Resolve names like gstar, p7, c9, k4, star6, wheel5.
+
+    Every name is ASCII: a non-ASCII one is unknown, since str.lower() and
+    str.strip() would map some of its characters to ASCII (the Kelvin sign
+    to k).
+    """
+    if not name.isascii():
+        raise UnknownFixture(f"unknown fixture {name!r}")
     name = name.strip().lower()
     if name == "gstar":
         return gstar()

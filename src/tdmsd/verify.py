@@ -10,15 +10,18 @@ lazy batch per base (``enumeration.extension_batches``).  In process the
 batches are checked as they stream by.  With jobs > 1 they are listed and
 split among forked workers by stride, in one fork for the whole sweep.  A
 worker inherits its batches and the check, so neither is pickled; it
-generates the graphs of its batches, checks them, and pickles only the
-records back.
+generates the graphs of its batches, checks them, and pickles back only the
+records of its failures (every record when records are asked for) and None
+for each other graph.
+
+A check returns a Verdict; only a graph that is recorded is graph6-encoded.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .characterization import (
     lemma2_sufficient,
@@ -27,7 +30,13 @@ from .characterization import (
     predicts_sd_one,
 )
 from .errors import OutOfRange, UnknownTheorem
-from .family import FAMILY_ORDER_CAP, generate_family, is_in_family, verify_bc_property
+from .family import (
+    FAMILY_ORDER_CAP,
+    LabeledTree,
+    generate_family,
+    is_in_family,
+    verify_bc_property,
+)
 from .fixtures import cycle, path
 from .graph import MAX_VERTICES, Graph, structure_profile
 from .graph6 import graph6_encode
@@ -40,6 +49,14 @@ from .enumeration import (
 )
 from .subdivision import SearchState, msd_gamma_t, sd_gamma_t
 from .workers import fork_map as _fork_map, usable_workers
+
+R = TypeVar("R")
+
+
+class Verdict(NamedTuple):
+    ok: bool
+    expected: str
+    actual: str
 
 
 class Record(NamedTuple):
@@ -55,6 +72,7 @@ class VerificationReport(NamedTuple):
     graphs_checked: int
     failures: tuple[Record, ...]
     elapsed: float
+    # every graph's record, in stream order, under run_verification(records=True)
     records: tuple[Record, ...] = ()
 
     @property
@@ -96,17 +114,32 @@ def _fmt(v: int | None) -> str:
     return str(v) if v is not None else ">cap"
 
 
-def _map_graphs(fn: Callable[[Graph], Record], batches: Iterable[Iterable[Graph]],
-                jobs: int) -> list[Record]:
+def _map_graphs(fn: Callable[[Graph], R], batches: Iterable[Iterable[Graph]],
+                jobs: int) -> list[R]:
     if jobs > 1:
         batches = list(batches)
         workers = usable_workers(jobs, len(batches))
         if workers > 1:
-            def check(batch: Iterable[Graph]) -> list[Record]:
+            def check(batch: Iterable[Graph]) -> list[R]:
                 return [fn(g) for g in batch]
 
-            return [record for listed in _fork_map(check, batches, workers) for record in listed]
+            return [result for listed in _fork_map(check, batches, workers) for result in listed]
     return [fn(g) for batch in batches for g in batch]
+
+
+def _recorder(check: Callable[..., Verdict], records: bool) -> Callable[..., Record | None]:
+    """check, with each verdict that is kept made a Record: a failure's
+    always, a pass's only when records are asked for; None otherwise."""
+
+    def judge(item) -> Record | None:
+        verdict = check(item)
+        if verdict.ok and not records:
+            return None
+        # bc-minimum's items are family members, recorded by their tree
+        g = item.tree if isinstance(item, LabeledTree) else item
+        return Record(graph6_encode(g), *verdict)
+
+    return judge
 
 
 def _trees(lo: int, hi: int) -> Iterable[tuple[Graph]]:
@@ -136,61 +169,61 @@ def _trees_then_connected(lo: int, hi: int) -> Iterable[Iterable[Graph]]:
     yield from _connected(lo, min(hi, CONNECTED_ORDER_CAP))
 
 
-# -- per-graph checks (a worker pickles the Records back, never a check) ----
+# -- per-graph checks (each returns a Verdict; see _recorder) ----------------
 
-def _check_msd_le_3(g: Graph) -> Record:
+def _check_msd_le_3(g: Graph) -> Verdict:
     value = _msd3(g)
-    return Record(graph6_encode(g), value is not None, "msd_gamma_t <= 3", _fmt(value))
+    return Verdict(value is not None, "msd_gamma_t <= 3", _fmt(value))
 
 
-def _check_tree_sd_eq_msd(t: Graph) -> Record:
+def _check_tree_sd_eq_msd(t: Graph) -> Verdict:
     sd, msd = _sd_msd(t)
-    return Record(
-        graph6_encode(t), sd == msd and sd is not None,
+    return Verdict(
+        sd == msd and sd is not None,
         "sd_gamma_t == msd_gamma_t", f"sd={_fmt(sd)} msd={_fmt(msd)}",
     )
 
 
-def _check_family_sd3(t: Graph) -> Record:
+def _check_family_sd3(t: Graph) -> Verdict:
     sd_is_3 = _sd3(t) == 3
     in_family = is_in_family(t)
-    return Record(
-        graph6_encode(t), sd_is_3 == in_family,
+    return Verdict(
+        sd_is_3 == in_family,
         "sd_gamma_t == 3 iff tree in family",
         f"sd3={sd_is_3} family={in_family}",
     )
 
 
-def _check_sd1_characterization(t: Graph) -> Record:
+def _check_sd1_characterization(t: Graph) -> Verdict:
     predicted = predicts_sd_one(t)
     actual = _sd1(t) == 1
-    return Record(
-        graph6_encode(t), predicted == actual,
+    return Verdict(
+        predicted == actual,
         "predicts_sd_one == (sd_gamma_t == 1)",
         f"predicted={predicted} sd1={actual}",
     )
 
 
-def _check_lemma2(g: Graph) -> Record:
+def _check_lemma2(g: Graph) -> Verdict:
     if not lemma2_sufficient(g):
-        return Record(graph6_encode(g), True, "lemma2 => sd_gamma_t == 1", "not fired")
+        return Verdict(True, "lemma2 => sd_gamma_t == 1", "not fired")
     sd_is_1 = _sd1(g) == 1
-    return Record(graph6_encode(g), sd_is_1, "lemma2 => sd_gamma_t == 1", f"sd1={sd_is_1}")
+    return Verdict(sd_is_1, "lemma2 => sd_gamma_t == 1", f"sd1={sd_is_1}")
 
 
-def _check_lemma14(t: Graph) -> Record:
+def _check_lemma14(t: Graph) -> Verdict:
     if not lemma14_sufficient_sd_gt_one(t):
-        return Record(graph6_encode(t), True, "lemma14 => sd_gamma_t > 1", "not fired")
+        return Verdict(True, "lemma14 => sd_gamma_t > 1", "not fired")
     sd_gt_1 = _sd1(t) is None
     detail = "sd>1" if sd_gt_1 else "sd=1"
-    return Record(graph6_encode(t), sd_gt_1, "lemma14 => sd_gamma_t > 1", detail)
+    return Verdict(sd_gt_1, "lemma14 => sd_gamma_t > 1", detail)
 
 
-def _check_universal(g: Graph) -> Record:
+def _check_universal(g: Graph) -> Verdict:
     if not any(g.degree(v) == g.n - 1 for v in range(g.n)):
-        return Record(graph6_encode(g), True, "no universal vertex", "skipped")
+        return Verdict(True, "no universal vertex", "skipped")
     value = _msd3(g)
-    return Record(graph6_encode(g), value == 2, "msd_gamma_t == 2", _fmt(value))
+    return Verdict(value == 2, "msd_gamma_t == 2", _fmt(value))
 
 
 def _riti_ok(t: Graph) -> bool:
@@ -209,28 +242,28 @@ def _riti_ok(t: Graph) -> bool:
     return True
 
 
-def _check_strong_support(t: Graph) -> Record:
+def _check_strong_support(t: Graph) -> Verdict:
     if _msd3(t) != 3:
-        return Record(graph6_encode(t), True, "msd != 3", "skipped")
+        return Verdict(True, "msd != 3", "skipped")
     ok = _riti_ok(t)
-    return Record(
-        graph6_encode(t), ok,
+    return Verdict(
+        ok,
         "no strong support; deg(v1)=deg(v2)=2; v3 not a support",
         "ok" if ok else "violated",
     )
 
 
-def _check_bc(member) -> Record:
+def _check_bc(member) -> Verdict:
     ok = verify_bc_property(member)
-    return Record(graph6_encode(member.tree), ok, "B|C is a minimum total dominating set", str(ok))
+    return Verdict(ok, "B|C is a minimum total dominating set", str(ok))
 
 
-def _check_path_cycle(g: Graph) -> Record:
+def _check_path_cycle(g: Graph) -> Verdict:
     want = path_cycle_formula(g.n)
     name = "path" if g.is_tree() else "cycle"
     sd, msd = _sd_msd(g)
-    return Record(
-        graph6_encode(g), sd == want and msd == want,
+    return Verdict(
+        sd == want and msd == want,
         f"sd=msd={want} for {name} n={g.n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",
     )
 
@@ -247,7 +280,7 @@ class Theorem(NamedTuple):
     pay off is one batch.
     """
 
-    check: Callable[..., Record]
+    check: Callable[..., Verdict]
     graphs: Callable[[int, int], Iterable[Iterable]]
     lo: int
     default: int
@@ -272,7 +305,11 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 
-def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -> VerificationReport:
+def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1, *,
+                     records: bool = False) -> VerificationReport:
+    """Sweep one theorem.  The report holds its failures, and every graph's
+    record only when records is true (--verbose); a failure's record is
+    the same either way."""
     if theorem_id not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
     th = THEOREMS[theorem_id]
@@ -280,14 +317,13 @@ def run_verification(theorem_id: str, n_max: int | None = None, jobs: int = 1) -
     if not th.lo <= n_max <= th.hi:
         raise OutOfRange(f"{theorem_id} checks n_max in {th.lo}..{th.hi}, got {n_max}")
     start = time.perf_counter()
-    records = _map_graphs(th.check, th.graphs(th.lo, n_max), jobs)
+    results = _map_graphs(_recorder(th.check, records), th.graphs(th.lo, n_max), jobs)
     elapsed = time.perf_counter() - start
-    failures = tuple(r for r in records if not r.ok)
     return VerificationReport(
         theorem_id=theorem_id,
         orders_checked=(th.lo, n_max),
-        graphs_checked=len(records),
-        failures=failures,
+        graphs_checked=len(results),
+        failures=tuple(r for r in results if r is not None and not r.ok),
         elapsed=elapsed,
-        records=tuple(records),
+        records=tuple(results) if records else (),
     )

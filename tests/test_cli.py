@@ -21,6 +21,7 @@ from tdmsd import (
 )
 from tdmsd import cli
 from tdmsd.cli import main
+from tdmsd.errors import UnknownFixture
 from tdmsd.graph import format_edge_list
 from tdmsd.verify import THEOREMS
 
@@ -197,6 +198,23 @@ def test_bad_fixture_parameter_keeps_the_fixture_message(spec, message, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == message and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("\u212a4", id="kelvin-sign-4"),
+    pytest.param("\u00a0gstar", id="no-break-space-gstar"),
+])
+def test_non_ascii_name_is_no_fixture(name):
+    # str.lower() maps the Kelvin sign to k, and str.strip() drops the
+    # no-break space, so each name would otherwise resolve
+    with pytest.raises(UnknownFixture):
+        fixture_by_name(name)
+
+
+def test_kelvin_sign_name_is_read_as_graph6_and_refused(capsys):
+    code, out = run_cli("compute", "--input", "\u212a4", "--invariant", "gamma_t")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: byte 8490 outside the graph6 alphabet\n"
 
 
 @pytest.mark.parametrize("spec, gamma", [
@@ -553,7 +571,7 @@ def test_verify_counterexample_exits_1(monkeypatch):
     from tdmsd import verify as verify_mod
 
     def broken_check(g):
-        return verify_mod.Record(graph6_encode(g), False, "something", "otherwise")
+        return verify_mod.Verdict(False, "something", "otherwise")
 
     broken = verify_mod.Theorem(broken_check, lambda lo, hi: [(path(2),)], 2, 2, 2)
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3", broken)
@@ -579,7 +597,7 @@ def test_verify_out_after_the_verdict(ok, vanish, expected, monkeypatch, tmp_pat
     def check(g):
         if vanish:
             folder.rmdir()
-        return verify_mod.Record(graph6_encode(g), ok, "something", "otherwise")
+        return verify_mod.Verdict(ok, "something", "otherwise")
 
     monkeypatch.setitem(verify_mod.THEOREMS, "msd-le-3",
                         verify_mod.Theorem(check, lambda lo, hi: [(path(2),)], 2, 2, 2))
@@ -606,13 +624,13 @@ def test_theorem_sweeps_its_orders_alike_at_any_jobs(theorem, monkeypatch, seria
     from tdmsd import verify as verify_mod
 
     n = _QUICK_N_MAX[theorem]
-    serial = verify_mod.run_verification(theorem, n, 1)
+    serial = verify_mod.run_verification(theorem, n, 1, records=True)
     assert serial.orders_checked == (THEOREMS[theorem].lo, n)
     assert serial.graphs_checked == _QUICK_GRAPHS_CHECKED[theorem]
     assert serial.ok
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    wide = verify_mod.run_verification(theorem, n, 2)
-    assert wide.records == serial.records
+    wide = verify_mod.run_verification(theorem, n, 2, records=True)
+    assert wide.records == serial.records and len(wide.records) == serial.graphs_checked
     # these two take less time than forking workers costs, so they never fork
     assert serial_pool == ([] if theorem in ("bc-minimum", "path-cycle-formulas") else [2])
 

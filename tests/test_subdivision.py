@@ -180,6 +180,24 @@ def test_base_values_recorded():
     assert r.base_value == gamma_value(path(6)) == 2
 
 
+def test_every_raising_row_graph_has_the_base_value_plus_one():
+    # a row runs only when the row before raised nothing, so the graph that
+    # raises is one single subdivision away from a graph that still has the
+    # base value (L2); L1 bounds that one step by 1 for gamma_t, and L4
+    # does the same for gamma (ROADMAP item 3)
+    graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [t for n in range(3, 10) for t in enumerate_trees(n)]
+    raised = []
+    for g in graphs:
+        results = [msd_gamma_t(g), msd_gamma(g)]
+        results += [msd_gamma_t_edge(g, e) for e in g.edges()]
+        if g.n >= 3:
+            results += [sd_gamma_t(g), sd_gamma(g)]
+        raised += [r for r in results if r.increased_value is not None]
+    assert len(raised) == 2703
+    assert all(r.increased_value == r.base_value + 1 for r in raised)
+
+
 @pytest.mark.parametrize("search, n, expected", [
     (msd_gamma_t, 10, 2),
     (sd_gamma_t, 9, 3),
@@ -740,7 +758,7 @@ _FROZEN = [
 def test_records_are_frozen(theorem, n_max, count, digest, builds):
     # sha256 of every record of the sweep, one line each; no sweep builds a
     # subdivided graph
-    records = verify.run_verification(theorem, n_max).records
+    records = verify.run_verification(theorem, n_max, records=True).records
     lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
     assert builds == []
     assert len(records) == count

@@ -78,7 +78,7 @@ def test_path_cycle_violation_names_the_wrong_formula(monkeypatch):
 def test_universal_vertex_starts_at_the_connected_graphs_of_order_three():
     # P3 and K3, each with a universal vertex, so neither is skipped; the
     # theorem table's lower order is the check's only domain rule
-    report = verify.run_verification("universal-vertex", 3)
+    report = verify.run_verification("universal-vertex", 3, records=True)
     assert report.graphs_checked == 2 and report.ok
     assert [(r.graph6, r.expected) for r in report.records] == [
         ("Bo", "msd_gamma_t == 2"), ("Bw", "msd_gamma_t == 2"),

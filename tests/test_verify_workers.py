@@ -54,7 +54,7 @@ def in_worker(parent, then):
         assert os.getpid() != parent, "the check ran in the parent"
         if g.n == 3:
             then(g)
-        return verify_mod.Record(str(g.n), True, "", "")
+        return verify_mod.Verdict(True, str(g.n), "")
 
     return check
 
@@ -73,11 +73,65 @@ def test_forked_workers_return_the_serial_records(theorem, n_max, two_cores, for
     # the top order, and nothing below it)
     th = verify_mod.THEOREMS[theorem]
     batches = len(list(th.graphs(th.lo, n_max)))
-    serial = verify_mod.run_verification(theorem, n_max, jobs=1)
+    serial = verify_mod.run_verification(theorem, n_max, jobs=1, records=True)
     assert forks == []
-    wide = verify_mod.run_verification(theorem, n_max, jobs=2)
+    wide = verify_mod.run_verification(theorem, n_max, jobs=2, records=True)
     assert forks == ([2] if batches > 1 else [])
     assert wide.records == serial.records and wide.graphs_checked == serial.graphs_checked
+    assert_no_child_left()
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The graphs verify.graph6_encode was called with in this process."""
+    calls = []
+    real = verify_mod.graph6_encode
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verify_mod, "graph6_encode", counted)
+    return calls
+
+
+def test_passing_sweep_encodes_a_graph_only_for_its_records(encoded):
+    report = verify_mod.run_verification("tree-sd-eq-msd", 9)
+    assert report.ok and report.graphs_checked == 93
+    assert report.records == () and encoded == []
+    report = verify_mod.run_verification("tree-sd-eq-msd", 9, records=True)
+    assert len(encoded) == len(report.records) == 93
+
+
+def odd_orders_over_cap(real):
+    return lambda g: (None, None) if g.n % 2 else real(g)
+
+
+def formula_of_three(real):
+    return lambda n: 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("theorem, n_max, binding, replacement, failed", [
+    # the trees of odd order fail: 1 + 3 + 11 + 47 of the 93
+    ("tree-sd-eq-msd", 9, "_sd_msd", odd_orders_over_cap, 62),
+    # every path and cycle whose order is not 2 mod 4 fails
+    ("path-cycle-formulas", 16, "path_cycle_formula", formula_of_three, 22),
+])
+def test_forced_violations_are_the_same_failures_with_or_without_records(
+        theorem, n_max, binding, replacement, failed, jobs, monkeypatch, two_cores, forks,
+        encoded):
+    monkeypatch.setattr(verify_mod, binding, replacement(getattr(verify_mod, binding)))
+    bare = verify_mod.run_verification(theorem, n_max, jobs)
+    # path-cycle-formulas is one batch, which never forks
+    forked = jobs == 2 and theorem == "tree-sd-eq-msd"
+    assert forks == ([2] if forked else [])
+    # each failure is encoded once, by the process that checked it
+    assert len(encoded) == (0 if forked else failed)
+    full = verify_mod.run_verification(theorem, n_max, jobs, records=True)
+    assert bare.records == () and len(bare.failures) == failed
+    assert bare.failures == full.failures == tuple(r for r in full.records if not r.ok)
+    assert bare.graphs_checked == full.graphs_checked == len(full.records)
     assert_no_child_left()
 
 
@@ -86,7 +140,7 @@ def test_records_come_back_in_stream_order_for_any_stride():
     check = in_worker(os.getpid(), lambda g: None)
     for workers in (2, 3, 7):
         got = verify_mod._fork_map(check, graphs, workers)
-        assert [r.graph6 for r in got] == [str(n) for n in range(2, 9)]
+        assert [r.expected for r in got] == [str(n) for n in range(2, 9)]
     assert_no_child_left()
 
 
