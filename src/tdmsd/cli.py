@@ -19,7 +19,7 @@ from .domination import gamma, gamma_t
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
 from .fixtures import FIXTURE_NAMES, fixture_by_name
 from .graph import Graph, format_edge_list, inner_edges, parse_edge_list
-from .graph6 import graph6_decode, graph6_encode
+from .graph6 import _SPACE, graph6_decode, graph6_encode
 from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
 
 # Only compute's dependencies are imported here.  Each other command imports
@@ -51,10 +51,10 @@ def _read_graph(spec: str) -> Graph:
         except UnknownFixture:
             pass
         text = spec
-    stripped = text.strip()
+    stripped = text.strip(_SPACE)
     if not stripped:
         raise MalformedInput("empty graph input")
-    first = stripped.splitlines()[0]
+    first = stripped.split("\n", 1)[0]
     if len(first.split()) > 1:
         return parse_edge_list(stripped)
     return graph6_decode(first)

@@ -130,18 +130,14 @@ def _walk(covers: tuple[int, ...], order) -> tuple[int, int] | None:
     return chosen, packing
 
 
-def _leaf_up(covers: tuple[int, ...]) -> tuple[int, int] | None:
-    """_walk over covers' own _leaf_order."""
-    return _walk(covers, _leaf_order(covers))
-
-
 def _min_cover(covers: tuple[int, ...], stop: int = 0,
                walked: tuple[int, int] | None = None) -> tuple[int, int] | None:
     """A minimum set of vertices whose cover sets union to every element, as
     (size, vertex mask); None if no set covers them all.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
     ``walked``, if given, is a _walk of covers the caller made, in
-    _leaf_order(covers) or any other order.
+    _leaf_order(covers) or any other order; without it, covers are walked
+    in their own _leaf_order.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
     own, so a cover no larger than the packing is minimum.  The leaf-up
@@ -156,7 +152,7 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0,
     closed neighbourhood lies in its support's; so every cover the search
     tries holds them, and they are found only when it runs.
     """
-    found = _leaf_up(covers) if walked is None else walked
+    found = _walk(covers, _leaf_order(covers)) if walked is None else walked
     if found is None:
         return None
     cover, packing = found
@@ -301,15 +297,11 @@ def _closed_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
-def _require_no_isolated(g: Graph) -> None:
+def solve_gamma_t(g: Graph) -> int:
+    """Total domination number, value only, solved afresh on every call."""
     for v in range(g.n):
         if g.adj[v] == 0:
             raise IsolatedVertex(f"vertex {v} has degree 0")
-
-
-def solve_gamma_t(g: Graph) -> int:
-    """Total domination number, value only, solved afresh on every call."""
-    _require_no_isolated(g)
     found = _min_cover(_total_covers(g))
     if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")

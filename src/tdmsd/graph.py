@@ -173,16 +173,17 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
-def _wire(sets: list[int], edges: Sequence[Edge], t: int, own: int = 0) -> None:
+def _wire(sets: list[int], edges: Sequence[Edge], t: int) -> None:
     """Replace each edge (u, v) of edges, in the list of neighbour masks
     sets, by a path of t new vertices, appended from len(sets) up, edge by
-    edge, in path order from u.  With own = 1 each new vertex's mask also
-    holds its own bit, as closed neighbourhoods do.  edges must be distinct
-    edges of the graph of sets; nothing is checked.
+    edge, in path order from u.  Each new vertex's mask holds its own bit
+    exactly when u's does, so closed neighbourhoods stay closed.  edges
+    must be distinct edges of the graph of sets; nothing is checked.
     """
     for u, v in edges:
         x = len(sets)
         last = x + t - 1
+        own = sets[u] >> u & 1
         sets[u] ^= 1 << v | 1 << x
         sets[v] ^= 1 << u | 1 << last
         prev = u

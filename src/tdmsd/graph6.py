@@ -6,6 +6,9 @@ from .errors import MalformedInput, TooLarge
 from .graph import Graph, iter_bits
 
 _HEADER = ">>graph6<<"
+# ASCII whitespace, the only padding stripped from graph text: any other
+# character reaches the alphabet check, which names it
+_SPACE = " \t\n\r\v\f"
 
 
 # the character of each 6-bit group whose first pair is its lowest bit (graph6
@@ -28,7 +31,7 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(line: str) -> Graph:
-    line = line.strip()
+    line = line.strip(_SPACE)
     if line.startswith(_HEADER):
         line = line[len(_HEADER):]
     if not line:

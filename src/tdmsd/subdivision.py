@@ -83,8 +83,9 @@ class SearchState:
     """What the searches of graph g learn, shared for as long as the caller
     keeps the state.
 
-    cover_sets is domination's _total_covers or _closed_covers, and sets
-    is cover_sets(g).  order is domination's _leaf_order(sets), g's one
+    sets is cover_sets(g), for domination's _total_covers or
+    _closed_covers; each closed set holds its own vertex's bit, so sets
+    also tells the kind.  order is domination's _leaf_order(sets), g's one
     BFS, which serves the connectivity check, the walk of g's solve and, on
     a tree, the rows' walks.  base is g's (total) domination number and
     cover one of its minimum (total) dominating sets as a vertex mask, both
@@ -97,8 +98,7 @@ class SearchState:
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "cover_sets", "sets", "order", "base", "cover", "edges",
-                 "position", "row_one")
+    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "position", "row_one")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
         if g.n < 2:
@@ -108,7 +108,7 @@ class SearchState:
         # each BFS tree has one root, the one pair with no layer above it
         if [above for _, above in order].count(0) > 1:
             raise Disconnected("subdivision invariants need a connected graph")
-        self.graph, self.cover_sets, self.sets, self.order = g, cover_sets, sets, order
+        self.graph, self.sets, self.order = g, sets, order
         self.edges = g.edges()
         self.row_one: tuple | None = None
         # g is connected with n >= 2, so it has no isolated vertex
@@ -122,14 +122,14 @@ class SearchState:
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
     """memo, once checked to be a state of g with cover_sets, or else a new
-    state of g."""
+    state of g.  The kinds differ exactly when vertex 0's own bit does."""
     if g.n < min_n:
         raise TooSmall(f"need n >= {min_n}, got n={g.n}")
     if memo is None:
         return SearchState(g, cover_sets=cover_sets)
     if memo.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
-    if memo.cover_sets is not cover_sets:
+    if (memo.sets[0] ^ cover_sets(g)[0]) & 1:
         raise ValueError("a SearchState serves the searches of one kind of domination")
     return memo
 
@@ -202,7 +202,6 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     meets because C covers the graph.
     """
     g, base, cover, sets = state.graph, state.base, state.cover, state.sets
-    own = state.cover_sets is _closed_covers
     tree = state.position is not None
     for subset in subsets:
         n2 = g.n + len(subset) * t
@@ -221,7 +220,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
         else:
             continue
         covers = list(sets)
-        _wire(covers, subset, t, own)
+        _wire(covers, subset, t)
         walked = _spliced_walk(state, covers, subset, t) if tree else None
         after = _min_cover(covers, base, walked)[0]
         if after > base:
@@ -261,10 +260,10 @@ def _sd(state: SearchState, cap: int | None) -> SubdivisionResult:
 
 def msd_gamma_t_edge(g: Graph, e: Edge, cap: int = MSD_DEFAULT_CAP) -> SubdivisionResult:
     """Smallest t <= cap with gamma_t(g with e subdivided t times) > gamma_t(g)."""
-    state = SearchState(g)
     u, v = e = normalize_edge(*e)
     if not g.has_edge(u, v):
         raise EdgeNotPresent(f"edge ({u}, {v}) not in graph")
+    state = SearchState(g)
     for t in range(1, cap + 1):
         hit = _row(state, [(e,)], t)
         if hit:

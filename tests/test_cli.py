@@ -21,7 +21,7 @@ from tdmsd import (
 )
 from tdmsd import cli
 from tdmsd.cli import main
-from tdmsd.errors import UnknownFixture
+from tdmsd.errors import MalformedInput, UnknownFixture
 from tdmsd.graph import format_edge_list
 from tdmsd.verify import THEOREMS
 
@@ -217,8 +217,26 @@ def test_kelvin_sign_name_is_read_as_graph6_and_refused(capsys):
     assert capsys.readouterr().err == "error: byte 8490 outside the graph6 alphabet\n"
 
 
+@pytest.mark.parametrize("spec, byte", [
+    pytest.param("\u00a0gstar", 160, id="no-break-space-first"),
+    pytest.param("gstar\u2028", 8232, id="line-separator-last"),
+    pytest.param("gstar\x85", 133, id="next-line-last"),
+])
+def test_graph_text_strips_only_ascii_whitespace(spec, byte, capsys):
+    # str.strip() and str.splitlines() would drop each of these, leaving
+    # gstar to be read as graph6 of the wrong length; kept, it is the
+    # byte the graph6 decoder names
+    message = f"byte {byte} outside the graph6 alphabet"
+    with pytest.raises(MalformedInput, match=f"^{message}$"):
+        cli._read_graph(spec)
+    code, out = run_cli("compute", "--input", spec, "--invariant", "gamma_t")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("spec, gamma", [
     ("gstar", 4), ("p7", 3), ("E?~o", 2), (graph6_encode(path(6)), 2),
+    (" gstar", 4), ("\tp7\r\n", 3), ("\v" + graph6_encode(path(6)) + "\f\n", 2),
     ("wheel63", 1),  # 64 vertices, at the cap
 ])
 def test_fixture_names_and_graph6_literals_still_resolve(spec, gamma):

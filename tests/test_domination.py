@@ -31,10 +31,10 @@ from tdmsd.domination import (
     _closed_covers,
     _first_cover,
     _leaf_order,
-    _leaf_up,
     _min_cover,
     _search,
     _total_covers,
+    _walk,
     solve_gamma_t,
 )
 from tdmsd.graph import iter_bits, leaves_mask
@@ -205,6 +205,10 @@ def test_search_modes_match_the_subset_search_oracle():
 
 
 def test_all_min_sets_cap():
+    # P20, at the cap, has one minimum total dominating set
+    assert all_min_total_dominating_sets(path(20)) == [
+        frozenset(v for v in range(20) if v % 4 in (1, 2))
+    ]
     with pytest.raises(errors.TooLarge):
         all_min_total_dominating_sets(path(21))
 
@@ -306,7 +310,7 @@ def _check_certificate(g, covers, minimum):
     # disjoint, packing <= minimum <= cover, and the solve with any stop
     # answers below the stop or exactly
     full = g.full_mask
-    cover, packing = _leaf_up(covers)
+    cover, packing = _walk(covers, _leaf_order(covers))
     assert _covered_by(covers, cover) == full
     packed = 0
     for v in iter_bits(packing):
@@ -332,7 +336,7 @@ def test_leaf_up_certificate_is_sound_on_small_trees_and_graphs():
         if g.is_tree():
             # Rall's and Meir and Moon's theorems: the walk closes on trees
             for covers in (_total_covers(g), _closed_covers(g)):
-                cover, packing = _leaf_up(covers)
+                cover, packing = _walk(covers, _leaf_order(covers))
                 assert cover.bit_count() == packing.bit_count(), edges
 
 
@@ -388,7 +392,7 @@ def test_total_cover_of_a_graph_with_an_isolated_vertex_is_none():
     # the isolated vertex as the first root, and as a later one
     for g in (from_edge_list(3, [(1, 2)]), from_edge_list(3, [(0, 1)]),
               from_edge_list(5, [(0, 4), (1, 2)])):
-        assert _leaf_up(_total_covers(g)) is None
+        assert _walk(_total_covers(g), _leaf_order(_total_covers(g))) is None
         assert _min_cover(_total_covers(g)) is None
         assert _min_cover(_total_covers(g), stop=g.n) is None
 
@@ -514,7 +518,7 @@ def test_leaf_up_certificate_closes_on_every_tree_through_order_sixteen():
     for n in range(2, 17):
         for t in enumerate_trees(n):
             for covers in (_total_covers(t), _closed_covers(t)):
-                cover, packing = _leaf_up(covers)
+                cover, packing = _walk(covers, _leaf_order(covers))
                 assert cover.bit_count() == packing.bit_count(), t.edges()
             count += 1
     assert count == 32507

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from tdmsd import (
+    LabeledTree,
     apply_operation,
     canonical_code,
     errors,
@@ -126,6 +127,20 @@ def test_membership_above_the_cap_fails_before_any_closure_work():
     with pytest.raises(errors.OutOfRange, match=f"n_max <= {FAMILY_ORDER_CAP}"):
         is_in_family(path(FAMILY_ORDER_CAP + 1))
     assert time.process_time() - start < 0.5
+
+
+def test_family_is_generated_up_to_its_cap():
+    assert len(generate_family(FAMILY_ORDER_CAP)) == 1413
+    with pytest.raises(errors.OutOfRange, match=f"n_max <= {FAMILY_ORDER_CAP}, got 25"):
+        generate_family(FAMILY_ORDER_CAP + 1)
+
+
+def test_bc_property_needs_a_total_dominating_set_of_minimum_size():
+    # P6's gamma_t is 4: B|C = {0, 1, 2, 4, 5} dominates totally but is too
+    # large, and {0, 3, 4, 5} has the size but leaves vertex 0, whose one
+    # neighbour is A, undominated
+    assert not verify_bc_property(LabeledTree(path(6), "CBBABC"))
+    assert not verify_bc_property(LabeledTree(path(6), "CAACBC"))
 
 
 def test_family_cap_covers_every_tree_order():

@@ -56,6 +56,17 @@ def test_header_is_stripped():
     assert graph6_decode(">>graph6<<" + graph6_encode(g)) == g
 
 
+def test_decode_strips_only_ascii_whitespace():
+    line = graph6_encode(path(5))
+    assert graph6_decode(" \t\n\r\v\f" + line + " \t\n\r\v\f") == path(5)
+    # other whitespace is a byte outside the alphabet, named as such
+    for c in ("\u00a0", "\u2028", "\x85", "\u3000"):
+        for text in (c + line, line + c):
+            with pytest.raises(errors.MalformedInput,
+                               match=f"^byte {ord(c)} outside the graph6 alphabet$"):
+                graph6_decode(text)
+
+
 def test_decode_rejects_out_of_alphabet():
     with pytest.raises(errors.MalformedInput):
         graph6_decode("A" + chr(30))

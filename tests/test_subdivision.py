@@ -62,6 +62,21 @@ def test_msd_edge_missing():
                 msd_gamma_t_edge(path(4), e, cap=cap)
 
 
+def test_msd_edge_missing_is_refused_before_any_search_state(monkeypatch):
+    # the edge is checked before the state's BFS and solve, so a graph the
+    # state would refuse, too small or disconnected, is refused for its edge
+    for g in (from_edge_list(1, []), from_edge_list(4, [(0, 1), (2, 3)])):
+        with pytest.raises(errors.EdgeNotPresent, match=r"^edge \(0, 2\) not in graph$"):
+            msd_gamma_t_edge(g, (2, 0))
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("a search state was made")
+
+    monkeypatch.setattr(subdivision, "SearchState", refusing)
+    with pytest.raises(errors.EdgeNotPresent):
+        msd_gamma_t_edge(cycle(6), (0, 2))
+
+
 def test_msd_gamma_t_examples():
     assert msd_gamma_t(complete(4)).value == 2
     assert msd_gamma_t(gstar()).value == 3
@@ -466,11 +481,11 @@ def _check_spliced_walks(hi):
     count = 0
     state = None
     for g, cover_sets, subset, t in _tree_rows(hi):
-        if state is None or state.graph != g or state.cover_sets is not cover_sets:
+        if state is None or state.graph != g or state.sets != cover_sets(g):
             state = SearchState(g, cover_sets=cover_sets)
         h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
         covers = list(state.sets)
-        graph._wire(covers, subset, t, cover_sets is _closed_covers)
+        graph._wire(covers, subset, t)
         assert covers == list(cover_sets(h)), (g.edges(), subset, t)
         cover, packing = subdivision._spliced_walk(state, covers, subset, t)
         assert _covered(covers, cover) == h.full_mask
@@ -634,19 +649,6 @@ def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, walks, sol
     assert calls == {"seed": seeds, "walk": walks, "subdivided": solved}
 
 
-def test_tree_check_subdivided_solves_are_pinned(work):
-    # 4,712 solves at the search that solved every subdivided graph it met;
-    # the state's minimum cover of the tree settles the rest, so skipping
-    # less raises it.  3,393 when each solve of a subdivided graph that
-    # stayed at the base added its cover to the state's known covers.
-    # 3,428 solves when each graph the cover missed was built and solved;
-    # each is walked in its tree's order now, and none is solved without
-    # that walk
-    for (t,) in verify._trees(3, 12):
-        verify._check_tree_sd_eq_msd(t)
-    assert work == {"walk": 3428, "solve": 0}
-
-
 def test_tree_check_runs_no_branch_and_bound(monkeypatch):
     # 4,272 searches before the leaf-up cover and packing settled every solve
     calls = [0]
@@ -724,10 +726,15 @@ def test_tree_check_builds_each_single_subdivision_once(builds, monkeypatch):
 
 
 def test_tree_check_subdivided_graphs_built_are_pinned(builds, work):
-    # 7,696 when msd rebuilt the row of single subdivisions sd had settled,
-    # 4,712 when every graph was built before the state's cover was tested,
-    # 3,428 when every graph the cover missed was built and solved; now
-    # each of those is walked in its tree's order, and no graph is built
+    # 7,696 builds when msd rebuilt the row of single subdivisions sd had
+    # settled.  4,712 builds and solves when every graph was built and
+    # solved before the state's cover was tested; the state's minimum cover
+    # of the tree settles the rest, so skipping less raises it.  3,393
+    # solves when each solve of a subdivided graph that stayed at the base
+    # added its cover to the state's known covers.  3,428 when every graph
+    # the cover missed was built and solved; now each of those is walked in
+    # its tree's order, none is solved without that walk, and no graph is
+    # built
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert len(builds) == 0

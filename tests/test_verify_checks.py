@@ -6,9 +6,11 @@ and names the wrong value.  The unpatched check passes on the same graph,
 so the failure comes from the patch alone.
 """
 
+import time
+
 import pytest
 
-from tdmsd import complete, errors, generate_family, path, star
+from tdmsd import complete, errors, generate_family, graph6_decode, path, star
 from tdmsd import verify
 
 
@@ -45,11 +47,31 @@ CASES = [
     ("path-cycle-formulas", "path_cycle_formula", _returns(3), path(5), "sd=1 msd=1"),
 ]
 
-# further violations of theorems CASES already covers, with their own ids:
-# no tree's sd exceeds the cap, so only a patch reaches this branch
-MORE_CASES = [
-    ("tree-sd-eq-msd", "_sd_msd", _returns((None, None)), path(4), "sd=>cap msd=>cap"),
-]
+# further violations of theorems CASES already covers, by id: each reaches
+# a clause of its check that no other case fails alone
+MORE_CASES = {
+    # no tree's sd exceeds the cap, so only a patch reaches this branch
+    "tree-sd-eq-msd-both-over-cap":
+        ("tree-sd-eq-msd", "_sd_msd", _returns((None, None)), path(4), "sd=>cap msd=>cap"),
+    # one tree per clause of the msd = 3 shape, each violating it there
+    # alone: P4's longest path is shorter than 6; deg(v2) is 3 on one
+    # longest path of GhQ?GC, whose v1 has degree 2; v3 of Gh_GK? is a
+    # support; and each longest path of Gh_K?C fails only read from its
+    # other end
+    "strong-support-path-too-short":
+        ("strong-support", "_msd3", _returns(3), graph6_decode("Ck"), "violated"),
+    "strong-support-v2-not-degree-two":
+        ("strong-support", "_msd3", _returns(3), graph6_decode("GhQ?GC"), "violated"),
+    "strong-support-v3-a-support":
+        ("strong-support", "_msd3", _returns(3), graph6_decode("Gh_GK?"), "violated"),
+    "strong-support-fails-reversed-only":
+        ("strong-support", "_msd3", _returns(3), graph6_decode("Gh_K?C"), "violated"),
+    # P5's sd and msd are both 1, and each must match the formula
+    "path-cycle-msd-wrong":
+        ("path-cycle-formulas", "_sd_msd", _returns((1, 2)), path(5), "sd=1 msd=2"),
+    "path-cycle-sd-wrong":
+        ("path-cycle-formulas", "_sd_msd", _returns((2, 1)), path(5), "sd=2 msd=1"),
+}
 
 
 def test_every_theorem_has_a_violation_case():
@@ -57,8 +79,8 @@ def test_every_theorem_has_a_violation_case():
 
 
 @pytest.mark.parametrize(
-    "theorem, binding, replacement, graph, actual", CASES + MORE_CASES,
-    ids=[case[0] for case in CASES] + ["tree-sd-eq-msd-both-over-cap"],
+    "theorem, binding, replacement, graph, actual", CASES + list(MORE_CASES.values()),
+    ids=[case[0] for case in CASES] + list(MORE_CASES),
 )
 def test_check_reports_a_violation(theorem, binding, replacement, graph, actual, monkeypatch):
     check = verify.THEOREMS[theorem].check
@@ -85,3 +107,15 @@ def test_universal_vertex_starts_at_the_connected_graphs_of_order_three():
     ]
     with pytest.raises(errors.OutOfRange):
         verify.run_verification("universal-vertex", 2)
+
+
+def test_path_cycle_sweep_runs_to_its_cap():
+    # the paths and cycles of order 3 to 61, the last whose subdivisions
+    # stay within the 64-vertex cap; the report's time lies within the call's
+    start = time.perf_counter()
+    report = verify.run_verification("path-cycle-formulas", 61)
+    wall = time.perf_counter() - start
+    assert report.ok and report.graphs_checked == 118
+    assert 0 <= report.elapsed <= wall
+    with pytest.raises(errors.OutOfRange, match="checks n_max in 3..61, got 62"):
+        verify.run_verification("path-cycle-formulas", 62)
