@@ -18,8 +18,8 @@ from pathlib import Path
 from .domination import gamma, gamma_t
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
 from .fixtures import FIXTURE_NAMES, fixture_by_name
-from .graph import Graph, format_edge_list, inner_edges, parse_edge_list
-from .graph6 import _SPACE, graph6_decode, graph6_encode
+from .graph import _SPACE, Graph, _fields, format_edge_list, inner_edges, parse_edge_list
+from .graph6 import graph6_decode, graph6_encode
 from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
 
 # Only compute's dependencies are imported here.  Each other command imports
@@ -35,7 +35,8 @@ EXIT_INTERNAL = 4
 
 def _read_graph(spec: str) -> Graph:
     """Accept a file path, a fixture name, or literal text; text whose first
-    line holds whitespace (the "n m" header) is an edge list, other text graph6."""
+    line holds ASCII whitespace (the "n m" header) is an edge list, other
+    text graph6."""
     text = None
     if os.path.exists(spec):
         try:
@@ -55,7 +56,7 @@ def _read_graph(spec: str) -> Graph:
     if not stripped:
         raise MalformedInput("empty graph input")
     first = stripped.split("\n", 1)[0]
-    if len(first.split()) > 1:
+    if len(_fields(first)) > 1:
         return parse_edge_list(stripped)
     return graph6_decode(first)
 

@@ -22,6 +22,11 @@ from .errors import (
 
 MAX_VERTICES = 64
 
+# ASCII whitespace, the only padding and separator of graph text:
+# str.split(), str.strip() and str.splitlines() also take the no-break
+# space, U+2028 and the like, and int() strips them too
+_SPACE = " \t\n\r\v\f"
+
 Edge = tuple[int, int]
 
 
@@ -313,21 +318,37 @@ def structure_profile(g: Graph) -> StructureProfile:
     )
 
 
+def _fields(line: str) -> list[str]:
+    """The runs of line between ASCII whitespace."""
+    for c in _SPACE[1:]:
+        line = line.replace(c, " ")
+    return [field for field in line.split(" ") if field]
+
+
+def _int(field: str) -> int:
+    # int() also reads non-ASCII digits, "_" separators and a "+" sign, and
+    # strips non-ASCII whitespace
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read the text edge-list format: first line "n m", then m lines "u v".
 
+    Lines end at "\n" and fields are separated by ASCII whitespace only.
     Lines after the m-th edge are tolerated only if blank or starting with
     '#' or 'status:' (family files carry a status sidecar line).
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip(_SPACE) for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise MalformedInput("empty edge-list input")
-    head = lines[0].split()
+    head = _fields(lines[0])
     if len(head) != 2:
         raise MalformedInput(f"expected 'n m' header, got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _int(head[0]), _int(head[1])
     except ValueError as exc:
         raise MalformedInput(f"bad header {lines[0]!r}") from exc
     if m < 0:
@@ -336,11 +357,11 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedInput(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1 : 1 + m]:
-        parts = ln.split()
+        parts = _fields(ln)
         if len(parts) != 2:
             raise MalformedInput(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_int(parts[0]), _int(parts[1])))
         except ValueError as exc:
             raise MalformedInput(f"bad edge line {ln!r}") from exc
     for extra in lines[1 + m :]:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from .errors import MalformedInput, TooLarge
-from .graph import Graph, iter_bits
+# _SPACE is the only padding stripped from graph text: any other character
+# reaches the alphabet check, which names it
+from .graph import _SPACE, Graph, iter_bits
 
 _HEADER = ">>graph6<<"
-# ASCII whitespace, the only padding stripped from graph text: any other
-# character reaches the alphabet check, which names it
-_SPACE = " \t\n\r\v\f"
 
 
 # the character of each 6-bit group whose first pair is its lowest bit (graph6

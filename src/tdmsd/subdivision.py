@@ -11,18 +11,18 @@ subdivided graphs.
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a
 SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
-one BFS and one exact solve of g.  A subdivided graph H that this cover
-still covers has a number of at most gamma(g), so it is settled without a
-solve.  The cover is tested at H's subdivided edges, where alone H differs
-from g.  A row asks only whether H's number exceeds gamma(g).  Any other H
+g's leaf-up order (one BFS, or none on a tree labelled in preorder) and one
+exact solve of g.  A subdivided graph H that this cover still covers has a
+number of at most gamma(g), so it is settled without a solve.  The cover is
+tested at H's subdivided edges, where alone H differs from g.  A row asks only whether H's number exceeds gamma(g).  Any other H
 gets its cover sets from g's, with its new paths wired in as the builders
 wire them, and goes to domination's one solve with gamma(g) as its stop.
 The solve's leaf-up walk settles H when its cover has at most gamma(g)
 vertices or as many as its packing, and otherwise a search stops at the
 first cover of at most gamma(g) vertices and is exact above it.  On a tree,
-H is a tree too, and the walk is g's BFS order with H's new paths spliced
-in, an order in which the walk's cover is minimum; on any other graph it is
-H's own.  No search builds a Graph.  Every skip rests on a cover checked
+H is a tree too, and the walk is g's leaf-up order with H's new paths
+spliced in, an order in which the walk's cover is minimum; on any other
+graph it is H's own.  No search builds a Graph.  Every skip rests on a cover checked
 against H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
@@ -35,13 +35,13 @@ records how that common row ended, and the second search runs none of it.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers, _walk
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
-from .graph import MAX_VERTICES, Edge, Graph, _wire, normalize_edge
+from .graph import MAX_VERTICES, Edge, Graph, _wire, leaves_mask, normalize_edge
 from .graph import subdivide, subdivide_edges  # noqa: F401  perfbench's traced units wrap these bindings
 
 MSD_DEFAULT_CAP = 3
@@ -85,39 +85,68 @@ class SearchState:
 
     sets is cover_sets(g), for domination's _total_covers or
     _closed_covers; each closed set holds its own vertex's bit, so sets
-    also tells the kind.  order is domination's _leaf_order(sets), g's one
-    BFS, which serves the connectivity check, the walk of g's solve and, on
-    a tree, the rows' walks.  base is g's (total) domination number and
-    cover one of its minimum (total) dominating sets as a vertex mask, both
-    from one exact solve of sets; edges is g's edge list.  position is,
-    on a tree, each vertex's index in order, and None on any other graph.
-    row_one is how the row of single subdivisions ended: None before any
-    search ran it, () if no edge raises the number, else ((e,), value) for
-    the first edge that does.
+    also tells the kind.  order is the leaf-up walk's order of g, as
+    domination's _leaf_order gives it, which serves the walk of g's solve
+    and, on a tree, the rows' walks.  When every vertex v >= 1 has exactly
+    one neighbour below it in g.adj, as in the tree generator's preorder
+    labels, g is a tree rooted at 0 with each vertex's parent below it, and
+    order is n - 1, ..., 0, each with its parent as its mask above, with no
+    BFS.  Any other g gets domination's _leaf_order(sets), one BFS, which
+    also serves the connectivity check.  base is g's (total) domination
+    number and cover one of its minimum (total) dominating sets as a vertex
+    mask, both from one exact solve of sets; edges is g's edge list.
+    position is, on a tree, each vertex's index in order, and None on any
+    other graph.  row_one is how the row of single subdivisions ended: None
+    before any search ran it, () if no edge raises the number, else ((e,),
+    value) for the first edge that does.
+
+    any_witness lets a caller that reads only the value take any raising
+    subset of a row as its witness: sd's row of edge pairs and msd's row at
+    t = 2 then try the strong-support lemma's subsets first (_strong_pendants),
+    and the other subsets in their usual order after them.  The values are
+    the same either way; without it every witness is the first in
+    lexicographic order, and the row of single subdivisions is that order
+    under both.
 
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "position", "row_one")
+    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "position", "row_one",
+                 "any_witness")
 
-    def __init__(self, g: Graph, *, cover_sets=_total_covers) -> None:
-        if g.n < 2:
-            raise TooSmall(f"need n >= 2, got n={g.n}")
+    def __init__(self, g: Graph, *, cover_sets=_total_covers, any_witness: bool = False) -> None:
+        n = g.n
+        if n < 2:
+            raise TooSmall(f"need n >= 2, got n={n}")
         sets = cover_sets(g)
-        order = _leaf_order(sets)
-        # each BFS tree has one root, the one pair with no layer above it
-        if [above for _, above in order].count(0) > 1:
-            raise Disconnected("subdivision invariants need a connected graph")
-        self.graph, self.sets, self.order = g, sets, order
-        self.edges = g.edges()
+        order = []
+        for v in range(n - 1, 0, -1):
+            above = g.adj[v] & ((1 << v) - 1)
+            if above.bit_count() != 1:
+                break
+            order.append((v, above))
+        else:
+            # a tree rooted at 0 with each parent below its children, so
+            # from the top label down each vertex comes after its children
+            order.append((0, 0))
+        edges = g.edges()
+        if len(order) == n:
+            position = list(range(n - 1, -1, -1))
+        else:
+            order = _leaf_order(sets)
+            # each BFS tree has one root, the one pair with no layer above it
+            if [above for _, above in order].count(0) > 1:
+                raise Disconnected("subdivision invariants need a connected graph")
+            position = None
+            if len(edges) == n - 1:
+                position = [0] * n
+                for i, (v, _) in enumerate(order):
+                    position[v] = i
+        self.graph, self.sets, self.order, self.edges, self.position = g, sets, order, edges, position
         self.row_one: tuple | None = None
+        self.any_witness = any_witness
         # g is connected with n >= 2, so it has no isolated vertex
         self.base, self.cover = _min_cover(sets, walked=_walk(sets, order))
-        self.position = None
-        if len(self.edges) == g.n - 1:
-            self.position = [0] * g.n
-            for i, (v, _) in enumerate(order):
-                self.position[v] = i
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -235,12 +264,40 @@ def _row_one(state: SearchState) -> tuple:
     return state.row_one
 
 
+def _strong_pendants(g: Graph) -> list[tuple[Edge, Edge]]:
+    """The two pendant edges to the two lowest leaves of each strong
+    support of g (a vertex next to two or more leaves), in support order.
+
+    By the strong-support lemma (README), on an isolate-free g the number
+    rises when both edges are subdivided once, and when the first alone is
+    subdivided twice, for total and closed cover sets alike.
+    """
+    leaves = leaves_mask(g)
+    pairs = []
+    for s, nbrs in enumerate(g.adj):
+        at = nbrs & leaves
+        rest = at & (at - 1)
+        if rest:
+            first, second = (at ^ rest).bit_length() - 1, (rest & -rest).bit_length() - 1
+            pairs.append((normalize_edge(s, first), normalize_edge(s, second)))
+    return pairs
+
+
 def _msd(state: SearchState, cap: int) -> SubdivisionResult:
-    singles = [(e,) for e in state.edges]
+    """msd's rows by count; under state.any_witness the row at t = 2 tries
+    one pendant edge at each strong support before every edge."""
     # count-major: the first count at which any edge succeeds is the minimum
     # over edges, and the first edge to succeed at it is the lowest such edge
     for t in range(1, cap + 1):
-        hit = _row_one(state) if t == 1 else _row(state, singles, t)
+        if t == 1:
+            hit = _row_one(state)
+        else:
+            if t == 2:
+                singles = [(e,) for e in state.edges]
+            subsets = singles
+            if t == 2 and state.any_witness:
+                subsets = chain([(pair[0],) for pair in _strong_pendants(state.graph)], singles)
+            hit = _row(state, subsets, t)
         if hit:
             subset, after = hit
             return SubdivisionResult(t, subset, (t,), state.base, after)
@@ -248,10 +305,18 @@ def _msd(state: SearchState, cap: int) -> SubdivisionResult:
 
 
 def _sd(state: SearchState, cap: int | None) -> SubdivisionResult:
+    """sd's rows by subset size; under state.any_witness the row of edge
+    pairs tries one pendant pair at each strong support before every pair."""
     edges = state.edges
     limit = len(edges) if cap is None else min(cap, len(edges))
     for k in range(1, limit + 1):
-        hit = _row_one(state) if k == 1 else _row(state, combinations(edges, k), 1)
+        if k == 1:
+            hit = _row_one(state)
+        else:
+            subsets = combinations(edges, k)
+            if k == 2 and state.any_witness:
+                subsets = chain(_strong_pendants(state.graph), subsets)
+            hit = _row(state, subsets, 1)
         if hit:
             subset, after = hit
             return SubdivisionResult(k, subset, (1,) * k, state.base, after)

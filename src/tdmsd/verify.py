@@ -89,9 +89,12 @@ def path_cycle_formula(n: int) -> int:
     return 1
 
 
+# the checks read only values, so their states may take any raising subset
+# as a witness (SearchState's any_witness)
+
 @lru_cache(maxsize=None)
 def _sd3(t: Graph) -> int | None:
-    return sd_gamma_t(t, cap=3).value
+    return sd_gamma_t(t, cap=3, memo=SearchState(t, any_witness=True)).value
 
 
 @lru_cache(maxsize=None)
@@ -101,12 +104,12 @@ def _sd1(t: Graph) -> int | None:
 
 @lru_cache(maxsize=None)
 def _msd3(t: Graph) -> int | None:
-    return msd_gamma_t(t, cap=3).value
+    return msd_gamma_t(t, cap=3, memo=SearchState(t, any_witness=True)).value
 
 
 def _sd_msd(g: Graph) -> tuple[int | None, int | None]:
     # one state per graph: msd shares the covers and solves sd found
-    memo = SearchState(g)
+    memo = SearchState(g, any_witness=True)
     return sd_gamma_t(g, cap=3, memo=memo).value, msd_gamma_t(g, cap=3, memo=memo).value
 
 
@@ -235,7 +238,10 @@ def _riti_ok(t: Graph) -> bool:
         for pth in (p, p[::-1]):
             if len(pth) < 6:
                 return False
-            if t.degree(pth[1]) != 2 or t.degree(pth[2]) != 2:
+            # deg(v1) = 2 is implied: a neighbour of v1 off the path is a
+            # leaf (else the path is not longest), so with the leaf v0 it
+            # would make v1 a strong support, refused above
+            if t.degree(pth[2]) != 2:
                 return False
             if pth[3] in supports:
                 return False

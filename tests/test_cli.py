@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -228,6 +229,30 @@ def test_graph_text_strips_only_ascii_whitespace(spec, byte, capsys):
     # byte the graph6 decoder names
     message = f"byte {byte} outside the graph6 alphabet"
     with pytest.raises(MalformedInput, match=f"^{message}$"):
+        cli._read_graph(spec)
+    code, out = run_cli("compute", "--input", spec, "--invariant", "gamma_t")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    # the no-break space separates no fields, so the first line is one
+    # field, read as graph6
+    pytest.param("2\u00a01\n0\u00a01", "byte 50 outside the graph6 alphabet",
+                 id="no-break-space"),
+    # U+2028 ends no line, so the edge list is one line, a bad header
+    pytest.param("2 1\u2028 0 1", "expected 'n m' header, got '2 1\\u2028 0 1'",
+                 id="line-separator"),
+    # int() would strip the no-break space and read the fullwidth digit
+    pytest.param("2 1\n0 \u00a01", "bad edge line '0 \\xa01'", id="no-break-space-field"),
+    pytest.param("2 1\n0 \uff11", "bad edge line '0 \uff11'", id="fullwidth-digit"),
+    # int() would also read 1_1 as 11 and +1 as 1
+    pytest.param("1_1 1\n0 1", "bad header '1_1 1'", id="digit-group"),
+    pytest.param("2 1\n0 +1", "bad edge line '0 +1'", id="plus-sign"),
+])
+def test_edge_list_text_takes_only_ascii_separators_and_digits(spec, message, capsys):
+    # str.split(), str.splitlines() and int() would read each as a graph
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
         cli._read_graph(spec)
     code, out = run_cli("compute", "--input", spec, "--invariant", "gamma_t")
     assert code == 2 and out == ""

@@ -35,7 +35,7 @@ from tdmsd.domination import (
     is_total_dominating,
     solve_gamma_t,
 )
-from tdmsd.graph import iter_bits
+from tdmsd.graph import iter_bits, leaves_mask
 from tdmsd.subdivision import SearchState
 from tdmsd.verify import path_cycle_formula
 
@@ -608,6 +608,84 @@ def test_memo_does_not_change_results():
         assert sd_gamma_t(g, memo=memo) == sd_gamma_t(g)
 
 
+def test_strong_support_lemma():
+    # the lemma the any-witness rows try first (README): at a strong support
+    # s with leaves l1 and l2 of an isolate-free graph, subdividing s l1 and
+    # s l2 once each, or s l1 twice, raises gamma_t and gamma.  Checked by
+    # solves alone, with no search, at every pair of leaves of every strong
+    # support of every tree of order 3 to 12 and every other connected graph
+    # of order 3 to 7
+    graphs = [g for n in range(3, 13) for g in enumerate_trees(n)]
+    graphs += [g for n in range(3, 8) for g in enumerate_connected_graphs(n) if not g.is_tree()]
+    supports = 0
+    for g in graphs:
+        base_t, base = solve_gamma_t(g), gamma_value(g)
+        leaves = leaves_mask(g)
+        for s in range(g.n):
+            at = list(iter_bits(g.adj[s] & leaves))
+            if len(at) < 2:
+                continue
+            supports += 1
+            for leaf in at:
+                h = subdivide(g, (s, leaf), 2)
+                assert solve_gamma_t(h) > base_t and gamma_value(h) > base, (g.edges(), s, leaf)
+            for pair in combinations(at, 2):
+                h = subdivide_edges(g, [(s, leaf) for leaf in pair])
+                assert solve_gamma_t(h) > base_t and gamma_value(h) > base, (g.edges(), s, pair)
+    assert supports == 1351
+
+
+def _check_any_witness_states(trees, graphs, monkeypatch):
+    """An any-witness state and a default one of each generated tree, the
+    tree with its labels reversed, and each graph give sd_gamma_t and
+    msd_gamma_t at cap 3 the same value and base, and each any-witness
+    witness that is built has the increased value as its gamma_t.  The
+    states of a generated tree, labelled in preorder, take no BFS; reversed,
+    the root comes last with two or more neighbours below it, and each
+    state takes one."""
+    bfs = [0]
+    leaf_order = subdivision._leaf_order
+
+    def counting(covers):
+        bfs[0] += 1
+        return leaf_order(covers)
+
+    monkeypatch.setattr(subdivision, "_leaf_order", counting)
+    checked = 0
+    labelled = [(t, 0) for t in trees]
+    labelled += [(t.relabel(range(t.n - 1, -1, -1)), 2) for t in trees]
+    labelled += [(g, None) for g in graphs]
+    for g, states_bfs in labelled:
+        before = bfs[0]
+        for search in (sd_gamma_t, msd_gamma_t):
+            want = search(g, cap=3, memo=SearchState(g))
+            got = search(g, cap=3, memo=SearchState(g, any_witness=True))
+            assert (got.value, got.base_value) == (want.value, want.base_value), g.edges()
+            if got.value is None:
+                continue
+            if search is sd_gamma_t:
+                h = subdivide_edges(g, got.witness_edges)
+            else:
+                h = subdivide(g, got.witness_edges[0], got.witness_t[0])
+            assert solve_gamma_t(h) == got.increased_value, (g.edges(), got)
+        if states_bfs is not None:
+            assert bfs[0] - before == 2 * states_bfs, g.edges()
+        checked += 1
+    return checked
+
+
+def test_any_witness_states_agree_with_default_states(monkeypatch):
+    trees = [t for n in range(3, 13) for t in enumerate_trees(n)]
+    graphs = [g for n in range(3, 7) for g in enumerate_connected_graphs(n)]
+    assert _check_any_witness_states(trees, graphs, monkeypatch) == 2 * 985 + 141
+
+
+@pytest.mark.slow
+def test_any_witness_states_agree_with_default_states_on_trees_13_to_16(monkeypatch):
+    trees = [t for n in range(13, 17) for t in enumerate_trees(n)]
+    assert _check_any_witness_states(trees, [], monkeypatch) == 2 * 31521
+
+
 _SD_ONE_WORK = [
     # 0/1,562, 0/515 and 0/1,546 seeds when the enumerated minimum sets of
     # each graph were its state's known covers, so no state solved its graph.
@@ -734,11 +812,13 @@ def test_tree_check_subdivided_graphs_built_are_pinned(builds, work):
     # added its cover to the state's known covers.  3,428 when every graph
     # the cover missed was built and solved; now each of those is walked in
     # its tree's order, none is solved without that walk, and no graph is
-    # built
+    # built.  3,428 walks when sd's row of edge pairs and msd's row at t = 2
+    # ran in lexicographic order; the check's any-witness state tries the
+    # strong-support lemma's subsets first, and each settles its row
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert len(builds) == 0
-    assert work == {"walk": 3428, "solve": 0}
+    assert work == {"walk": 2284, "solve": 0}
 
 
 _FROZEN = [
