@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .errors import MalformedInput, TooSmall, UnknownFixture
-from .graph import MAX_VERTICES, Graph, from_edge_list
+from .graph import _SPACE, MAX_VERTICES, Graph, from_edge_list
 
 
 def path(n: int) -> Graph:
@@ -72,11 +72,12 @@ def fixture_by_name(name: str) -> Graph:
 
     Every name is ASCII: a non-ASCII one is unknown, since str.lower() and
     str.strip() would map some of its characters to ASCII (the Kelvin sign
-    to k).
+    to k).  Only graph text's padding is stripped: str.strip() would also
+    drop ASCII \x1c to \x1f, which the graph6 decoder refuses.
     """
     if not name.isascii():
         raise UnknownFixture(f"unknown fixture {name!r}")
-    name = name.strip().lower()
+    name = name.strip(_SPACE).lower()
     if name == "gstar":
         return gstar()
     m = re.fullmatch(r"([a-z]+)([0-9]+)", name)

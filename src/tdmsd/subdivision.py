@@ -19,10 +19,12 @@ gets its cover sets from g's, with its new paths wired in as the builders
 wire them, and goes to domination's one solve with gamma(g) as its stop.
 The solve's leaf-up walk settles H when its cover has at most gamma(g)
 vertices or as many as its packing, and otherwise a search stops at the
-first cover of at most gamma(g) vertices and is exact above it.  On a tree,
-H is a tree too, and the walk is g's leaf-up order with H's new paths
-spliced in, an order in which the walk's cover is minimum; on any other
-graph it is H's own.  No search builds a Graph.  Every skip rests on a cover checked
+first cover of at most gamma(g) vertices and is exact above it.  On a tree
+with each vertex's parent below it, as the tree generator labels it, H is a
+tree too, and the walk is g's leaf-up order with H's new paths spliced in,
+an order in which the walk's cover is minimum; on any other graph, a tree
+in other labels among them, it is H's own, which on a tree is minimum too.
+No search builds a Graph.  Every skip rests on a cover checked
 against H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
@@ -85,18 +87,17 @@ class SearchState:
 
     sets is cover_sets(g), for domination's _total_covers or
     _closed_covers; each closed set holds its own vertex's bit, so sets
-    also tells the kind.  order is the leaf-up walk's order of g, as
-    domination's _leaf_order gives it, which serves the walk of g's solve
-    and, on a tree, the rows' walks.  When every vertex v >= 1 has exactly
-    one neighbour below it in g.adj, as in the tree generator's preorder
-    labels, g is a tree rooted at 0 with each vertex's parent below it, and
-    order is n - 1, ..., 0, each with its parent as its mask above, with no
-    BFS.  Any other g gets domination's _leaf_order(sets), one BFS, which
+    also tells the kind.  When every vertex v >= 1 has exactly one
+    neighbour below it in g.adj, as in the tree generator's preorder labels,
+    g is a tree rooted at 0 with each vertex's parent below it, and order is
+    the leaf-up walk's order n - 1, ..., 0, each with its parent as its mask
+    above, with no BFS; it serves the walk of g's solve and the rows' spliced
+    walks.  On any other g, a tree in other labels among them, order is
+    None, and g's solve walks domination's _leaf_order(sets), one BFS, which
     also serves the connectivity check.  base is g's (total) domination
     number and cover one of its minimum (total) dominating sets as a vertex
     mask, both from one exact solve of sets; edges is g's edge list.
-    position is, on a tree, each vertex's index in order, and None on any
-    other graph.  row_one is how the row of single subdivisions ended: None
+    row_one is how the row of single subdivisions ended: None
     before any search ran it, () if no edge raises the number, else ((e,),
     value) for the first edge that does.
 
@@ -111,8 +112,7 @@ class SearchState:
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "position", "row_one",
-                 "any_witness")
+    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "row_one", "any_witness")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers, any_witness: bool = False) -> None:
         n = g.n
@@ -129,24 +129,17 @@ class SearchState:
             # a tree rooted at 0 with each parent below its children, so
             # from the top label down each vertex comes after its children
             order.append((0, 0))
-        edges = g.edges()
-        if len(order) == n:
-            position = list(range(n - 1, -1, -1))
-        else:
-            order = _leaf_order(sets)
+        walk = order
+        if len(order) < n:
+            order, walk = None, _leaf_order(sets)
             # each BFS tree has one root, the one pair with no layer above it
-            if [above for _, above in order].count(0) > 1:
+            if [above for _, above in walk].count(0) > 1:
                 raise Disconnected("subdivision invariants need a connected graph")
-            position = None
-            if len(edges) == n - 1:
-                position = [0] * n
-                for i, (v, _) in enumerate(order):
-                    position[v] = i
-        self.graph, self.sets, self.order, self.edges, self.position = g, sets, order, edges, position
+        self.graph, self.sets, self.order, self.edges = g, sets, order, g.edges()
         self.row_one: tuple | None = None
         self.any_witness = any_witness
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(sets, walked=_walk(sets, order))
+        self.base, self.cover = _min_cover(sets, walked=_walk(sets, walk))
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -166,28 +159,22 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
 def _spliced_walk(state: SearchState, covers: list[int], subset, t: int) -> tuple[int, int]:
     """domination's _walk of covers, the cover sets of the graph H with
     subset's edges subdivided t times as graph's _wire numbers them, in the
-    state's order with H's new paths spliced in.  state.position must be
-    set.
+    state's order with H's new paths spliced in.  state.order must be set.
 
-    Each new path goes right after its lower end, the end that comes first
-    in the order, and runs from there to its upper end: each new vertex's
-    mask above is its neighbour toward the upper end, and the lower end's
-    is its new neighbour.  On a tree the lower end is the child, so every
-    vertex still comes after its children, with its parent above it, and
-    the cover is minimum.
+    The state's graph is then a tree with each vertex's parent below it, so
+    on each edge (u, v), u < v, u is v's parent, and v stands at index
+    n - 1 - v of the order.  There the path v, last, ..., x, u is spliced
+    in, each vertex's mask above being its next: v's is its new neighbour,
+    and x's is u.  H is a tree, every vertex still comes after its
+    children, with its parent above it, and the cover is minimum.
     """
-    order, position = state.order, state.position
+    order = state.order
+    n = x = state.graph.n
     splices = []
-    x = state.graph.n
     for u, v in subset:
-        # the path u, x, ..., last, v, from the lower end up
         last = x + t - 1
-        if position[u] < position[v]:
-            steps = [(u, 1 << x), *[(y, 1 << y + 1) for y in range(x, last)], (last, 1 << v)]
-            splices.append((position[u], steps))
-        else:
-            steps = [(v, 1 << last), *[(y, 1 << y - 1) for y in range(last, x, -1)], (x, 1 << u)]
-            splices.append((position[v], steps))
+        steps = [(v, 1 << last), *[(y, 1 << y - 1) for y in range(last, x, -1)], (x, 1 << u)]
+        splices.append((n - 1 - v, steps))
         x = last + 1
     splices.sort()
     spliced = []
@@ -211,10 +198,11 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     the subdivided edges; if C covers H, H's number is at most the base.
     Otherwise H's cover sets are the state's with H's new paths wired in
     (graph's _wire), and _min_cover solves them with the base as its stop,
-    so a cover of at most the base vertices settles H below it.  On a tree
-    it is handed H's walk in the state's order with the new paths spliced
-    in (_spliced_walk), which is minimum, so no search runs; on any other
-    graph it walks H in H's own leaf-up order.  No search builds H.
+    so a cover of at most the base vertices settles H below it.  When the
+    state has an order, it is handed H's walk in that order with the new
+    paths spliced in (_spliced_walk), which is minimum, so no search runs;
+    on any other graph it walks H in H's own leaf-up order, which on a tree
+    is minimum too.  No search builds H.
 
     The test decides exactly whether C covers H, for total and closed cover
     sets alike.  C holds old vertices only.  A new vertex's candidates are
@@ -231,7 +219,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     meets because C covers the graph.
     """
     g, base, cover, sets = state.graph, state.base, state.cover, state.sets
-    tree = state.position is not None
+    spliced = state.order is not None
     for subset in subsets:
         n2 = g.n + len(subset) * t
         if n2 > MAX_VERTICES:
@@ -250,7 +238,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
             continue
         covers = list(sets)
         _wire(covers, subset, t)
-        walked = _spliced_walk(state, covers, subset, t) if tree else None
+        walked = _spliced_walk(state, covers, subset, t) if spliced else None
         after = _min_cover(covers, base, walked)[0]
         if after > base:
             return subset, after

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -222,11 +223,16 @@ def test_kelvin_sign_name_is_read_as_graph6_and_refused(capsys):
     pytest.param("\u00a0gstar", 160, id="no-break-space-first"),
     pytest.param("gstar\u2028", 8232, id="line-separator-last"),
     pytest.param("gstar\x85", 133, id="next-line-last"),
+    # str.strip() drops ASCII \x1c to \x1f too; with either kept, a fixture
+    # name is no fixture, and its first byte outside the alphabet is named
+    pytest.param("\x1cgstar", 28, id="file-separator-first"),
+    pytest.param("p6\x1f", 54, id="unit-separator-last"),
+    pytest.param("E?~o\x1f", 31, id="unit-separator-after-graph6"),
 ])
 def test_graph_text_strips_only_ascii_whitespace(spec, byte, capsys):
-    # str.strip() and str.splitlines() would drop each of these, leaving
-    # gstar to be read as graph6 of the wrong length; kept, it is the
-    # byte the graph6 decoder names
+    # str.strip() and str.splitlines() would drop each of these, leaving a
+    # fixture name or graph6 text to be read; kept, it is the byte the
+    # graph6 decoder names
     message = f"byte {byte} outside the graph6 alphabet"
     with pytest.raises(MalformedInput, match=f"^{message}$"):
         cli._read_graph(spec)
@@ -787,10 +793,15 @@ def test_fixtures_listing_and_emit():
 
 
 def test_console_script_runs():
+    # conftest puts src/ on this process's path only, so the subprocess
+    # gets it too, and the suite runs without an installed package
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tdmsd.cli", "compute", "--input", "p4", "--invariant", "gamma"],
         capture_output=True,
         text=True,
+        env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["value"] == 2

@@ -14,6 +14,7 @@ from tdmsd import (
     from_edge_list,
     gamma_t_value,
     gamma_value,
+    generate_family,
     gstar,
     msd_gamma,
     msd_gamma_t,
@@ -449,101 +450,80 @@ def test_state_reads_connectivity_off_its_order(cover_sets):
 
 
 def _tree_rows(hi):
-    """(tree, cover sets, subset, t) for every subset a row tries on every
-    tree of order 2 to hi: single edges at t = 1, 2, 3 and edge pairs and
-    triples at t = 1, with total and closed cover sets.
+    """(tree, generated, cover sets, subset, t) for every subset a row
+    tries on every tree of order 2 to hi: single edges at t = 1, 2, 3 and
+    edge pairs and triples at t = 1, with total and closed cover sets.
 
-    Each tree comes in its own labels and in a random relabelling.  The
-    generator labels every parent below its children, so in its labels the
-    lower end of an edge (u, v), u < v, is always v; relabelled, it is u on
-    some edges.
+    Each tree comes in its own labels, generated, and in a random
+    relabelling.  The generator labels every parent below its children, so
+    in its labels each edge (u, v), u < v, has u as v's parent, and the rows
+    splice; relabelled, v is u's parent on some edges.
     """
     rng = random.Random(35)
     for n in range(2, hi + 1):
         for tree in enumerate_trees(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            for g in (tree, tree.relabel(perm)):
+            for g, generated in ((tree, True), (tree.relabel(perm), False)):
                 edges = g.edges()
                 tries = [((e,), t) for e in edges for t in (1, 2, 3)]
                 tries += [(subset, 1) for k in (2, 3) for subset in combinations(edges, k)]
                 for cover_sets in (_total_covers, _closed_covers):
                     for subset, t in tries:
-                        yield g, cover_sets, subset, t
+                        yield g, generated, cover_sets, subset, t
 
 
 def _check_spliced_walks(hi):
-    """The wired cover sets and the spliced walk of every subdivided tree
-    of _tree_rows(hi), walked whether or not the state's cover settles it,
-    against the graph the public builders build: the state's cover sets
-    with the new paths wired in are that graph's, and the walk's cover and
-    packing both have the size of its minimum."""
-    count = 0
+    """The wired cover sets of every subdivided tree of _tree_rows(hi), in
+    both labellings, against the graph the public builders build: the
+    state's cover sets with the new paths wired in are that graph's.  In
+    the generator's labels the spliced walk too, walked whether or not the
+    state's cover settles it: its cover and packing both have the size of
+    that graph's minimum.  Returns how many were wired and how many walked.
+    """
+    wired = walked = 0
     state = None
-    for g, cover_sets, subset, t in _tree_rows(hi):
+    for g, generated, cover_sets, subset, t in _tree_rows(hi):
         if state is None or state.graph != g or state.sets != cover_sets(g):
             state = SearchState(g, cover_sets=cover_sets)
         h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
         covers = list(state.sets)
         graph._wire(covers, subset, t)
         assert covers == list(cover_sets(h)), (g.edges(), subset, t)
+        wired += 1
+        if not generated:
+            continue
         cover, packing = subdivision._spliced_walk(state, covers, subset, t)
         assert _covered(covers, cover) == h.full_mask
         minimum = _min_cover(covers)[0]
         assert cover.bit_count() == packing.bit_count() == minimum, (g.edges(), subset, t)
-        count += 1
-    return count
+        walked += 1
+    return wired, walked
 
 
 def test_spliced_walk_is_exact_on_subdivided_trees_through_order_nine():
-    # 15,484 subdivided trees in each labelling
-    assert _check_spliced_walks(9) == 2 * 15484
+    # 15,484 subdivided trees in each labelling, walked in the generator's
+    assert _check_spliced_walks(9) == (2 * 15484, 15484)
 
 
 @pytest.mark.slow
 def test_spliced_walk_is_exact_on_subdivided_trees_through_order_twelve():
-    assert _check_spliced_walks(12) == 2 * 417104
+    assert _check_spliced_walks(12) == (2 * 417104, 417104)
 
 
-@pytest.mark.parametrize("cover_sets", [_total_covers, _closed_covers], ids=["total", "closed"])
-def test_spliced_walk_forced_on_graphs_keeps_every_result(cover_sets, work, monkeypatch):
-    # on a graph that is not a tree the spliced walk is sound but need not
-    # be minimum, so the solve it is handed may settle by it only below the
-    # base or at the packing, and must search otherwise.  Forced on every
-    # connected graph of order 3 to 6 that is not a tree, it leaves every sd
-    # and msd value and witness as the graph's own walks give them
-    forced = {"walk": 0, "solve": 0}
-    graphs = 0
-    searches = [0]
-    search = domination._search
-
-    def counting(*args, **kwargs):
-        searches[0] += 1
-        return search(*args, **kwargs)
-
-    for n in range(3, 7):
-        for g in enumerate_connected_graphs(n):
-            want = SearchState(g, cover_sets=cover_sets)
-            if want.position is not None:
-                continue
-            want = subdivision._sd(want, 3), subdivision._msd(want, 3)
-            state = SearchState(g, cover_sets=cover_sets)
-            state.position = [0] * g.n
-            for i, (v, _) in enumerate(state.order):
-                state.position[v] = i
-            work.update(walk=0, solve=0)
-            monkeypatch.setattr(domination, "_search", counting)
-            assert (subdivision._sd(state, 3), subdivision._msd(state, 3)) == want, g.edges()
-            monkeypatch.setattr(domination, "_search", search)
-            forced["walk"] += work["walk"]
-            forced["solve"] += work["solve"]
-            graphs += 1
-    # the 141 connected graphs of order 3 to 6 less their 12 trees; every
-    # graph the state's cover misses is walked, and the walks leave some of
-    # them to a search
-    assert graphs == 129
-    assert forced["walk"] > 0 and forced["solve"] == 0, forced
-    assert searches[0] > 0
+def test_every_tree_the_program_makes_is_spliced():
+    # the rows splice only a tree with each vertex's parent below it, and
+    # every tree the program makes is labelled so: the tree generator's, the
+    # trees among the connected graphs, the family's members, and paths and
+    # stars.  A generator that lost those labels would lose the splice too
+    trees = [t for n in range(2, 13) for t in enumerate_trees(n)]
+    connected = [g for n in range(2, 8) for g in enumerate_connected_graphs(n) if g.is_tree()]
+    members = [member.tree for member in generate_family(14)]
+    built = [build(n) for build in (path, star) for n in range(2, 13)]
+    assert (len(trees), len(connected)) == (986, 24)
+    for t in trees + connected + members + built:
+        for cover_sets in (_total_covers, _closed_covers):
+            assert SearchState(t, cover_sets=cover_sets).order is not None, t.edges()
 
 
 @pytest.fixture
@@ -640,27 +620,37 @@ def _check_any_witness_states(trees, graphs, monkeypatch):
     tree with its labels reversed, and each graph give sd_gamma_t and
     msd_gamma_t at cap 3 the same value and base, and each any-witness
     witness that is built has the increased value as its gamma_t.  The
-    states of a generated tree, labelled in preorder, take no BFS; reversed,
-    the root comes last with two or more neighbours below it, and each
-    state takes one."""
+    states of a generated tree, labelled in preorder, take no BFS and splice
+    their rows.  Reversed, the root comes last with two or more neighbours
+    below it, so each state takes one BFS and its rows walk each graph in
+    that graph's own order; the default searches still give the generated
+    tree's value, base and increased value.  No tree's search runs a
+    branch-and-bound."""
     bfs = [0]
+    searches = [0]
     leaf_order = subdivision._leaf_order
+    search_of = domination._search
 
     def counting(covers):
         bfs[0] += 1
         return leaf_order(covers)
 
+    def searching(*args, **kwargs):
+        searches[0] += 1
+        return search_of(*args, **kwargs)
+
     monkeypatch.setattr(subdivision, "_leaf_order", counting)
-    checked = 0
-    labelled = [(t, 0) for t in trees]
-    labelled += [(t.relabel(range(t.n - 1, -1, -1)), 2) for t in trees]
-    labelled += [(g, None) for g in graphs]
-    for g, states_bfs in labelled:
-        before = bfs[0]
+    monkeypatch.setattr(domination, "_search", searching)
+
+    def check(g):
+        """(value, base, increased value) of g's default searches, each
+        checked against an any-witness search."""
+        results = []
         for search in (sd_gamma_t, msd_gamma_t):
             want = search(g, cap=3, memo=SearchState(g))
             got = search(g, cap=3, memo=SearchState(g, any_witness=True))
             assert (got.value, got.base_value) == (want.value, want.base_value), g.edges()
+            results.append((want.value, want.base_value, want.increased_value))
             if got.value is None:
                 continue
             if search is sd_gamma_t:
@@ -668,10 +658,18 @@ def _check_any_witness_states(trees, graphs, monkeypatch):
             else:
                 h = subdivide(g, got.witness_edges[0], got.witness_t[0])
             assert solve_gamma_t(h) == got.increased_value, (g.edges(), got)
-        if states_bfs is not None:
-            assert bfs[0] - before == 2 * states_bfs, g.edges()
-        checked += 1
-    return checked
+        return results
+
+    for t in trees:
+        before = bfs[0]
+        want = check(t)
+        assert bfs[0] == before, t.edges()
+        assert check(t.relabel(range(t.n - 1, -1, -1))) == want, t.edges()
+        assert bfs[0] - before == 4, t.edges()
+    assert searches[0] == 0
+    for g in graphs:
+        check(g)
+    return 2 * len(trees) + len(graphs)
 
 
 def test_any_witness_states_agree_with_default_states(monkeypatch):
