@@ -18,7 +18,7 @@ from pathlib import Path
 from .domination import gamma, gamma_t
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
 from .fixtures import FIXTURE_NAMES, fixture_by_name
-from .graph import _SPACE, Graph, _fields, format_edge_list, inner_edges, parse_edge_list
+from .graph import Graph, _fields, _lines, format_edge_list, inner_edges, parse_edge_list
 from .graph6 import graph6_decode, graph6_encode
 from .subdivision import msd_gamma, msd_gamma_t, sd_gamma, sd_gamma_t
 
@@ -31,16 +31,22 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+# the bytes an --input file may hold; K64's edge list takes 11,474
+_MAX_INPUT = 1 << 20
 
 
 def _read_graph(spec: str) -> Graph:
-    """Accept a file path, a fixture name, or literal text; text whose first
-    line holds ASCII whitespace (the "n m" header) is an edge list, other
-    text graph6."""
+    """Accept a file path (its UTF-8 bytes, newlines untranslated), a fixture
+    name, or literal text; text whose first line holds ASCII whitespace (the
+    "n m" header) is an edge list, other text one graph6 line."""
     text = None
     if os.path.exists(spec):
         try:
-            text = Path(spec).read_text(encoding="utf-8")
+            with open(spec, "rb") as f:
+                data = f.read(_MAX_INPUT + 1)
+            if len(data) > _MAX_INPUT:
+                raise MalformedInput(f"{spec}: larger than {_MAX_INPUT} bytes")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedInput(f"{spec}: not UTF-8 text ({exc.reason})") from None
         except OSError as exc:
@@ -52,13 +58,15 @@ def _read_graph(spec: str) -> Graph:
         except UnknownFixture:
             pass
         text = spec
-    stripped = text.strip(_SPACE)
-    if not stripped:
+    lines = _lines(text)
+    if not lines:
         raise MalformedInput("empty graph input")
-    first = stripped.split("\n", 1)[0]
-    if len(_fields(first)) > 1:
-        return parse_edge_list(stripped)
-    return graph6_decode(first)
+    if len(_fields(lines[0])) > 1:
+        return parse_edge_list(text)
+    g = graph6_decode(lines[0])
+    if len(lines) > 1:
+        raise MalformedInput(f"unexpected trailing line {lines[1]!r}")
+    return g
 
 
 def _positive_int(text: str) -> int:

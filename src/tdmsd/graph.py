@@ -318,6 +318,11 @@ def structure_profile(g: Graph) -> StructureProfile:
     )
 
 
+def _lines(text: str) -> list[str]:
+    """Graph text's non-blank lines: split at "\n" only, stripped of _SPACE."""
+    return [line for line in (raw.strip(_SPACE) for raw in text.split("\n")) if line]
+
+
 def _fields(line: str) -> list[str]:
     """The runs of line between ASCII whitespace."""
     for c in _SPACE[1:]:
@@ -326,9 +331,9 @@ def _fields(line: str) -> list[str]:
 
 
 def _int(field: str) -> int:
-    # int() also reads non-ASCII digits, "_" separators and a "+" sign, and
+    # int() also reads non-ASCII digits, "_" separators and a sign, and
     # strips non-ASCII whitespace
-    if not (field.isascii() and field.lstrip("-").isdigit()):
+    if not (field.isascii() and field.isdigit()):
         raise ValueError(field)
     return int(field)
 
@@ -336,12 +341,11 @@ def _int(field: str) -> int:
 def parse_edge_list(text: str) -> Graph:
     """Read the text edge-list format: first line "n m", then m lines "u v".
 
-    Lines end at "\n" and fields are separated by ASCII whitespace only.
-    Lines after the m-th edge are tolerated only if blank or starting with
-    '#' or 'status:' (family files carry a status sidecar line).
+    Lines are split by _lines; fields are runs of ASCII digits separated by
+    ASCII whitespace.  Lines after the m-th edge are tolerated only if they
+    start with '#' or 'status:' (family files carry a status sidecar line).
     """
-    lines = [ln.strip(_SPACE) for ln in text.split("\n")]
-    lines = [ln for ln in lines if ln]
+    lines = _lines(text)
     if not lines:
         raise MalformedInput("empty edge-list input")
     head = _fields(lines[0])
@@ -351,8 +355,6 @@ def parse_edge_list(text: str) -> Graph:
         n, m = _int(head[0]), _int(head[1])
     except ValueError as exc:
         raise MalformedInput(f"bad header {lines[0]!r}") from exc
-    if m < 0:
-        raise MalformedInput(f"bad header {lines[0]!r}")
     if len(lines) < 1 + m:
         raise MalformedInput(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

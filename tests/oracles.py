@@ -9,8 +9,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 from collections import deque
 
+from tdmsd import fixtures
 from tdmsd.errors import EdgeNotPresent, TooLarge, TooSmall
 from tdmsd.graph import MAX_VERTICES, Graph, normalize_edge
 
@@ -416,6 +418,102 @@ def bitwise_graph6(n, edges):
     if width:
         out.append(chr((group << (6 - width)) + 63))
     return "".join(out)
+
+
+# The README's input grammar, read from the README alone.  re.ASCII keeps
+# IGNORECASE from matching the Kelvin sign, long s and dotless i to k, s and i.
+_WS = "[ \t\n\r\v\f]"
+FIXTURE_NAME = re.compile(rf"{_WS}*(gstar|(p|c|k|star|wheel)([0-9]+)){_WS}*",
+                          re.ASCII | re.IGNORECASE)
+_LINE = re.compile(rf"{_WS}*(.*?){_WS}*", re.ASCII | re.DOTALL)
+_PAIR = re.compile(r"([0-9]+)[ \t\r\v\f]+([0-9]+)", re.ASCII)
+_TRAILER = re.compile(r"#|status:")
+# the graph6 alphabet is chr(63) "?" to chr(126) "~"
+_GRAPH6 = re.compile(r"(?:>>graph6<<)?([?-~]+)", re.ASCII)
+# least parameter and vertices beyond it, per fixture prefix
+_FIXTURE_RANGE = {"p": (1, 0), "c": (3, 0), "k": (1, 0), "star": (2, 0), "wheel": (3, 1)}
+
+
+def _number(digits):
+    """A run of ASCII digits as an int, clamped above every bound the
+    grammar sets (int() refuses a few thousand digits)."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) < 7 else 10**7
+
+
+def _recognize_fixture(match):
+    if match.group(1).lower() == "gstar":
+        g = fixtures.gstar()
+        return g.n, g.edges()
+    prefix, k = match.group(2).lower(), _number(match.group(3))
+    lo, extra = _FIXTURE_RANGE[prefix]
+    if not lo <= k <= MAX_VERTICES - extra:
+        return None
+    g = {"p": fixtures.path, "c": fixtures.cycle, "k": fixtures.complete,
+         "star": fixtures.star, "wheel": fixtures.wheel}[prefix](k)
+    return g.n, g.edges()
+
+
+def _recognize_edge_list(lines):
+    header = _PAIR.fullmatch(lines[0])
+    if not header:
+        return None
+    n, m = map(_number, header.groups())
+    if len(lines) < 1 + m:
+        return None
+    edges = set()
+    for line in lines[1:1 + m]:
+        pair = _PAIR.fullmatch(line)
+        if not pair:
+            return None
+        u, v = map(_number, pair.groups())
+        if u == v or u >= n or v >= n:
+            return None
+        edges.add((min(u, v), max(u, v)))
+    if not all(_TRAILER.match(line) for line in lines[1 + m:]):
+        return None
+    if not 1 <= n <= MAX_VERTICES or len(edges) != m:
+        return None
+    return n, sorted(edges)
+
+
+def _recognize_graph6(lines):
+    line = _GRAPH6.fullmatch(lines[0])
+    if len(lines) > 1 or not line:
+        return None
+    body = line.group(1)
+    n = ord(body[0]) - 63
+    if not 1 <= n <= 62:
+        return None
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if len(body) - 1 != (len(pairs) + 5) // 6:
+        return None
+    bits = "".join(format(ord(c) - 63, "06b") for c in body[1:])
+    if "1" in bits[len(pairs):]:
+        return None
+    return n, sorted(pair for pair, bit in zip(pairs, bits) if bit == "1")
+
+
+def recognize_input(text, literal=True):
+    r"""The graph the README's grammar reads from --input text as (n, sorted
+    edges), or None where it refuses.  A literal may be a fixture name; a
+    file's text may not.
+
+    The text splits into lines at "\n" only, each stripped of ASCII
+    whitespace, blank ones dropped.  A first line holding ASCII whitespace
+    is an edge list's "n m" header; any other text is one graph6 line.
+    """
+    if literal:
+        name = FIXTURE_NAME.fullmatch(text)
+        if name:
+            return _recognize_fixture(name)
+    lines = [_LINE.fullmatch(raw).group(1) for raw in text.split("\n")]
+    lines = [line for line in lines if line]
+    if not lines:
+        return None
+    if re.search(r"[ \t\r\v\f]", lines[0]):
+        return _recognize_edge_list(lines)
+    return _recognize_graph6(lines)
 
 
 # the sd = 1 edge condition and Lemma 14's edge clause as two hand-written

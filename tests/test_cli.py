@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 import time
+import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tdmsd import (
     enumerate_connected_graphs,
@@ -27,6 +28,8 @@ from tdmsd.errors import MalformedInput, UnknownFixture
 from tdmsd.graph import format_edge_list
 from tdmsd.verify import THEOREMS
 
+from oracles import FIXTURE_NAME, bitwise_graph6, recognize_input
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -36,6 +39,17 @@ def run_cli(*argv):
 
 def last_json(text):
     return json.loads(text.strip().splitlines()[-1])
+
+
+def _run_module(*argv, **kwargs):
+    """Run python -m tdmsd.cli in a subprocess, with subprocess.run's
+    kwargs.  conftest puts src/ on this process's path only, so the
+    subprocess gets it too, and the suite runs without an installed
+    package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "tdmsd.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, **kwargs)
 
 
 def test_compute_gamma_t_fixture():
@@ -139,8 +153,14 @@ def test_edge_list_and_graph6_files_read_back(tmp_path, read_back):
 @pytest.mark.parametrize("spec, message", [
     # a first line holding whitespace is an edge-list header
     ("3 x", "error: bad header '3 x'\n"),
-    # a negative edge count is the header's fault, not a trailing line
+    # a field is a run of ASCII digits, so a negative count or index is the
+    # header's or the edge line's fault
     ("3 -1", "error: bad header '3 -1'\n"),
+    ("2 1\n0 -1", "error: bad edge line '0 -1'\n"),
+    # a lone "\r" ends no line, in a file as in a literal
+    ("2 1\r0 1", "error: expected 'n m' header, got '2 1\\r0 1'\n"),
+    # graph6 text is one line
+    ("Bw\nnot a graph", "error: unexpected trailing line 'not a graph'\n"),
     # any other text is graph6: order 2 needs one data byte
     ("A", "error: expected 1 data bytes for n=2, got 0\n"),
 ])
@@ -175,6 +195,38 @@ def test_compute_directory_input_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size, message", [
+    # 1 MiB is read whole, and holds no graph
+    (1 << 20, "error: empty graph input\n"),
+    ((1 << 20) + 1, "error: {}: larger than 1048576 bytes\n"),
+])
+def test_input_file_is_read_up_to_one_mib(size, message, tmp_path, capsys):
+    spaces = tmp_path / "spaces"
+    spaces.write_bytes(b" " * size)
+    code, out = run_cli("compute", "--input", str(spaces), "--invariant", "gamma_t")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message.format(spaces)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_input_is_refused_after_its_bound():
+    # an unbounded read of /dev/zero ends in a MemoryError (exit 4) under this limit
+    import resource
+
+    limit = 400 << 20
+    proc = _run_module("compute", "--input", "/dev/zero", "--invariant", "gamma_t",
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: /dev/zero: larger than 1048576 bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_input_piped_to_dev_stdin():
+    proc = _run_module("compute", "--input", "/dev/stdin", "--invariant", "gamma_t", input="Bw\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 2
 
 
 def test_oversized_fixture_is_usage_error_before_it_is_built():
@@ -320,17 +372,120 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input"
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.binary(max_size=64), _LITERALS))
-def test_fuzzed_compute_input_never_crashes(fuzz_file, data):
-    if isinstance(data, bytes):
-        fuzz_file.write_bytes(data)
-        spec = str(fuzz_file)
-    else:
-        spec = data
-    code, err = _exit_and_stderr(["compute", "--input", spec, "--invariant", "gamma_t"])
-    assert code in (0, 2, 3)
+def _non_ascii(*categories):
+    """The characters of the Basic Multilingual Plane above ASCII in one of
+    these Unicode categories."""
+    return [chr(c) for c in range(0x80, 0x10000) if unicodedata.category(chr(c)) in categories]
+
+
+# one character each, its class drawn first: Unicode spaces and line and
+# paragraph separators; C0 controls and their neighbours; non-ASCII digits;
+# fullwidth forms; the letters IGNORECASE matches to k, s and i; and ASCII
+# that int() reads or that ends a line elsewhere
+_POOL = st.sampled_from([
+    _non_ascii("Zs", "Zl", "Zp"),
+    [chr(c) for c in range(0x20)] + ["\x7f", "\x85", "\ufeff"],
+    _non_ascii("Nd"),
+    [chr(c) for c in range(0xff01, 0xff5f)],
+    ["\u212a", "\u017f", "\u0131"],
+    ["\r", "-", "+", "_"],
+]).flatmap(st.sampled_from)
+_SEP = st.text(st.sampled_from(" \t\r\v\f"), min_size=1, max_size=2)
+# padding may hold "\n", so it also makes blank lines
+_PAD = st.text(st.sampled_from(" \t\n\r\v\f"), max_size=2)
+
+
+@st.composite
+def _small_graph(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+
+
+@st.composite
+def _edge_list_text(draw):
+    n, edges = draw(_small_graph())
+
+    def pair(a, b):
+        zeros = draw(st.sampled_from(["", "0"]))
+        return f"{draw(_PAD)}{zeros}{a}{draw(_SEP)}{b}{draw(_PAD)}"
+
+    lines = [pair(n, len(edges))]
+    lines += [pair(*draw(st.permutations(edge))) for edge in edges]
+    lines += draw(st.lists(st.sampled_from(["# a comment", "status: AB"]), max_size=2))
+    return "\n".join(lines)
+
+
+@st.composite
+def _graph6_text(draw):
+    header = draw(st.sampled_from(["", ">>graph6<<"]))
+    return draw(_PAD) + header + bitwise_graph6(*draw(_small_graph())) + draw(_PAD)
+
+
+@st.composite
+def _fixture_text(draw):
+    prefix = draw(st.sampled_from(["gstar", "p", "c", "k", "star", "wheel"]))
+    name = prefix if prefix == "gstar" else f"{prefix}{draw(st.integers(0, 66))}"
+    case = draw(st.sampled_from([str.lower, str.upper, str.title]))
+    return draw(_PAD) + case(name) + draw(_PAD)
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A text of texts, kept or with one character of _POOL inserted or put
+    in place of another."""
+    text = draw(texts)
+    if draw(st.booleans()):
+        return text
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(_POOL) + text[i + draw(st.integers(0, 1)):]
+
+
+def _read(spec):
+    """What _read_graph makes of spec: the graph as (n, edges), or the
+    message of its MalformedInput."""
+    try:
+        g = cli._read_graph(spec)
+    except MalformedInput as exc:
+        return str(exc)
+    return g.n, g.edges()
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.one_of(_mutated(st.one_of(_edge_list_text(), _graph6_text(), _fixture_text())),
+                      _LITERALS, st.binary(max_size=64)))
+@example(spec="p" + "9" * 5000)  # int() of the parameter raised
+@example(spec="\u212a4")  # str.lower() made the Kelvin sign k
+@example(spec="\u00a0gstar")  # str.strip() dropped the no-break space
+@example(spec="Bw\u2028")  # str.strip() dropped the line separator
+@example(spec="2 1\n0 \uff11")  # int() read the fullwidth digit
+@example(spec="2\u00a01\n0\u00a01")  # str.split() split at the no-break space
+@example(spec="\x1cgstar")  # str.strip() dropped the file separator
+@example(spec="Bw\nnot a graph")  # graph6 text was read from its first line only
+@example(spec="2 1\r0 1")  # a file's lone "\r" was a line end, a literal's not
+def test_reader_agrees_with_the_grammar_oracle(fuzz_file, spec):
+    # text is read as a literal and from a file, bytes from a file only
+    literal = isinstance(spec, str)
+    assume(not (literal and os.path.exists(spec)))
+    data = spec.encode("utf-8") if literal else spec
+    fuzz_file.write_bytes(data)
+    try:
+        expected = recognize_input(data.decode("utf-8"), literal=False)
+    except UnicodeDecodeError:
+        expected = None
+    read = from_file = _read(str(fuzz_file))
+    assert from_file == expected if expected else isinstance(from_file, str)
+    if literal:
+        read = _read(spec)
+        expected = recognize_input(spec)
+        assert read == expected if expected else isinstance(read, str)
+        if not FIXTURE_NAME.fullmatch(spec):
+            # the same graph or the same message
+            assert read == from_file
+    code, err = _exit_and_stderr(
+        ["compute", "--input", spec if literal else str(fuzz_file), "--invariant", "gamma_t"])
     assert "Traceback" not in err
+    assert code == 2 if isinstance(read, str) else code in (0, 3)
 
 
 # no verify or family generate: each fragment stays a single quick query
@@ -793,15 +948,6 @@ def test_fixtures_listing_and_emit():
 
 
 def test_console_script_runs():
-    # conftest puts src/ on this process's path only, so the subprocess
-    # gets it too, and the suite runs without an installed package
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tdmsd.cli", "compute", "--input", "p4", "--invariant", "gamma"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _run_module("compute", "--input", "p4", "--invariant", "gamma")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["value"] == 2

@@ -144,6 +144,20 @@ def test_records_come_back_in_stream_order_for_any_stride():
     assert_no_child_left()
 
 
+def test_serial_sweep_checks_each_batch_as_it_streams_by():
+    # at jobs=1 the stream is not listed first, so no more than one batch
+    # is held at a time
+    events = []
+
+    def stream():
+        for g in paths(3):
+            events.append(("made", g.n))
+            yield (g,)
+
+    verify_mod._map_graphs(lambda g: events.append(("checked", g.n)), stream(), 1)
+    assert events == [(event, n) for n in (2, 3, 4) for event in ("made", "checked")]
+
+
 def test_exception_in_a_worker_is_raised_with_its_type():
     def boom(g):
         raise ValueError(f"bad graph of order {g.n}")
