@@ -4,7 +4,8 @@ and test the tree family, enumerate graphs, and emit fixtures.
 Exit codes: 0 success, 1 theorem violated (a counterexample was found and
 must never be swallowed), 2 usage or parse error, 3 precondition violation,
 4 internal error (an exception no command expects; one "internal error:" line
-on stderr, no traceback).
+on stderr, no traceback).  A stdout its reader closed ends the command
+quietly with 0, or 1 for a counterexample.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _emit(obj, out) -> None:
     print(json.dumps(obj, sort_keys=True), file=out)
 
 
+def _drop(out) -> None:
+    """Point out, whose reader closed it, at devnull, so that no later
+    write and no flush at exit fails on it again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, out.fileno())
+    os.close(devnull)
+
+
 def _graph_json(fmt: str, g: Graph) -> str:
     return graph6_encode(g) if fmt == "graph6" else format_edge_list(g).rstrip("\n")
 
@@ -146,9 +155,6 @@ def _cmd_verify(args, out) -> int:
 
     report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs,
                               records=args.verbose)
-    if args.verbose:
-        for rec in report.records:
-            _emit(rec._asdict(), out)
     summary = {
         "theorem": report.theorem_id,
         "orders_checked": list(report.orders_checked),
@@ -160,7 +166,6 @@ def _cmd_verify(args, out) -> int:
         "elapsed_seconds": round(report.elapsed, 3),
         "ok": report.ok,
     }
-    _emit(summary, out)
     code = EXIT_OK if report.ok else EXIT_VIOLATED
     if args.out:
         try:
@@ -168,7 +173,16 @@ def _cmd_verify(args, out) -> int:
         except OSError as exc:
             # a counterexample keeps its exit code
             print(f"error: {args.out}: cannot write ({exc.strerror})", file=sys.stderr)
-            return code or EXIT_USAGE
+            code = code or EXIT_USAGE
+    try:
+        if args.verbose:
+            for rec in report.records:
+                _emit(rec._asdict(), out)
+        _emit(summary, out)
+        out.flush()
+    except BrokenPipeError:
+        # a closed stdout keeps the verdict's exit code too
+        _drop(out)
     return code
 
 
@@ -186,9 +200,11 @@ def _cmd_family(args, out) -> int:
                 raise MalformedInput(f"{args.out}: cannot create directory ({exc.strerror})") from None
             for i, member in enumerate(members):
                 body = format_edge_list(member.tree) + f"status: {member.status}\n"
-                (directory / f"member_{i:03d}_n{member.n}.txt").write_text(
-                    body, encoding="utf-8"
-                )
+                target = directory / f"member_{i:03d}_n{member.n}.txt"
+                try:
+                    target.write_text(body, encoding="utf-8")
+                except OSError as exc:
+                    raise MalformedInput(f"{target}: cannot write ({exc.strerror})") from None
         for member in members:
             _emit({
                 "n": member.n,
@@ -310,6 +326,12 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = _COMMANDS[args.command](args, out)
+        out.flush()
+    except BrokenPipeError:
+        # out is the one pipe this process writes (verify's workers write
+        # theirs in their own processes), and its reader is gone
+        _drop(out)
+        return EXIT_OK
     except (MalformedInput, OutOfRange, UnknownTheorem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,11 @@
 """Exact domination and total domination: values, certificates, enumeration.
 
 Every value comes from one solve, _min_cover.  It first walks the graph
-once from the leaves up, for a cover and a packing; when their sizes meet,
-as they do on every tree, the cover is minimum and no search runs.  The
-walk's order (_leaf_order, one BFS) is apart from the walk (_walk), so a
-caller that has the order, or one it spliced, walks it without a BFS.  One
+once from the leaves up (_walk, which nothing else calls), for a cover and a
+packing; when their sizes meet, as they do on every tree, the cover is
+minimum and no search runs.  It walks the order its caller hands it, as
+subdivision hands it a tree's order or one with new paths spliced in, and
+otherwise the graph's own (_leaf_order, one BFS).  One
 branch-and-bound set-cover search serves every other answer.  It shrinks its
 bound for the values, collects every cover below the minimum plus one for
 the complete list of minimum sets, and fixes a witness vertex by vertex in
@@ -130,14 +131,12 @@ def _walk(covers: tuple[int, ...], order) -> tuple[int, int] | None:
     return chosen, packing
 
 
-def _min_cover(covers: tuple[int, ...], stop: int = 0,
-               walked: tuple[int, int] | None = None) -> tuple[int, int] | None:
+def _min_cover(covers: tuple[int, ...], stop: int = 0, order=None) -> tuple[int, int] | None:
     """A minimum set of vertices whose cover sets union to every element, as
     (size, vertex mask); None if no set covers them all.  With ``stop``,
     any such set of at most ``stop`` vertices, if the minimum is that small.
-    ``walked``, if given, is a _walk of covers the caller made, in
-    _leaf_order(covers) or any other order; without it, covers are walked
-    in their own _leaf_order.
+    The leaf-up walk takes ``order``, pairs as _leaf_order gives them, if
+    given, and covers' own _leaf_order otherwise.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
     own, so a cover no larger than the packing is minimum.  The leaf-up
@@ -152,7 +151,7 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0,
     closed neighbourhood lies in its support's; so every cover the search
     tries holds them, and they are found only when it runs.
     """
-    found = _walk(covers, _leaf_order(covers)) if walked is None else walked
+    found = _walk(covers, _leaf_order(covers) if order is None else order)
     if found is None:
         return None
     cover, packing = found

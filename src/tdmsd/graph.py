@@ -4,6 +4,10 @@ Vertices are dense 0-based indices and every vertex set is an int bitmask,
 so neighbourhood algebra is a couple of machine-word operations for graphs
 up to MAX_VERTICES vertices.  All values are immutable after construction,
 which makes them safe to share across parallel workers.
+
+_wire alone numbers a subdivided edge's new vertices, for the builders and
+subdivision's rows; subdivision splices the paths it returns into a tree's
+order, and domination's solve walks that order.
 """
 
 from __future__ import annotations
@@ -157,9 +161,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def __reduce__(self):
-        return (Graph, (self.n, self.adj))
-
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a normalized simple graph; duplicate pairs collapse to one edge."""
@@ -178,15 +179,18 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
-def _wire(sets: list[int], edges: Sequence[Edge], t: int) -> None:
+def _wire(sets: list[int], edges: Sequence[Edge], t: int) -> list[tuple[int, int, int]]:
     """Replace each edge (u, v) of edges, in the list of neighbour masks
-    sets, by a path of t new vertices, appended from len(sets) up, edge by
-    edge, in path order from u.  Each new vertex's mask holds its own bit
-    exactly when u's does, so closed neighbourhoods stay closed.  edges
-    must be distinct edges of the graph of sets; nothing is checked.
+    sets, by a path u, x, ..., x + t - 1, v of t new vertices, appended
+    from len(sets) up, edge by edge; return each edge's (u, v, x).  Each
+    new vertex's mask holds its own bit exactly when u's does, so closed
+    neighbourhoods stay closed.  edges must be distinct edges of the graph
+    of sets; nothing is checked.
     """
+    paths = []
     for u, v in edges:
         x = len(sets)
+        paths.append((u, v, x))
         last = x + t - 1
         own = sets[u] >> u & 1
         sets[u] ^= 1 << v | 1 << x
@@ -196,6 +200,7 @@ def _wire(sets: list[int], edges: Sequence[Edge], t: int) -> None:
             sets.append(1 << prev | 1 << y + 1 | own << y)
             prev = y
         sets.append(1 << prev | 1 << v | own << last)
+    return paths
 
 
 def _subdivided(g: Graph, edges: Sequence[Edge], t: int) -> Graph:

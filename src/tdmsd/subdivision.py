@@ -14,18 +14,19 @@ SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
 g's leaf-up order (one BFS, or none on a tree labelled in preorder) and one
 exact solve of g.  A subdivided graph H that this cover still covers has a
 number of at most gamma(g), so it is settled without a solve.  The cover is
-tested at H's subdivided edges, where alone H differs from g.  A row asks only whether H's number exceeds gamma(g).  Any other H
-gets its cover sets from g's, with its new paths wired in as the builders
-wire them, and goes to domination's one solve with gamma(g) as its stop.
-The solve's leaf-up walk settles H when its cover has at most gamma(g)
-vertices or as many as its packing, and otherwise a search stops at the
-first cover of at most gamma(g) vertices and is exact above it.  On a tree
-with each vertex's parent below it, as the tree generator labels it, H is a
-tree too, and the walk is g's leaf-up order with H's new paths spliced in,
-an order in which the walk's cover is minimum; on any other graph, a tree
-in other labels among them, it is H's own, which on a tree is minimum too.
-No search builds a Graph.  Every skip rests on a cover checked
-against H, so the values stay exact.
+tested at H's subdivided edges, where alone H differs from g.  A row asks
+only whether H's number exceeds gamma(g).  Any other H gets its cover sets
+from g's, with its new paths wired in and numbered by graph's _wire, and
+goes to domination's one solve with gamma(g) as its stop.  The solve's
+leaf-up walk settles H when its cover has at most gamma(g) vertices or as
+many as its packing, and otherwise a search stops at the first cover of at
+most gamma(g) vertices and is exact above it.  On a tree with each vertex's
+parent below it, as the tree generator labels it, H is a tree too, and the
+solve walks g's order with _wire's paths spliced in (_splice), an order in
+which the walk's cover is minimum; on any other graph, a tree in other
+labels among them, it walks H's own, which on a tree is minimum too.  No
+search builds a Graph.  Every skip rests on a cover checked against H, so
+the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -40,7 +41,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers, _walk
+from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
 from .graph import MAX_VERTICES, Edge, Graph, _wire, leaves_mask, normalize_edge
@@ -139,7 +140,7 @@ class SearchState:
         self.row_one: tuple | None = None
         self.any_witness = any_witness
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(sets, walked=_walk(sets, walk))
+        self.base, self.cover = _min_cover(sets, order=walk)
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -156,35 +157,26 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
     return memo
 
 
-def _spliced_walk(state: SearchState, covers: list[int], subset, t: int) -> tuple[int, int]:
-    """domination's _walk of covers, the cover sets of the graph H with
-    subset's edges subdivided t times as graph's _wire numbers them, in the
-    state's order with H's new paths spliced in.  state.order must be set.
+def _splice(order, paths, t: int) -> list[tuple[int, int]]:
+    """A copy of order, a SearchState's order, with the new paths spliced
+    in: paths are graph's _wire's (u, v, x), each the path u, x, ...,
+    last = x + t - 1, v.
 
-    The state's graph is then a tree with each vertex's parent below it, so
-    on each edge (u, v), u < v, u is v's parent, and v stands at index
-    n - 1 - v of the order.  There the path v, last, ..., x, u is spliced
-    in, each vertex's mask above being its next: v's is its new neighbour,
-    and x's is u.  H is a tree, every vertex still comes after its
-    children, with its parent above it, and the cover is minimum.
+    The state's graph is a tree with each vertex's parent below it, so on
+    each edge (u, v), u < v, u is v's parent, and v stands at index
+    n - 1 - v of the order.  That entry becomes v, last, ..., x, each
+    vertex's mask above being its next, and x's being u; from the lowest
+    v, the highest index, down, no entry still to be replaced moves.  The
+    subdivided graph is a tree, every vertex still comes after its
+    children, with its parent above it, and the walk's cover is minimum.
     """
-    order = state.order
-    n = x = state.graph.n
-    splices = []
-    for u, v in subset:
+    spliced = list(order)
+    n = len(order)
+    for u, v, x in sorted(paths, key=lambda path: path[1]):
         last = x + t - 1
         steps = [(v, 1 << last), *[(y, 1 << y - 1) for y in range(last, x, -1)], (x, 1 << u)]
-        splices.append((n - 1 - v, steps))
-        x = last + 1
-    splices.sort()
-    spliced = []
-    start = 0
-    for at, steps in splices:
-        spliced += order[start:at]
-        spliced += steps
-        start = at + 1
-    spliced += order[start:]
-    return _walk(covers, spliced)
+        spliced[n - 1 - v : n - v] = steps
+    return spliced
 
 
 def _row(state: SearchState, subsets, t: int) -> tuple:
@@ -199,8 +191,8 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     Otherwise H's cover sets are the state's with H's new paths wired in
     (graph's _wire), and _min_cover solves them with the base as its stop,
     so a cover of at most the base vertices settles H below it.  When the
-    state has an order, it is handed H's walk in that order with the new
-    paths spliced in (_spliced_walk), which is minimum, so no search runs;
+    state has an order, _min_cover walks H in that order with the new paths
+    spliced in (_splice), where its cover is minimum, so no search runs;
     on any other graph it walks H in H's own leaf-up order, which on a tree
     is minimum too.  No search builds H.
 
@@ -218,8 +210,7 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     is not empty.  Every other old vertex keeps its cover set, which C
     meets because C covers the graph.
     """
-    g, base, cover, sets = state.graph, state.base, state.cover, state.sets
-    spliced = state.order is not None
+    g, base, cover, sets, order = state.graph, state.base, state.cover, state.sets, state.order
     for subset in subsets:
         n2 = g.n + len(subset) * t
         if n2 > MAX_VERTICES:
@@ -237,9 +228,8 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
         else:
             continue
         covers = list(sets)
-        _wire(covers, subset, t)
-        walked = _spliced_walk(state, covers, subset, t) if spliced else None
-        after = _min_cover(covers, base, walked)[0]
+        paths = _wire(covers, subset, t)
+        after = _min_cover(covers, base, None if order is None else _splice(order, paths, t))[0]
         if after > base:
             return subset, after
     return ()

@@ -565,6 +565,55 @@ def test_family_generate_out_on_a_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot create directory" in capsys.readouterr().err
 
 
+def test_family_generate_unwritable_member_is_a_usage_error(tmp_path, capsys):
+    # the directory is there, but a member's file name is taken by a folder
+    taken = tmp_path / "member_000_n6.txt"
+    taken.mkdir()
+    code, out = run_cli("family", "generate", "--n-max", "8", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {taken}: cannot write (") and err.count("\n") == 1
+
+
+def _closed_after_first_line(*args):
+    """Run python with args in a subprocess that finds src/ as _run_module's
+    does, close its stdout after the first line, and return that line, the
+    exit code and stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    return first, code, err
+
+
+# a verify whose check fails on each of 20,000 paths, far more records than
+# a pipe holds
+_VIOLATED = """
+import sys
+from tdmsd import cli, path, verify
+check = lambda g: verify.Verdict(False, "something", "otherwise")
+verify.THEOREMS["msd-le-3"] = verify.Theorem(check, lambda lo, hi: [(path(2),)] * 20000, 2, 2, 2)
+raise SystemExit(cli.main(["verify", "--theorem", "msd-le-3", "--verbose"]))
+"""
+
+
+@pytest.mark.parametrize("args, first, expected", [
+    # 19,320 trees, 425,040 bytes
+    (("-m", "tdmsd.cli", "enum", "--kind", "trees", "--n", "16"), "OhCGGC@_??_@?@??_?G?@\n", 0),
+    (("-c", _VIOLATED), None, 1),
+], ids=["enum", "verify-violated"])
+def test_closed_stdout_ends_quietly(args, first, expected):
+    # the reader went away: no internal error, no traceback, no message at
+    # exit, and a counterexample keeps its exit code
+    line, code, err = _closed_after_first_line(*args)
+    assert first is None or line == first
+    assert line and code == expected and err == ""
+
+
 def test_family_generate_above_the_code_cap_is_a_usage_error(capsys):
     from tdmsd.family import FAMILY_ORDER_CAP
 

@@ -31,6 +31,7 @@ from oracles import (
     reference_subdivide_edges,
 )
 import itertools
+import pickle
 import random
 
 
@@ -64,6 +65,16 @@ def test_from_edge_list_errors():
         from_edge_list(65, [])
     with pytest.raises(errors.TooSmall):
         from_edge_list(0, [])
+
+
+def test_graph_pickles_equal_with_the_same_hash():
+    # the slotted Graph pickles without a __reduce__ of its own at every
+    # protocol from 2 up
+    for g in (from_edge_list(1, []), path(4), gstar(), from_edge_list(64, [(0, 63)])):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(g, protocol))
+            assert type(back) is Graph and back == g and hash(back) == hash(g)
+            assert type(back.adj) is tuple
 
 
 def test_subdivide_k2_gives_p3():

@@ -32,6 +32,7 @@ from tdmsd.domination import (
     _closed_covers,
     _min_cover,
     _total_covers,
+    _walk,
     is_dominating,
     is_total_dominating,
     solve_gamma_t,
@@ -477,9 +478,10 @@ def _check_spliced_walks(hi):
     """The wired cover sets of every subdivided tree of _tree_rows(hi), in
     both labellings, against the graph the public builders build: the
     state's cover sets with the new paths wired in are that graph's.  In
-    the generator's labels the spliced walk too, walked whether or not the
-    state's cover settles it: its cover and packing both have the size of
-    that graph's minimum.  Returns how many were wired and how many walked.
+    the generator's labels the walk in the state's order with the paths
+    spliced in too, walked whether or not the state's cover settles it: its
+    cover and packing both have the size of that graph's minimum.  Returns
+    how many were wired and how many walked.
     """
     wired = walked = 0
     state = None
@@ -488,12 +490,12 @@ def _check_spliced_walks(hi):
             state = SearchState(g, cover_sets=cover_sets)
         h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
         covers = list(state.sets)
-        graph._wire(covers, subset, t)
+        paths = graph._wire(covers, subset, t)
         assert covers == list(cover_sets(h)), (g.edges(), subset, t)
         wired += 1
         if not generated:
             continue
-        cover, packing = subdivision._spliced_walk(state, covers, subset, t)
+        cover, packing = _walk(covers, subdivision._splice(state.order, paths, t))
         assert _covered(covers, cover) == h.full_mask
         minimum = _min_cover(covers)[0]
         assert cover.bit_count() == packing.bit_count() == minimum, (g.edges(), subset, t)
@@ -509,6 +511,38 @@ def test_spliced_walk_is_exact_on_subdivided_trees_through_order_nine():
 @pytest.mark.slow
 def test_spliced_walk_is_exact_on_subdivided_trees_through_order_twelve():
     assert _check_spliced_walks(12) == (2 * 417104, 417104)
+
+
+def test_splice_replaces_each_child_by_its_path():
+    # parents 0, 1, 2, 1, 0 of vertices 1 to 5, each below its child, so
+    # vertex v stands at index 5 - v of the order.  Each subset's edges come
+    # in lexicographic order with their children descending, so the paths
+    # must be spliced from the last one back
+    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (1, 4), (0, 5)])
+    order = SearchState(g).order
+    assert order == [(5, 1 << 0), (4, 1 << 1), (3, 1 << 2), (2, 1 << 1), (1, 1 << 0), (0, 0)]
+    cases = [
+        # 0-6-5 and 2-7-3
+        (((0, 5), (2, 3)), 1, [(0, 5, 6), (2, 3, 7)],
+         [(5, 1 << 6), (6, 1 << 0), (4, 1 << 1), (3, 1 << 7), (7, 1 << 2), (2, 1 << 1),
+          (1, 1 << 0), (0, 0)]),
+        # 0-6-5, 1-7-4 and 2-8-3
+        (((0, 5), (1, 4), (2, 3)), 1, [(0, 5, 6), (1, 4, 7), (2, 3, 8)],
+         [(5, 1 << 6), (6, 1 << 0), (4, 1 << 7), (7, 1 << 1), (3, 1 << 8), (8, 1 << 2),
+          (2, 1 << 1), (1, 1 << 0), (0, 0)]),
+        # 1-6-7-8-4
+        (((1, 4),), 3, [(1, 4, 6)],
+         [(5, 1 << 0), (4, 1 << 8), (8, 1 << 7), (7, 1 << 6), (6, 1 << 1), (3, 1 << 2),
+          (2, 1 << 1), (1, 1 << 0), (0, 0)]),
+    ]
+    for subset, t, paths, spliced in cases:
+        covers = list(g.adj)
+        assert graph._wire(covers, subset, t) == paths
+        assert subdivision._splice(order, paths, t) == spliced
+        assert order == SearchState(g).order
+        cover, packing = _walk(covers, spliced)
+        assert cover.bit_count() == packing.bit_count() == solve_gamma_t(
+            subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t))
 
 
 def test_every_tree_the_program_makes_is_spliced():
@@ -536,18 +570,12 @@ def work(monkeypatch):
     makes a search state has no stop and is not counted.
     """
     count = {"walk": 0, "solve": 0}
-    spliced_walk = subdivision._spliced_walk
 
-    def walking(state, covers, subset, t):
-        count["walk"] += 1
-        return spliced_walk(state, covers, subset, t)
+    def solving(covers, stop=0, order=None):
+        if stop:
+            count["solve" if order is None else "walk"] += 1
+        return _min_cover(covers, stop, order)
 
-    def solving(covers, stop=0, walked=None):
-        if stop and walked is None:
-            count["solve"] += 1
-        return _min_cover(covers, stop, walked)
-
-    monkeypatch.setattr(subdivision, "_spliced_walk", walking)
     monkeypatch.setattr(subdivision, "_min_cover", solving)
     return count
 
@@ -705,20 +733,16 @@ def test_sd_one_seed_and_subdivided_solves_are_pinned(theorem, seeds, walks, sol
     # cover, then solves every subdivided graph that cover does not settle:
     # on a tree with the walk in its tree's order, elsewhere in its own
     calls = {"seed": 0, "walk": 0, "subdivided": 0}
-    spliced_walk = subdivision._spliced_walk
 
-    def walking(state, covers, subset, t):
-        calls["walk"] += 1
-        return spliced_walk(state, covers, subset, t)
-
-    def counting(covers, stop=0, walked=None):
+    def counting(covers, stop=0, order=None):
         if not stop:
             calls["seed"] += 1
-        elif walked is None:
+        elif order is None:
             calls["subdivided"] += 1
-        return _min_cover(covers, stop, walked)
+        else:
+            calls["walk"] += 1
+        return _min_cover(covers, stop, order)
 
-    monkeypatch.setattr(subdivision, "_spliced_walk", walking)
     monkeypatch.setattr(subdivision, "_min_cover", counting)
     monkeypatch.setattr(verify, "_sd1", verify._sd1.__wrapped__)
     assert verify.run_verification(theorem).ok
@@ -784,15 +808,16 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
 
 def test_tree_check_builds_each_single_subdivision_once(builds, monkeypatch):
     # sd runs the row of single subdivisions first, and msd reads how it
-    # ended: msd walks graphs at t >= 2 only, and no row builds a graph
+    # ended: msd walks graphs at t >= 2 only, and no row builds a graph.
+    # A tree's order names the tree, its parents being the masks above
     walked = []
-    spliced_walk = subdivision._spliced_walk
+    splice = subdivision._splice
 
-    def recording(state, covers, subset, t):
-        walked.append((state.graph, subset, t))
-        return spliced_walk(state, covers, subset, t)
+    def recording(order, paths, t):
+        walked.append((tuple(order), tuple(paths), t))
+        return splice(order, paths, t)
 
-    monkeypatch.setattr(subdivision, "_spliced_walk", recording)
+    monkeypatch.setattr(subdivision, "_splice", recording)
     for (t,) in verify._trees(3, 10):
         verify._check_tree_sd_eq_msd(t)
     singles = [w for w in walked if len(w[1]) == 1 and w[2] == 1]
