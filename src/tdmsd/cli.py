@@ -80,12 +80,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _can_write(path: Path) -> bool:
+    """Whether path is a file that can be written, checked without opening
+    it, so that a usage error leaves no new file and no open handle behind."""
+    return not path.is_dir() and path.parent.is_dir() and os.access(
+        path if path.exists() else path.parent, os.W_OK)
+
+
 def _writable_file(text: str) -> str:
-    """A file path that can be written, checked without opening it, so that
-    a usage error leaves no new file and no open handle behind."""
-    path = Path(text)
-    if path.is_dir() or not path.parent.is_dir() or not os.access(
-            path if path.exists() else path.parent, os.W_OK):
+    if not _can_write(Path(text)):
         raise argparse.ArgumentTypeError(f"can't open '{text}': not a writable file")
     return text
 
@@ -198,9 +201,14 @@ def _cmd_family(args, out) -> int:
                 directory.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise MalformedInput(f"{args.out}: cannot create directory ({exc.strerror})") from None
-            for i, member in enumerate(members):
+            targets = [directory / f"member_{i:03d}_n{member.n}.txt"
+                       for i, member in enumerate(members)]
+            # every path checked first, so that a usage error writes no member
+            for target in targets:
+                if not _can_write(target):
+                    raise MalformedInput(f"{target}: cannot write (not a writable file)")
+            for target, member in zip(targets, members):
                 body = format_edge_list(member.tree) + f"status: {member.status}\n"
-                target = directory / f"member_{i:03d}_n{member.n}.txt"
                 try:
                     target.write_text(body, encoding="utf-8")
                 except OSError as exc:

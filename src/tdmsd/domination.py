@@ -1,11 +1,11 @@
 """Exact domination and total domination: values, certificates, enumeration.
 
 Every value comes from one solve, _min_cover.  It first walks the graph
-once from the leaves up (_walk, which nothing else calls), for a cover and a
-packing; when their sizes meet, as they do on every tree, the cover is
-minimum and no search runs.  It walks the order its caller hands it, as
-subdivision hands it a tree's order or one with new paths spliced in, and
-otherwise the graph's own (_leaf_order, one BFS).  One
+once from the leaves up (_walk), for a cover and a packing; when their
+sizes meet, as they do on every tree, the cover is minimum and no search
+runs.  It walks the order its caller hands it, as subdivision hands it a
+tree's order or one with new paths spliced in, and otherwise the graph's
+own (_leaf_order, one BFS); nothing else calls _walk or _leaf_order.  One
 branch-and-bound set-cover search serves every other answer.  It shrinks its
 bound for the values, collects every cover below the minimum plus one for
 the complete list of minimum sets, and fixes a witness vertex by vertex in
@@ -73,9 +73,8 @@ def _greedy_cover(covers: tuple[int, ...], chosen: int) -> int | None:
 def _leaf_order(covers: tuple[int, ...]) -> list[tuple[int, int]]:
     """The leaf-up walk's order of the elements, as (element, mask of the
     BFS layer above it) pairs: a BFS forest, each tree rooted at its lowest
-    element, deepest layer first and each layer ascending.  A root's mask is
-    0, so the forest is one tree exactly when only the last pair, the first
-    root, has mask 0.
+    element, deepest layer first and each layer ascending, each root with
+    mask 0.
     """
     order = []
     seen = 0

@@ -11,9 +11,10 @@ subdivided graphs.
 Most subdivided graphs do not raise the number, and a search only needs to
 know that they do not.  Each search of a graph g works from a
 SearchState(g): gamma(g) (or gamma_t(g)) and one minimum cover of g, from
-g's leaf-up order (one BFS, or none on a tree labelled in preorder) and one
-exact solve of g.  A subdivided graph H that this cover still covers has a
-number of at most gamma(g), so it is settled without a solve.  The cover is
+one exact solve of g, which walks g's leaf-up order: a tree labelled in
+preorder is read off its labels, any other g is ordered by the solve
+itself.  A subdivided graph H that this cover still covers has a number
+of at most gamma(g), so it is settled without a solve.  The cover is
 tested at H's subdivided edges, where alone H differs from g.  A row asks
 only whether H's number exceeds gamma(g).  Any other H gets its cover sets
 from g's, with its new paths wired in and numbered by graph's _wire, and
@@ -41,7 +42,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from .domination import _closed_covers, _leaf_order, _min_cover, _total_covers
+from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
 from .graph import MAX_VERTICES, Edge, Graph, _wire, leaves_mask, normalize_edge
@@ -93,9 +94,10 @@ class SearchState:
     g is a tree rooted at 0 with each vertex's parent below it, and order is
     the leaf-up walk's order n - 1, ..., 0, each with its parent as its mask
     above, with no BFS; it serves the walk of g's solve and the rows' spliced
-    walks.  On any other g, a tree in other labels among them, order is
-    None, and g's solve walks domination's _leaf_order(sets), one BFS, which
-    also serves the connectivity check.  base is g's (total) domination
+    walks, and such a g is connected by construction.  On any other g, a
+    tree in other labels among them, order is None, g must pass
+    g.is_connected(), and g's solve walks the leaf-up order that
+    domination's _min_cover finds itself.  base is g's (total) domination
     number and cover one of its minimum (total) dominating sets as a vertex
     mask, both from one exact solve of sets; edges is g's edge list.
     row_one is how the row of single subdivisions ended: None
@@ -130,17 +132,15 @@ class SearchState:
             # a tree rooted at 0 with each parent below its children, so
             # from the top label down each vertex comes after its children
             order.append((0, 0))
-        walk = order
         if len(order) < n:
-            order, walk = None, _leaf_order(sets)
-            # each BFS tree has one root, the one pair with no layer above it
-            if [above for _, above in walk].count(0) > 1:
+            if not g.is_connected():
                 raise Disconnected("subdivision invariants need a connected graph")
+            order = None
         self.graph, self.sets, self.order, self.edges = g, sets, order, g.edges()
         self.row_one: tuple | None = None
         self.any_witness = any_witness
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(sets, order=walk)
+        self.base, self.cover = _min_cover(sets, order=order)
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:

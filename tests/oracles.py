@@ -494,21 +494,27 @@ def _recognize_graph6(lines):
     return n, sorted(pair for pair, bit in zip(pairs, bits) if bit == "1")
 
 
+def input_lines(text):
+    r"""The grammar's lines of text: split at "\n" only, each stripped of
+    ASCII whitespace, blank ones dropped."""
+    lines = [_LINE.fullmatch(raw).group(1) for raw in text.split("\n")]
+    return [line for line in lines if line]
+
+
 def recognize_input(text, literal=True):
     r"""The graph the README's grammar reads from --input text as (n, sorted
     edges), or None where it refuses.  A literal may be a fixture name; a
     file's text may not.
 
-    The text splits into lines at "\n" only, each stripped of ASCII
-    whitespace, blank ones dropped.  A first line holding ASCII whitespace
-    is an edge list's "n m" header; any other text is one graph6 line.
+    The text splits into lines by input_lines.  A first line holding ASCII
+    whitespace is an edge list's "n m" header; any other text is one graph6
+    line.
     """
     if literal:
         name = FIXTURE_NAME.fullmatch(text)
         if name:
             return _recognize_fixture(name)
-    lines = [_LINE.fullmatch(raw).group(1) for raw in text.split("\n")]
-    lines = [line for line in lines if line]
+    lines = input_lines(text)
     if not lines:
         return None
     if re.search(r"[ \t\r\v\f]", lines[0]):

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -28,7 +30,7 @@ from tdmsd.errors import MalformedInput, UnknownFixture
 from tdmsd.graph import format_edge_list
 from tdmsd.verify import THEOREMS
 
-from oracles import FIXTURE_NAME, bitwise_graph6, recognize_input
+from oracles import FIXTURE_NAME, bitwise_graph6, input_lines, recognize_input
 
 
 def run_cli(*argv):
@@ -118,6 +120,18 @@ def test_compute_accepts_graph6_literal():
     code, out = run_cli("compute", "--input", graph6_encode(path(6)), "--invariant", "gamma_t")
     assert code == 0
     assert last_json(out)["value"] == 4
+
+
+def test_compute_output_is_frozen():
+    # sha256 of "<exit code> <stdout>" for every invariant of each input, in
+    # this order: fixtures, then K7 and K8 as graph6 literals
+    outputs = []
+    for spec in ("p6", "k4", "gstar", "c9", "wheel5", "star6", "p7", "F~~~w", "G~~~~{"):
+        for invariant in ("gamma", "gamma_t", "sd", "msd", "sd_t", "msd_t"):
+            code, out = run_cli("compute", "--input", spec, "--invariant", invariant)
+            outputs.append(f"{code} {out}")
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "9bd51cf145ebda1bea2fa28138fdae4e6e2d38e0a6b8522972baed851d7e1712"
 
 
 def test_compute_parse_error_exits_2():
@@ -451,6 +465,23 @@ def _read(spec):
     return g.n, g.edges()
 
 
+# a refusal's message ends in the line it quotes, written by repr
+_QUOTED_LINE = re.compile(r"(?:got|header|line) ('.*'|\".*\")\Z")
+_NAMED_BYTE = re.compile(r"byte ([0-9]+) ")
+
+
+def _check_message(message, text):
+    """A refusal of text names only what text holds: a line it quotes is one
+    of text's lines as the grammar splits them, a byte it names one of
+    text's characters."""
+    quoted = _QUOTED_LINE.search(message)
+    if quoted:
+        assert ast.literal_eval(quoted.group(1)) in input_lines(text), message
+    byte = _NAMED_BYTE.match(message)
+    if byte:
+        assert chr(int(byte.group(1))) in text, message
+
+
 @settings(max_examples=300, deadline=None)
 @given(spec=st.one_of(_mutated(st.one_of(_edge_list_text(), _graph6_text(), _fixture_text())),
                       _LITERALS, st.binary(max_size=64)))
@@ -475,10 +506,14 @@ def test_reader_agrees_with_the_grammar_oracle(fuzz_file, spec):
         expected = None
     read = from_file = _read(str(fuzz_file))
     assert from_file == expected if expected else isinstance(from_file, str)
+    if expected is None:
+        _check_message(from_file, data.decode("utf-8", "replace"))
     if literal:
         read = _read(spec)
         expected = recognize_input(spec)
         assert read == expected if expected else isinstance(read, str)
+        if expected is None:
+            _check_message(read, spec)
         if not FIXTURE_NAME.fullmatch(spec):
             # the same graph or the same message
             assert read == from_file
@@ -566,13 +601,18 @@ def test_family_generate_out_on_a_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_family_generate_unwritable_member_is_a_usage_error(tmp_path, capsys):
-    # the directory is there, but a member's file name is taken by a folder
-    taken = tmp_path / "member_000_n6.txt"
-    taken.mkdir()
-    code, out = run_cli("family", "generate", "--n-max", "8", "--out", str(tmp_path))
-    assert code == 2 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {taken}: cannot write (") and err.count("\n") == 1
+    # the directory is there, but a member's file name is taken by a folder:
+    # the first member's, or one that comes after members that could be
+    # written, and none of them is
+    for name in ("member_000_n6.txt", "member_002_n10.txt"):
+        directory = tmp_path / name.split("_")[1]
+        taken = directory / name
+        taken.mkdir(parents=True)
+        code, out = run_cli("family", "generate", "--n-max", "10", "--out", str(directory))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {taken}: cannot write (") and err.count("\n") == 1
+        assert [p.name for p in directory.iterdir()] == [name]
 
 
 def _closed_after_first_line(*args):

@@ -648,35 +648,44 @@ def _check_any_witness_states(trees, graphs, monkeypatch):
     tree with its labels reversed, and each graph give sd_gamma_t and
     msd_gamma_t at cap 3 the same value and base, and each any-witness
     witness that is built has the increased value as its gamma_t.  The
-    states of a generated tree, labelled in preorder, take no BFS and splice
-    their rows.  Reversed, the root comes last with two or more neighbours
-    below it, so each state takes one BFS and its rows walk each graph in
-    that graph's own order; the default searches still give the generated
-    tree's value, base and increased value.  No tree's search runs a
-    branch-and-bound."""
-    bfs = [0]
+    states of a generated tree, labelled in preorder, keep its order, and
+    neither they nor their rows run a BFS: every row splices.  Reversed,
+    the root comes last with two or more neighbours below it, so each state
+    keeps no order, and its solve and rows walk each graph in that graph's
+    own order; the default searches still give the generated tree's value,
+    base and increased value.  No tree's search runs a branch-and-bound."""
+    # the order of each BFS's graph
+    bfs = []
     searches = [0]
-    leaf_order = subdivision._leaf_order
+    leaf_order = domination._leaf_order
     search_of = domination._search
 
     def counting(covers):
-        bfs[0] += 1
+        bfs.append(len(covers))
         return leaf_order(covers)
 
     def searching(*args, **kwargs):
         searches[0] += 1
         return search_of(*args, **kwargs)
 
-    monkeypatch.setattr(subdivision, "_leaf_order", counting)
+    monkeypatch.setattr(domination, "_leaf_order", counting)
     monkeypatch.setattr(domination, "_search", searching)
 
     def check(g):
         """(value, base, increased value) of g's default searches, each
-        checked against an any-witness search."""
+        checked against an any-witness search, which of g's states kept
+        no order, and the orders of the graphs their searches ran a BFS
+        of."""
         results = []
+        unordered = set()
+        searched = []
         for search in (sd_gamma_t, msd_gamma_t):
-            want = search(g, cap=3, memo=SearchState(g))
-            got = search(g, cap=3, memo=SearchState(g, any_witness=True))
+            mark = len(bfs)
+            default, any_witness = SearchState(g), SearchState(g, any_witness=True)
+            unordered |= {default.order is None, any_witness.order is None}
+            want = search(g, cap=3, memo=default)
+            got = search(g, cap=3, memo=any_witness)
+            searched += bfs[mark:]
             assert (got.value, got.base_value) == (want.value, want.base_value), g.edges()
             results.append((want.value, want.base_value, want.increased_value))
             if got.value is None:
@@ -686,14 +695,16 @@ def _check_any_witness_states(trees, graphs, monkeypatch):
             else:
                 h = subdivide(g, got.witness_edges[0], got.witness_t[0])
             assert solve_gamma_t(h) == got.increased_value, (g.edges(), got)
-        return results
+        return results, unordered, searched
 
     for t in trees:
-        before = bfs[0]
-        want = check(t)
-        assert bfs[0] == before, t.edges()
-        assert check(t.relabel(range(t.n - 1, -1, -1))) == want, t.edges()
-        assert bfs[0] - before == 4, t.edges()
+        want, unordered, searched = check(t)
+        assert unordered == {False} and searched == [], t.edges()
+        got, unordered, searched = check(t.relabel(range(t.n - 1, -1, -1)))
+        assert got == want and unordered == {True}, t.edges()
+        # one BFS of the tree for each of the four states' solves; the rest
+        # are the rows' subdivided trees, each larger
+        assert searched.count(t.n) == 4, t.edges()
     assert searches[0] == 0
     for g in graphs:
         check(g)
