@@ -5,12 +5,12 @@ once from the leaves up (_walk), for a cover and a packing; when their
 sizes meet, as they do on every tree, the cover is minimum and no search
 runs.  It walks the order its caller hands it, as subdivision hands it a
 tree's order or one with new paths spliced in, and otherwise the graph's
-own (_leaf_order, one BFS); nothing else calls _walk or _leaf_order.  One
-branch-and-bound set-cover search serves every other answer.  It shrinks its
-bound for the values, collects every cover below the minimum plus one for
-the complete list of minimum sets, and fixes a witness vertex by vertex in
-index order, so reported witnesses are the lexicographically smallest
-minimum sets.
+own (_leaf_order, one BFS); only the minimum-set enumeration walks too, for
+its first bound.  One branch-and-bound set-cover search serves every other
+answer.  It shrinks its bound for the values, collects the smallest covers
+it meets for the complete list of minimum sets, and fixes a witness vertex
+by vertex in index order, so reported witnesses are the lexicographically
+smallest minimum sets.
 """
 
 from __future__ import annotations
@@ -186,9 +186,12 @@ def _search(covers: tuple[int, ...], bound: int, chosen: int = 0, banned: int = 
     set bits of covers[v].  Without ``found``, each cover found lowers the
     bound to its size, and the search returns the last one (None if none
     beats ``bound``); it stops at the first one of size ``stop`` or less.
-    With a list ``found`` the bound stays, and every cover met is appended.
-    Under a bound one above the minimum those are the minimum covers, each
-    once, because a branch bans its candidate once it is done.
+    With a list ``found``, every cover met is appended, and one smaller
+    than those listed first empties the list and lowers the bound to one
+    above its size.  Under any bound above the minimum the list ends as the
+    minimum covers, each once: no bound falls to the minimum, so no
+    minimum cover is pruned, and a branch bans its candidate once it is
+    done.
     """
     n = len(covers)
     full = (1 << n) - 1
@@ -202,6 +205,9 @@ def _search(covers: tuple[int, ...], bound: int, chosen: int = 0, banned: int = 
             if covered == full:
                 if count < best:
                     if found is not None:
+                        if count + 1 < best:
+                            found.clear()
+                            best = count + 1
                         found.append(chosen)
                     else:
                         # a bound of 0 prunes every open branch
@@ -295,12 +301,17 @@ def _closed_covers(g: Graph) -> tuple[int, ...]:
     return tuple(g.adj[v] | (1 << v) for v in range(g.n))
 
 
-def solve_gamma_t(g: Graph) -> int:
-    """Total domination number, value only, solved afresh on every call."""
+def _isolate_free_covers(g: Graph) -> tuple[int, ...]:
+    """g's total cover sets; IsolatedVertex if a vertex has none."""
     for v in range(g.n):
         if g.adj[v] == 0:
             raise IsolatedVertex(f"vertex {v} has degree 0")
-    found = _min_cover(_total_covers(g))
+    return _total_covers(g)
+
+
+def solve_gamma_t(g: Graph) -> int:
+    """Total domination number, value only, solved afresh on every call."""
+    found = _min_cover(_isolate_free_covers(g))
     if found is None:
         raise NotFound("total domination infeasible on an isolate-free graph")
     return found[0]
@@ -336,9 +347,17 @@ def _all_min_tds_masks(g: Graph) -> tuple[int, ...]:
     # every min-set enumeration comes through here, so the cap holds for all
     if g.n > ENUMERATION_CAP:
         raise TooLarge(f"n={g.n} above the enumeration cap {ENUMERATION_CAP}")
+    covers = _isolate_free_covers(g)
+    walked = _walk(covers, _leaf_order(covers))
+    if walked is None:
+        raise NotFound("total domination infeasible on an isolate-free graph")
     found: list[int] = []
-    _search(_total_covers(g), gamma_t_value(g) + 1, found=found)
-    return tuple(sorted(found, key=lambda m: list(iter_bits(m))))
+    _search(covers, walked[0].bit_count() + 1, found=found)
+    # in order of their sorted vertex lists: of two sets of one size, the
+    # one holding the lowest vertex of their symmetric difference first,
+    # whose bits read lowest first make the larger string
+    n = g.n
+    return tuple(sorted(found, key=lambda m: f"{m:0{n}b}"[::-1], reverse=True))
 
 
 def all_min_total_dominating_sets(g: Graph) -> list[frozenset[int]]:

@@ -150,7 +150,8 @@ def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_cov
         raise TooSmall(f"need n >= {min_n}, got n={g.n}")
     if memo is None:
         return SearchState(g, cover_sets=cover_sets)
-    if memo.graph != g:
+    # a state the caller built for g is taken without comparing graphs
+    if memo.graph is not g and memo.graph != g:
         raise ValueError("a SearchState serves the searches of one graph")
     if (memo.sets[0] ^ cover_sets(g)[0]) & 1:
         raise ValueError("a SearchState serves the searches of one kind of domination")

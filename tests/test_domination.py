@@ -204,6 +204,37 @@ def test_search_modes_match_the_subset_search_oracle():
         assert _all_min_tds_masks(g) == tuple(covers_of_size(g.adj, full, gamma_t_value(g), full, False))
 
 
+def test_search_collects_the_minimum_covers_under_a_loose_bound():
+    # with a list, a smaller cover empties it and lowers the bound, so a
+    # bound above the minimum, by two or from the leaf-up walk's cover,
+    # still ends with the minimum covers: those of the least size that has
+    # any below the bound, the leaves banned or not
+    graphs = [t for n in range(2, 13) for t in enumerate_trees(n)]
+    graphs += [g for n in range(2, 8) for g in enumerate_connected_graphs(n)]
+    for g in graphs:
+        full = g.full_mask
+        for covers in (_total_covers(g), _closed_covers(g)):
+            k = _min_cover(covers)[0]
+            walked = _walk(covers, _leaf_order(covers))[0].bit_count()
+            for banned in (0, leaves_mask(g)):
+                for bound in (k + 2, walked + 1):
+                    expected = []
+                    for size in range(k, bound):
+                        expected = covers_of_size(covers, full, size, full & ~banned, False)
+                        if expected:
+                            break
+                    found = []
+                    _search(covers, bound, banned=banned, found=found)
+                    assert sorted(found, key=lambda m: list(iter_bits(m))) == expected
+
+
+def test_all_min_sets_keep_their_errors():
+    with pytest.raises(errors.IsolatedVertex):
+        _all_min_tds_masks(from_edge_list(3, [(0, 1)]))
+    with pytest.raises(errors.TooLarge):
+        _all_min_tds_masks(path(21))
+
+
 def test_all_min_sets_cap():
     # P20, at the cap, has one minimum total dominating set
     assert all_min_total_dominating_sets(path(20)) == [

@@ -116,6 +116,56 @@ def test_tree_theorems_through_order_eighteen(theorem):
     assert report.failures == ()
 
 
+# per order, the sha256 digest of the tree stream's graph6 strings in stream
+# order (_stream_digest), frozen from the generator that built each tree
+# from its level sequence afresh, before trees were built by editing
+TREE_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "e52e1ceda3c73b493c102c8085db4343bae2f6f9fec59b841578b1c89bb0b206",
+    4: "4f5c224e5c0d4900354827e7c73b8f1edbafbc9f7fe34bbd27c35c7716e78ea9",
+    5: "c988ef839f468663edb1f3ea8381e3595dcdae1d7e747dc10926257ede8f4aa9",
+    6: "fa722437d4916fd1dec02f765bf3c0b326c517693f4082ac579564c0ad2062b7",
+    7: "2f0f52cf5feb6a580c2e2753a1a8a00de804927122ed3a749821ec698c189904",
+    8: "847eee6dcb8c9b339e48d29dbc979f7640d670314336ff1a5555b76d7a41ed95",
+    9: "d475aae7aa52df8b6ca73227ab1003cd8833829d8429dbd3abcb200a5f091998",
+    10: "d7dab8d146d5de8d74fe2d8874126d434a54dbe178c6d383b235656c6cf2bb51",
+    11: "429496aa020f5919be2bbf334676146135a14f02acec0d1c6deaf57210a8091e",
+    12: "052f971a7e48671fae1c4fa2f419c5c91198042d3e58deee1e6df24e8b3e840c",
+    13: "28078ebd41d8e34c52944514304146d1af8ae4267dc8fd365d4a12deb88b073f",
+    14: "8827a2cc02cdfa80bf835dfa0759f5e57a9bc3a3d61b0af75401818e18386999",
+    15: "46a3a86f5ca869aa0ae2e743255f4c478b25b73a08b21f9fad1efa8cb8dd311e",
+    16: "3dad1a97db7dfd0b3c4b149c224ab83fdfc3a49f3950cc10eac37b1a9494f81b",
+    17: "b05809b8f6f034048c4fa6209f185025a8fef7f53140675ce2db19c3ea018e70",
+    18: "02ddcc6a567b2df8299fcf9d0f7c1f1eb522935c7d1161596b5b4979b4858717",
+}
+
+
+def _assert_tree_stream_frozen(n):
+    trees = enumerate_trees(n)
+    # Graph.edges() reads the bits above each vertex and graph6 the bits
+    # below, so a stale bit left by an edit shows in only one of them: the
+    # masks must be the symmetric ones of the edges, and the graph6 stream
+    # the frozen one
+    for t in trees:
+        assert t.adj == from_edge_list(n, t.edges()).adj, graph6_encode(t)
+    assert _stream_digest(trees) == TREE_SHA256[n]
+    # equal masks of one order are one object, edited or not
+    masks = [a for t in trees for a in t.adj]
+    assert len({id(a) for a in masks}) == len(set(masks))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_tree_stream_is_frozen_with_symmetric_masks(n):
+    _assert_tree_stream_frozen(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(15, 19))
+def test_tree_stream_is_frozen_with_symmetric_masks_to_the_cap(n):
+    _assert_tree_stream_frozen(n)
+
+
 def test_prufer_total_count():
     assert sum(1 for _ in labeled_trees_by_prufer(5)) == 5 ** 3
 

@@ -774,6 +774,20 @@ def test_tree_check_runs_no_branch_and_bound(monkeypatch):
     assert calls[0] == 0
 
 
+def test_tree_check_compares_no_graphs(monkeypatch):
+    # the state a check builds for its tree is taken by identity; comparing
+    # the two graphs by value made 2 calls per tree, 10,890 at n <= 14
+    calls = [0]
+    eq = graph.Graph.__eq__
+
+    def counting(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(graph.Graph, "__eq__", counting)
+    assert verify.run_verification("tree-sd-eq-msd", 10).ok
+    assert calls[0] == 0
+
 @pytest.fixture
 def builds(monkeypatch):
     """One entry per subdivided Graph built, by subdivide, subdivide_edges
