@@ -4,8 +4,9 @@ and test the tree family, enumerate graphs, and emit fixtures.
 Exit codes: 0 success, 1 theorem violated (a counterexample was found and
 must never be swallowed), 2 usage or parse error, 3 precondition violation,
 4 internal error (an exception no command expects; one "internal error:" line
-on stderr, no traceback).  A stdout its reader closed ends the command
-quietly with 0, or 1 for a counterexample.
+on stderr, no traceback).  Each command returns its exit code and its
+stdout lines (lazy for enum, which streams), and main alone writes them: a
+stdout its reader closed ends the command quietly with its own exit code.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .domination import gamma, gamma_t
 from .errors import GraphError, MalformedInput, OutOfRange, UnknownFixture, UnknownTheorem
@@ -102,8 +104,8 @@ def _theorem_id(text: str) -> str:
     return text
 
 
-def _emit(obj, out) -> None:
-    print(json.dumps(obj, sort_keys=True), file=out)
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
 def _drop(out) -> None:
@@ -118,20 +120,19 @@ def _graph_json(fmt: str, g: Graph) -> str:
     return graph6_encode(g) if fmt == "graph6" else format_edge_list(g).rstrip("\n")
 
 
-def _cmd_compute(args, out) -> int:
+def _cmd_compute(args) -> tuple[int, Iterable[str]]:
     inv = args.invariant
     if args.cap is not None and inv in ("gamma", "gamma_t"):
         raise MalformedInput(f"--cap applies to sd, msd, sd_t and msd_t, not to {inv}")
     g = _read_graph(args.input)
     if inv in ("gamma", "gamma_t"):
         cert = gamma(g) if inv == "gamma" else gamma_t(g)
-        _emit({
+        return EXIT_OK, [_json({
             "invariant": inv,
             "value": cert.value,
             "witness": sorted(cert.witness),
             "base_value": None,
-        }, out)
-        return EXIT_OK
+        })]
     fns = {
         "sd": sd_gamma,
         "sd_t": sd_gamma_t,
@@ -139,7 +140,7 @@ def _cmd_compute(args, out) -> int:
         "msd_t": msd_gamma_t,
     }
     result = fns[inv](g) if args.cap is None else fns[inv](g, args.cap)
-    _emit({
+    return EXIT_OK, [_json({
         "invariant": inv,
         "value": result.value,
         "witness": {
@@ -149,11 +150,10 @@ def _cmd_compute(args, out) -> int:
         "base_value": result.base_value,
         "increased_value": result.increased_value,
         "exceeded_cap": result.exceeded,
-    }, out)
-    return EXIT_OK
+    })]
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     from .verify import run_verification
 
     report = run_verification(args.theorem, n_max=args.n_max, jobs=args.jobs,
@@ -172,24 +172,16 @@ def _cmd_verify(args, out) -> int:
     code = EXIT_OK if report.ok else EXIT_VIOLATED
     if args.out:
         try:
-            Path(args.out).write_text(json.dumps(summary, sort_keys=True) + "\n", encoding="utf-8")
+            Path(args.out).write_text(_json(summary) + "\n", encoding="utf-8")
         except OSError as exc:
             # a counterexample keeps its exit code
             print(f"error: {args.out}: cannot write ({exc.strerror})", file=sys.stderr)
             code = code or EXIT_USAGE
-    try:
-        if args.verbose:
-            for rec in report.records:
-                _emit(rec._asdict(), out)
-        _emit(summary, out)
-        out.flush()
-    except BrokenPipeError:
-        # a closed stdout keeps the verdict's exit code too
-        _drop(out)
-    return code
+    # records is empty unless --verbose asked for them
+    return code, [*(_json(rec._asdict()) for rec in report.records), _json(summary)]
 
 
-def _cmd_family(args, out) -> int:
+def _cmd_family(args) -> tuple[int, Iterable[str]]:
     from .family import generate_family, is_in_family
 
     if args.family_cmd == "generate":
@@ -213,22 +205,21 @@ def _cmd_family(args, out) -> int:
                     target.write_text(body, encoding="utf-8")
                 except OSError as exc:
                     raise MalformedInput(f"{target}: cannot write ({exc.strerror})") from None
-        for member in members:
-            _emit({
+        return EXIT_OK, [
+            *(_json({
                 "n": member.n,
                 "graph6": graph6_encode(member.tree),
                 "status": member.status,
-            }, out)
-        _emit({"members": len(members), "n_max": args.n_max}, out)
-        return EXIT_OK
+            }) for member in members),
+            _json({"members": len(members), "n_max": args.n_max}),
+        ]
     g = _read_graph(args.input)
     # asked first, so that its cap and tree errors come before graph6's order cap
     in_family = is_in_family(g)
-    _emit({"n": g.n, "graph6": graph6_encode(g), "in_family": in_family}, out)
-    return EXIT_OK
+    return EXIT_OK, [_json({"n": g.n, "graph6": graph6_encode(g), "in_family": in_family})]
 
 
-def _cmd_characterize(args, out) -> int:
+def _cmd_characterize(args) -> tuple[int, Iterable[str]]:
     from .characterization import inner_edge_condition, leaf_condition, predicts_sd_one
 
     g = _read_graph(args.input)
@@ -237,17 +228,16 @@ def _cmd_characterize(args, out) -> int:
         {"edge": list(e), "holds": inner_edge_condition(g, e).holds}
         for e in inner_edges(g)
     ]
-    _emit({
+    return EXIT_OK, [_json({
         "graph6": graph6_encode(g),
         "leaf_in_no_minimum_set": leaf,
         "inner_edges": inner,
         "predicts_sd_one": predicts_sd_one(g),
         "sd_gamma_t": sd_gamma_t(g).value,
-    }, out)
-    return EXIT_OK
+    })]
 
 
-def _cmd_enum(args, out) -> int:
+def _cmd_enum(args) -> tuple[int, Iterable[str]]:
     from .enumeration import enumerate_connected_graphs, enumerate_trees
 
     stream = (
@@ -255,21 +245,15 @@ def _cmd_enum(args, out) -> int:
         if args.kind == "trees"
         else enumerate_connected_graphs(args.n)
     )
-    for g in stream:
-        print(_graph_json(args.format, g), file=out)
-    return EXIT_OK
+    return EXIT_OK, (_graph_json(args.format, g) for g in stream)
 
 
-def _cmd_fixtures(args, out) -> int:
+def _cmd_fixtures(args) -> tuple[int, Iterable[str]]:
     if args.list:
-        for name in FIXTURE_NAMES:
-            print(name, file=out)
-        return EXIT_OK
+        return EXIT_OK, FIXTURE_NAMES
     if not args.name:
         raise MalformedInput("fixtures needs --name or --list")
-    g = fixture_by_name(args.name)
-    print(_graph_json(args.format, g), file=out)
-    return EXIT_OK
+    return EXIT_OK, [_graph_json(args.format, fixture_by_name(args.name))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,14 +316,17 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        code = _COMMANDS[args.command](args, out)
+        code, lines = _COMMANDS[args.command](args)
+        for line in lines:
+            print(line, file=out)
         out.flush()
     except BrokenPipeError:
         # out is the one pipe this process writes (verify's workers write
-        # theirs in their own processes), and its reader is gone
+        # theirs in their own processes), and its reader is gone; the
+        # command's own code stands, so a counterexample keeps its 1
         _drop(out)
-        return EXIT_OK
     except (MalformedInput, OutOfRange, UnknownTheorem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -57,7 +57,6 @@ def _greedy_cover(covers: tuple[int, ...], chosen: int) -> int | None:
         covered |= covers[u]
     while covered != full:
         best_gain = 0
-        best_u = -1
         for u in range(len(covers)):
             gain = (covers[u] & ~covered).bit_count()
             if gain > best_gain:

@@ -14,16 +14,14 @@ generates the graphs of its batches, checks them, and pickles back only the
 records of its failures (every record when records are asked for) and None
 for each other graph.
 
-A check returns a Verdict, its texts read from tables built once, so a
-passing check formats nothing; only a graph that is recorded is
-graph6-encoded.
+A check returns a Verdict and formats its own texts; only a graph that is
+recorded is graph6-encoded.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .characterization import (
@@ -120,21 +118,6 @@ def _fmt(v: int | None) -> str:
     return str(v) if v is not None else ">cap"
 
 
-def _texts(fmt: str, *domains) -> dict[tuple, str]:
-    """fmt filled with each combination of one value from each domain,
-    so that a check reads its text from a table and formats nothing."""
-    return {key: fmt.format(*map(_fmt, key)) for key in product(*domains)}
-
-
-# the values a search with cap 3 returns, and the checks' texts over them
-_CAPPED = (1, 2, 3, None)
-_BOOLS = (False, True)
-_VALUE_TEXT = {v: _fmt(v) for v in _CAPPED}
-_SD_MSD_TEXT = _texts("sd={} msd={}", _CAPPED, _CAPPED)
-_FAMILY_TEXT = _texts("sd3={} family={}", _BOOLS, _BOOLS)
-_SD1_TEXT = _texts("predicted={} sd1={}", _BOOLS, _BOOLS)
-
-
 def _map_graphs(fn: Callable[[Graph], R], batches: Iterable[Iterable[Graph]],
                 jobs: int) -> list[R]:
     if jobs > 1:
@@ -194,14 +177,14 @@ def _trees_then_connected(lo: int, hi: int) -> Iterable[Iterable[Graph]]:
 
 def _check_msd_le_3(g: Graph) -> Verdict:
     value = _msd3(g)
-    return Verdict(value is not None, "msd_gamma_t <= 3", _VALUE_TEXT[value])
+    return Verdict(value is not None, "msd_gamma_t <= 3", _fmt(value))
 
 
 def _check_tree_sd_eq_msd(t: Graph) -> Verdict:
     sd, msd = _sd_msd(t)
     return Verdict(
         sd == msd and sd is not None,
-        "sd_gamma_t == msd_gamma_t", _SD_MSD_TEXT[sd, msd],
+        "sd_gamma_t == msd_gamma_t", f"sd={_fmt(sd)} msd={_fmt(msd)}",
     )
 
 
@@ -211,7 +194,7 @@ def _check_family_sd3(t: Graph) -> Verdict:
     return Verdict(
         sd_is_3 == in_family,
         "sd_gamma_t == 3 iff tree in family",
-        _FAMILY_TEXT[sd_is_3, in_family],
+        f"sd3={sd_is_3} family={in_family}",
     )
 
 
@@ -221,7 +204,7 @@ def _check_sd1_characterization(t: Graph) -> Verdict:
     return Verdict(
         predicted == actual,
         "predicts_sd_one == (sd_gamma_t == 1)",
-        _SD1_TEXT[predicted, actual],
+        f"predicted={predicted} sd1={actual}",
     )
 
 
@@ -229,7 +212,7 @@ def _check_lemma2(g: Graph) -> Verdict:
     if not lemma2_sufficient(g):
         return Verdict(True, "lemma2 => sd_gamma_t == 1", "not fired")
     sd_is_1 = _sd1(g) == 1
-    return Verdict(sd_is_1, "lemma2 => sd_gamma_t == 1", "sd1=True" if sd_is_1 else "sd1=False")
+    return Verdict(sd_is_1, "lemma2 => sd_gamma_t == 1", f"sd1={sd_is_1}")
 
 
 def _check_lemma14(t: Graph) -> Verdict:
@@ -244,7 +227,7 @@ def _check_universal(g: Graph) -> Verdict:
     if not any(g.degree(v) == g.n - 1 for v in range(g.n)):
         return Verdict(True, "no universal vertex", "skipped")
     value = _msd3(g)
-    return Verdict(value == 2, "msd_gamma_t == 2", _VALUE_TEXT[value])
+    return Verdict(value == 2, "msd_gamma_t == 2", _fmt(value))
 
 
 def _riti_ok(t: Graph) -> bool:

@@ -342,7 +342,7 @@ def test_fixture_names_and_graph6_literals_still_resolve(spec, gamma):
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):
-    def broken(args, out):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "compute", broken)
@@ -637,21 +637,28 @@ import sys
 from tdmsd import cli, path, verify
 check = lambda g: verify.Verdict(False, "something", "otherwise")
 verify.THEOREMS["msd-le-3"] = verify.Theorem(check, lambda lo, hi: [(path(2),)] * 20000, 2, 2, 2)
-raise SystemExit(cli.main(["verify", "--theorem", "msd-le-3", "--verbose"]))
+raise SystemExit(cli.main(["verify", "--theorem", "msd-le-3", "--verbose", *sys.argv[1:]]))
 """
 
 
-@pytest.mark.parametrize("args, first, expected", [
+@pytest.mark.parametrize("args, first, expected, summary", [
     # 19,320 trees, 425,040 bytes
-    (("-m", "tdmsd.cli", "enum", "--kind", "trees", "--n", "16"), "OhCGGC@_??_@?@??_?G?@\n", 0),
-    (("-c", _VIOLATED), None, 1),
-], ids=["enum", "verify-violated"])
-def test_closed_stdout_ends_quietly(args, first, expected):
+    (("-m", "tdmsd.cli", "enum", "--kind", "trees", "--n", "16"), "OhCGGC@_??_@?@??_?G?@\n", 0,
+     False),
+    (("-c", _VIOLATED), None, 1, False),
+    # --out is written before stdout, so a closed stdout skips no summary
+    (("-c", _VIOLATED), None, 1, True),
+], ids=["enum", "verify-violated", "verify-violated-out"])
+def test_closed_stdout_ends_quietly(args, first, expected, summary, tmp_path):
     # the reader went away: no internal error, no traceback, no message at
     # exit, and a counterexample keeps its exit code
-    line, code, err = _closed_after_first_line(*args)
+    out = tmp_path / "summary.json"
+    line, code, err = _closed_after_first_line(*args, *(("--out", str(out)) if summary else ()))
     assert first is None or line == first
     assert line and code == expected and err == ""
+    if summary:
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert written["ok"] is False and written["graphs_checked"] == 20000
 
 
 def test_family_generate_above_the_code_cap_is_a_usage_error(capsys):

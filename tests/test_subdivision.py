@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import time
 from itertools import combinations
@@ -887,14 +888,33 @@ _FROZEN = [
 ]
 
 
-@pytest.mark.parametrize("theorem, n_max, count, digest", _FROZEN, ids=[
-    theorem if n_max is None else f"{theorem}-{n_max}" for theorem, n_max, _, _ in _FROZEN
+# one batch each, which never forks
+_ONE_BATCH = ("bc-minimum", "path-cycle-formulas")
+
+
+@pytest.mark.parametrize("theorem, n_max, count, digest, jobs", [
+    (*row, jobs) for jobs in (1, 2) for row in _FROZEN
+], ids=[
+    (theorem if n_max is None else f"{theorem}-{n_max}") + ("" if jobs == 1 else "-jobs2")
+    for jobs in (1, 2) for theorem, n_max, _, _ in _FROZEN
 ])
-def test_records_are_frozen(theorem, n_max, count, digest, builds):
-    # sha256 of every record of the sweep, one line each; no sweep builds a
-    # subdivided graph
-    records = verify.run_verification(theorem, n_max, records=True).records
+def test_records_are_frozen(theorem, n_max, count, digest, jobs, builds, monkeypatch):
+    # sha256 of every record of the sweep, one line each, the same when
+    # forked workers check and format them; no sweep builds a subdivided
+    # graph (builds sees this process only)
+    forks = []
+    fork_map = verify._fork_map
+
+    def counted(fn, items, workers):
+        forks.append(workers)
+        return fork_map(fn, items, workers)
+
+    monkeypatch.setattr(verify, "_fork_map", counted)
+    # two usable cores, so that the sweep forks on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    records = verify.run_verification(theorem, n_max, jobs, records=True).records
     lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
+    assert forks == ([2] if jobs == 2 and theorem not in _ONE_BATCH else [])
     assert builds == []
     assert len(records) == count
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
