@@ -129,19 +129,21 @@ def _walk(covers: tuple[int, ...], order) -> tuple[int, int] | None:
     return chosen, packing
 
 
-def _min_cover(covers: tuple[int, ...], stop: int = 0, order=None) -> tuple[int, int] | None:
+def _min_cover(covers: tuple[int, ...], stop: int = 0, order=None) -> tuple[int, int, int] | None:
     """A minimum set of vertices whose cover sets union to every element, as
-    (size, vertex mask); None if no set covers them all.  With ``stop``,
-    any such set of at most ``stop`` vertices, if the minimum is that small.
-    The leaf-up walk takes ``order``, pairs as _leaf_order gives them, if
-    given, and covers' own _leaf_order otherwise.
+    (size, vertex mask, packing mask); None if no set covers them all.  With
+    ``stop``, any such set of at most ``stop`` vertices, if the minimum is
+    that small.  The leaf-up walk takes ``order``, pairs as _leaf_order
+    gives them, if given, and covers' own _leaf_order otherwise.
 
     Each vertex of the leaf-up walk's packing needs a cover vertex of its
     own, so a cover no larger than the packing is minimum.  The leaf-up
     cover settles most problems without a search: it is returned when it
     has at most ``stop`` vertices or as many as the packing.  Otherwise the
     branch-and-bound starts from the smaller of it and the greedy cover, and
-    stops at the first cover no larger than ``stop`` or the packing.
+    stops at the first cover no larger than ``stop`` or the packing.  The
+    walk's packing comes back either way; it has the cover's size exactly
+    when it proves that cover minimum.
 
     A leaf is an element with one candidate besides itself, its support.
     Every support that is not a leaf (K2 forces nothing) is in every total
@@ -156,7 +158,7 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0, order=None) -> tuple[int,
     size = cover.bit_count()
     floor = max(stop, packing.bit_count())
     if size <= floor:
-        return size, cover
+        return size, cover, packing
     leaves = chosen = 0
     for v, cands in enumerate(covers):
         support = cands & ~(1 << v)
@@ -171,7 +173,7 @@ def _min_cover(covers: tuple[int, ...], stop: int = 0, order=None) -> tuple[int,
         best = _search(covers, size, chosen, stop=floor)
         if best is not None:
             cover, size = best, best.bit_count()
-    return size, cover
+    return size, cover, packing
 
 
 def _search(covers: tuple[int, ...], bound: int, chosen: int = 0, banned: int = 0,

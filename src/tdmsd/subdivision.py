@@ -26,8 +26,11 @@ parent below it, as the tree generator labels it, H is a tree too, and the
 solve walks g's order with _wire's paths spliced in (_splice), an order in
 which the walk's cover is minimum; on any other graph, a tree in other
 labels among them, it walks H's own, which on a tree is minimum too.  No
-search builds a Graph.  Every skip rests on a cover checked against H, so
-the values stay exact.
+search builds a Graph.  A single edge subdivided once is also settled by
+the swap (B), a cover of H made from g's, or by the packing (P) that the
+same solve of g returns, which proves H's number the base + 1 (both proved
+in the README).  Every skip rests on a cover or a packing checked against
+H, so the values stay exact.
 
 A state lives for one caller's check of one graph, never globally: keying a
 global cache by subdivided graphs would need canonical codes, which cost more
@@ -45,7 +48,7 @@ from typing import NamedTuple
 from .domination import _closed_covers, _min_cover, _total_covers
 from .domination import gamma_t_value  # noqa: F401  perfbench's traced units wrap this binding
 from .errors import Disconnected, EdgeNotPresent, TooLarge, TooSmall
-from .graph import MAX_VERTICES, Edge, Graph, _wire, leaves_mask, normalize_edge
+from .graph import MAX_VERTICES, Edge, Graph, _wire, iter_bits, leaves_mask, normalize_edge
 from .graph import subdivide, subdivide_edges  # noqa: F401  perfbench's traced units wrap these bindings
 
 MSD_DEFAULT_CAP = 3
@@ -99,23 +102,26 @@ class SearchState:
     g.is_connected(), and g's solve walks the leaf-up order that
     domination's _min_cover finds itself.  base is g's (total) domination
     number and cover one of its minimum (total) dominating sets as a vertex
-    mask, both from one exact solve of sets; edges is g's edge list.
+    mask, both from one exact solve of sets; packing is that solve's
+    packing, a vertex mask, when it has base vertices (on every tree), and
+    None otherwise; edges is g's edge list.
     row_one is how the row of single subdivisions ended: None
     before any search ran it, () if no edge raises the number, else ((e,),
     value) for the first edge that does.
 
     any_witness lets a caller that reads only the value take any raising
-    subset of a row as its witness: sd's row of edge pairs and msd's row at
-    t = 2 then try the strong-support lemma's subsets first (_strong_pendants),
-    and the other subsets in their usual order after them.  The values are
-    the same either way; without it every witness is the first in
-    lexicographic order, and the row of single subdivisions is that order
-    under both.
+    subset of a row as its witness: the row of single subdivisions then
+    tries first the first edge the packing proves raising (_packs), and
+    sd's row of edge pairs and msd's row at t = 2 the strong-support lemma's
+    subsets (_strong_pendants), each with the other subsets in their usual
+    order after it.  The values are the same either way; without it every
+    witness is the first in lexicographic order.
 
     g must be connected with at least 2 vertices.
     """
 
-    __slots__ = ("graph", "sets", "order", "base", "cover", "edges", "row_one", "any_witness")
+    __slots__ = ("graph", "sets", "order", "base", "cover", "packing", "edges", "row_one",
+                 "any_witness")
 
     def __init__(self, g: Graph, *, cover_sets=_total_covers, any_witness: bool = False) -> None:
         n = g.n
@@ -140,7 +146,9 @@ class SearchState:
         self.row_one: tuple | None = None
         self.any_witness = any_witness
         # g is connected with n >= 2, so it has no isolated vertex
-        self.base, self.cover = _min_cover(sets, order=order)
+        self.base, self.cover, packing = _min_cover(sets, order=order)
+        # only a packing as large as the cover proves the base a lower bound
+        self.packing = packing if packing.bit_count() == self.base else None
 
 
 def _state(g: Graph, memo: SearchState | None, min_n: int, cover_sets=_total_covers) -> SearchState:
@@ -185,11 +193,13 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     or () if none does.  At t = 1 that graph H has subset's edges each
     subdivided once, else subset's one edge subdivided t times.
 
-    Each subset runs up to three steps.  H's vertex count is checked first,
+    Each subset runs up to four steps.  H's vertex count is checked first,
     so a row over the vertex cap fails at its first subset, settled or not.
     Then the state's minimum cover C of the graph is tested against H at
-    the subdivided edges; if C covers H, H's number is at most the base.
-    Otherwise H's cover sets are the state's with H's new paths wired in
+    the subdivided edges (A); if C covers H, H's number is at most the base.
+    A single edge at t = 1 then tries the swap (_swaps, B), which settles H
+    at the base, and the packing (_packs, P), which settles it at the base
+    + 1.  Otherwise H's cover sets are the state's with H's new paths wired in
     (graph's _wire), and _min_cover solves them with the base as its stop,
     so a cover of at most the base vertices settles H below it.  When the
     state has an order, _min_cover walks H in that order with the new paths
@@ -228,6 +238,12 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
                 break
         else:
             continue
+        if t == 1 and len(subset) == 1:
+            # u, v is the subset's one edge
+            if _swaps(state, u, v):
+                continue
+            if _packs(state, u, v):
+                return subset, base + 1
         covers = list(sets)
         paths = _wire(covers, subset, t)
         after = _min_cover(covers, base, None if order is None else _splice(order, paths, t))[0]
@@ -236,10 +252,54 @@ def _row(state: SearchState, subsets, t: int) -> tuple:
     return ()
 
 
+def _swaps(state: SearchState, u: int, v: int) -> bool:
+    """(B): whether both ends of the edge uv are in the state's cover C and,
+    for one end b, no vertex but u and v has b as the only vertex of C in
+    its cover set.  Then C - b + x covers g with uv subdivided once by x
+    (README), and that graph's number is at most the base."""
+    cover, sets = state.cover, state.sets
+    if not (cover >> u & 1 and cover >> v & 1):
+        return False
+    ends = 1 << u | 1 << v
+    for b in (u, v):
+        bit = 1 << b
+        # the cover sets that hold b are those of the vertices in b's
+        for w in iter_bits(sets[b] & ~ends):
+            if sets[w] & cover == bit:
+                break
+        else:
+            return True
+    return False
+
+
+def _packs(state: SearchState, u: int, v: int) -> bool:
+    """(P): whether the state's packing P, as large as the base, stays a
+    packing with the new vertex x of g with uv subdivided once.  x's cover
+    set there is {u, v}, and x's too for closed sets, so P + x packs that
+    graph when no vertex of P is in u's or v's cover set less the other
+    end, and not both ends are in P, whose cover sets would share x.  Its
+    number is then above the base, so the base + 1 by L1 (README)."""
+    packing = state.packing
+    if packing is None:
+        return False
+    sets = state.sets
+    ends = 1 << u | 1 << v
+    return not packing & (sets[u] & ~(1 << v) | sets[v] & ~(1 << u)) and packing & ends != ends
+
+
 def _row_one(state: SearchState) -> tuple:
-    """state.row_one, running the row if no search has yet."""
+    """state.row_one, running the row if no search has yet.  Under
+    state.any_witness an edge whose single subdivision the packing proves
+    raising (P) ends the row, so the row tries the first one alone and
+    walks no graph."""
     if state.row_one is None:
-        state.row_one = _row(state, [(e,) for e in state.edges], 1)
+        edges = state.edges
+        if state.any_witness:
+            for e in edges:
+                if _packs(state, *e):
+                    edges = [e]
+                    break
+        state.row_one = _row(state, [(e,) for e in edges], 1)
     return state.row_one
 
 

@@ -14,8 +14,8 @@ generates the graphs of its batches, checks them, and pickles back only the
 records of its failures (every record when records are asked for) and None
 for each other graph.
 
-A check returns a Verdict and formats its own texts; only a graph that is
-recorded is graph6-encoded.
+A check returns a Verdict and makes its own texts; only a graph that is
+recorded is graph6-encoded and has its text formatted.
 """
 
 from __future__ import annotations
@@ -55,9 +55,13 @@ R = TypeVar("R")
 
 
 class Verdict(NamedTuple):
+    """A check's finding on one graph.  actual is the text of what it
+    found, or a function of no arguments that formats it, called only when
+    the graph is recorded (_recorder)."""
+
     ok: bool
     expected: str
-    actual: str
+    actual: str | Callable[[], str]
 
 
 class Record(NamedTuple):
@@ -100,7 +104,7 @@ def _sd3(t: Graph) -> int | None:
 
 @lru_cache(maxsize=None)
 def _sd1(t: Graph) -> int | None:
-    return sd_gamma_t(t, cap=1).value
+    return sd_gamma_t(t, cap=1, memo=SearchState(t, any_witness=True)).value
 
 
 @lru_cache(maxsize=None)
@@ -136,12 +140,13 @@ def _recorder(check: Callable[..., Verdict], records: bool) -> Callable[..., Rec
     always, a pass's only when records are asked for; None otherwise."""
 
     def judge(item) -> Record | None:
-        verdict = check(item)
-        if verdict.ok and not records:
+        ok, expected, actual = check(item)
+        if ok and not records:
             return None
         # bc-minimum's items are family members, recorded by their tree
         g = item.tree if isinstance(item, LabeledTree) else item
-        return Record(graph6_encode(g), *verdict)
+        text = actual if isinstance(actual, str) else actual()
+        return Record(graph6_encode(g), ok, expected, text)
 
     return judge
 
@@ -174,17 +179,19 @@ def _trees_then_connected(lo: int, hi: int) -> Iterable[Iterable[Graph]]:
 
 
 # -- per-graph checks (each returns a Verdict; see _recorder) ----------------
+# a text made of values is passed as a function, so a graph that is not
+# recorded formats none
 
 def _check_msd_le_3(g: Graph) -> Verdict:
     value = _msd3(g)
-    return Verdict(value is not None, "msd_gamma_t <= 3", _fmt(value))
+    return Verdict(value is not None, "msd_gamma_t <= 3", lambda: _fmt(value))
 
 
 def _check_tree_sd_eq_msd(t: Graph) -> Verdict:
     sd, msd = _sd_msd(t)
     return Verdict(
         sd == msd and sd is not None,
-        "sd_gamma_t == msd_gamma_t", f"sd={_fmt(sd)} msd={_fmt(msd)}",
+        "sd_gamma_t == msd_gamma_t", lambda: f"sd={_fmt(sd)} msd={_fmt(msd)}",
     )
 
 
@@ -194,7 +201,7 @@ def _check_family_sd3(t: Graph) -> Verdict:
     return Verdict(
         sd_is_3 == in_family,
         "sd_gamma_t == 3 iff tree in family",
-        f"sd3={sd_is_3} family={in_family}",
+        lambda: f"sd3={sd_is_3} family={in_family}",
     )
 
 
@@ -204,7 +211,7 @@ def _check_sd1_characterization(t: Graph) -> Verdict:
     return Verdict(
         predicted == actual,
         "predicts_sd_one == (sd_gamma_t == 1)",
-        f"predicted={predicted} sd1={actual}",
+        lambda: f"predicted={predicted} sd1={actual}",
     )
 
 
@@ -212,7 +219,7 @@ def _check_lemma2(g: Graph) -> Verdict:
     if not lemma2_sufficient(g):
         return Verdict(True, "lemma2 => sd_gamma_t == 1", "not fired")
     sd_is_1 = _sd1(g) == 1
-    return Verdict(sd_is_1, "lemma2 => sd_gamma_t == 1", f"sd1={sd_is_1}")
+    return Verdict(sd_is_1, "lemma2 => sd_gamma_t == 1", lambda: f"sd1={sd_is_1}")
 
 
 def _check_lemma14(t: Graph) -> Verdict:
@@ -227,7 +234,7 @@ def _check_universal(g: Graph) -> Verdict:
     if not any(g.degree(v) == g.n - 1 for v in range(g.n)):
         return Verdict(True, "no universal vertex", "skipped")
     value = _msd3(g)
-    return Verdict(value == 2, "msd_gamma_t == 2", _fmt(value))
+    return Verdict(value == 2, "msd_gamma_t == 2", lambda: _fmt(value))
 
 
 def _riti_ok(t: Graph) -> bool:
@@ -271,7 +278,7 @@ def _check_path_cycle(g: Graph) -> Verdict:
     sd, msd = _sd_msd(g)
     return Verdict(
         sd == want and msd == want,
-        f"sd=msd={want} for {name} n={g.n}", f"sd={_fmt(sd)} msd={_fmt(msd)}",
+        f"sd=msd={want} for {name} n={g.n}", lambda: f"sd={_fmt(sd)} msd={_fmt(msd)}",
     )
 
 

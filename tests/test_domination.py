@@ -329,10 +329,13 @@ def _covered_by(covers, mask):
 @given(cover_problems())
 def test_cover_search_seeded_with_any_cover_finds_the_minimum(problem):
     # the search starts from the smaller of the leaf-up and the greedy cover,
-    # and whichever it is, no smaller cover exists
+    # and whichever it is, no smaller cover exists; the walk's packing that
+    # comes back with it is no larger
     covers, full = problem
-    size, mask = _min_cover(covers)
+    size, mask, packing = _min_cover(covers)
     assert mask.bit_count() == size and _covered_by(covers, mask) == full
+    assert packing == _walk(covers, _leaf_order(covers))[1]
+    assert packing.bit_count() <= size
     assert not covers_of_size(covers, full, size - 1, full, True)
 
 
@@ -349,8 +352,9 @@ def _check_certificate(g, covers, minimum):
         packed |= covers[v]
     assert packing.bit_count() <= minimum <= cover.bit_count()
     for stop in range(g.n + 1):
-        size, mask = _min_cover(covers, stop=stop)
+        size, mask, packed_back = _min_cover(covers, stop=stop)
         assert mask.bit_count() == size and _covered_by(covers, mask) == full
+        assert packed_back == packing
         if minimum <= stop:
             assert size <= stop
         else:

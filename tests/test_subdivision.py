@@ -201,8 +201,8 @@ def test_base_values_recorded():
 def test_every_raising_row_graph_has_the_base_value_plus_one():
     # a row runs only when the row before raised nothing, so the graph that
     # raises is one single subdivision away from a graph that still has the
-    # base value (L2); L1 bounds that one step by 1 for gamma_t, and L4
-    # does the same for gamma (ROADMAP item 3)
+    # base value (L2); L1 (README) bounds that one step by 1 for gamma_t
+    # and gamma (ROADMAP item 5 names the gamma half L4)
     graphs = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
     graphs += [t for n in range(3, 10) for t in enumerate_trees(n)]
     raised = []
@@ -596,11 +596,25 @@ def test_tree_check_gets_msd_free_on_sd_one_trees(work):
         assert _work_of(work, verify._check_tree_sd_eq_msd, t) <= alone
 
 
-def test_tree_check_keeps_no_memo_between_checks(work):
+def test_tree_check_keeps_no_memo_between_checks(monkeypatch):
+    # each check solves its tree once for a state of its own, and then the
+    # same subdivided graphs with the same stops as the check before it; a
+    # check that settles every row by certificates still solves its tree
+    stops = []
+
+    def counting(covers, stop=0, order=None):
+        stops.append(stop)
+        return _min_cover(covers, stop, order)
+
+    monkeypatch.setattr(subdivision, "_min_cover", counting)
     for t in enumerate_trees(8):
-        first = _work_of(work, verify._check_tree_sd_eq_msd, t)
-        assert first > 0
-        assert _work_of(work, verify._check_tree_sd_eq_msd, t) == first
+        stops.clear()
+        verify._check_tree_sd_eq_msd(t)
+        first = list(stops)
+        assert first.count(0) == 1, t.edges()
+        stops.clear()
+        verify._check_tree_sd_eq_msd(t)
+        assert stops == first, t.edges()
 
 
 def test_memo_does_not_change_results():
@@ -729,10 +743,14 @@ _SD_ONE_WORK = [
     # each graph were its state's known covers, so no state solved its graph.
     # 1,817, 666 and 1,769 solves when every graph was built and solved; a
     # tree's graphs are walked in its order instead, one walk for each solve,
-    # and the rest are solved in their own order, unbuilt
-    ("sd1-characterization", 985, 1817, 0),
-    ("lemma14-implies", 88, 666, 0),
-    ("lemma2-implies", 1396, 1166, 603),
+    # and the rest are solved in their own order, unbuilt.  1,817, 666 and
+    # 1,166 + 603 before row one tried the swap (B) and the packing (P), and
+    # under any_witness a packing edge first.  Every tree here with sd = 1
+    # has one, so only the trees whose row raises nothing are walked; of the
+    # 484 other graphs lemma2 fires on, 307 have one
+    ("sd1-characterization", 985, 459, 0),
+    ("lemma14-implies", 88, 459, 0),
+    ("lemma2-implies", 1396, 0, 230),
 ]
 
 
@@ -809,10 +827,12 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
     # every subset a row tries, on every tree of order <= 10 and connected
     # graph of order <= 6: single edges at t = 1, 2, 3 and edge pairs and
     # triples at t = 1.  The row's test at the subdivided edges must pass on
-    # exactly the graphs the state's cover misses some vertex of: on a tree
-    # the row solves each of them with its walk in its tree's order,
-    # elsewhere in its own order, and it builds none of them
+    # exactly the graphs the state's cover misses some vertex of.  Of those,
+    # a single edge at t = 1 is settled by the swap (B) or the packing (P)
+    # when either holds; the row solves each other one with its walk in its
+    # tree's order, elsewhere in its own order, and it builds none of them
     settled = {1: 0, 2: 0, 3: 0}
+    certified = 0
     for g in _trees_and_graphs():
         tree = g.is_tree()
         state = SearchState(g, cover_sets=cover_sets)
@@ -821,6 +841,11 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
         for subset, t in tries:
             h = subdivide_edges(g, subset) if t == 1 else subdivide(g, subset[0], t)
             misses = _covered(cover_sets(h), state.cover) != h.full_mask
+            if misses and t == 1 and len(subset) == 1:
+                (u, v), = subset
+                proved = subdivision._swaps(state, u, v) or subdivision._packs(state, u, v)
+                certified += proved
+                misses = not proved
             builds.clear()
             work.update(walk=0, solve=0)
             subdivision._row(state, [subset], t)
@@ -830,6 +855,75 @@ def test_row_builds_exactly_the_graphs_the_state_cover_misses(cover_sets, builds
             settled[t] += not misses
     # the test settles graphs at t = 1 and 2, and none at t = 3
     assert settled[1] and settled[2] and not settled[3], settled
+    assert certified
+
+
+def _check_row_one_certificates(graphs):
+    """Every edge of every graph, subdivided once, solved from scratch and
+    set against the certificates of its graph's state, for total and
+    closed cover sets: the state's cover (A) or the swap (B) proves the
+    base, the packing (P) proves the base + 1, and L1 puts every value at
+    the base or the base + 1.  Returns how many edges each settles ("walk"
+    for none), by kind, and how many trees raise gamma_t by a single
+    subdivision (sd = 1) with no packing edge."""
+    fired = {kind: {"A": 0, "B": 0, "P": 0, "walk": 0} for kind in ("total", "closed")}
+    unpacked_sd_one = 0
+    for g in graphs:
+        for kind, cover_sets, solve in (("total", _total_covers, solve_gamma_t),
+                                        ("closed", _closed_covers, gamma_value)):
+            state = SearchState(g, cover_sets=cover_sets)
+            base = state.base
+            raised = packed = False
+            for u, v in state.edges:
+                h = subdivide(g, (u, v), 1)
+                value = solve(h)
+                assert base <= value <= base + 1, (kind, g.edges(), (u, v))
+                raised |= value > base
+                if _covered(cover_sets(h), state.cover) == h.full_mask:
+                    proof, want = "A", base
+                elif subdivision._swaps(state, u, v):
+                    proof, want = "B", base
+                elif subdivision._packs(state, u, v):
+                    proof, want = "P", base + 1
+                else:
+                    proof, want = "walk", value
+                assert value == want, (kind, proof, g.edges(), (u, v))
+                # the certificates are sound, so none fires beside another
+                assert not (proof != "P" and subdivision._packs(state, u, v)), (kind, g.edges())
+                fired[kind][proof] += 1
+                packed |= proof == "P"
+            if kind == "total" and g.is_tree():
+                unpacked_sd_one += raised and not packed
+    return fired, unpacked_sd_one
+
+
+def test_row_one_certificates_agree_with_solves():
+    # every edge of the trees of order <= 10 and the connected graphs of
+    # order <= 6, 2,720 of them, in each kind.  B never fires on closed
+    # sets: an end in a closed cover covers itself, so A holds whenever
+    # both ends are in the cover
+    fired, unpacked_sd_one = _check_row_one_certificates(_trees_and_graphs())
+    assert fired == {
+        "total": {"A": 556, "B": 192, "P": 483, "walk": 1489},
+        "closed": {"A": 678, "B": 0, "P": 76, "walk": 1966},
+    }
+    # observed, not proved: each tree here with sd = 1 has a packing edge
+    assert unpacked_sd_one == 0
+
+
+@pytest.mark.slow
+def test_row_one_certificates_agree_with_solves_on_trees_to_16_and_connected_seven():
+    graphs = [t for n in range(11, 17) for t in enumerate_trees(n)]
+    # every edge of the trees of order 11 to 16 and the connected graphs of
+    # order 7, 472,816 of them, in each kind
+    fired, unpacked_sd_one = _check_row_one_certificates(graphs + list(_connected_of_order_seven()))
+    assert fired == {
+        "total": {"A": 77094, "B": 35171, "P": 113170, "walk": 247381},
+        "closed": {"A": 140448, "B": 0, "P": 18647, "walk": 313721},
+    }
+    # observed, not proved: each tree here with sd = 1 has a packing edge,
+    # as each one of order <= 10 has
+    assert unpacked_sd_one == 0
 
 
 def test_tree_check_builds_each_single_subdivision_once(builds, monkeypatch):
@@ -863,11 +957,40 @@ def test_tree_check_subdivided_graphs_built_are_pinned(builds, work):
     # its tree's order, none is solved without that walk, and no graph is
     # built.  3,428 walks when sd's row of edge pairs and msd's row at t = 2
     # ran in lexicographic order; the check's any-witness state tries the
-    # strong-support lemma's subsets first, and each settles its row
+    # strong-support lemma's subsets first, and each settles its row.
+    # 2,284 walks before row one tried the swap (B) and the packing (P),
+    # and a packing edge first
     for (t,) in verify._trees(3, 12):
         verify._check_tree_sd_eq_msd(t)
     assert len(builds) == 0
-    assert work == {"walk": 2284, "solve": 0}
+    assert work == {"walk": 926, "solve": 0}
+
+
+def test_tree_check_row_one_walks_are_pinned(monkeypatch):
+    # the walks of the row of single subdivisions over the 5,445 trees of
+    # order <= 14, all of them in the sweep's default check: 10,191 when
+    # only the state's cover settled graphs without a walk.  Every sd = 1
+    # tree among them has a packing edge, which settles its row; the walks
+    # are those of the trees whose row raises nothing
+    walks = [0]
+    in_row_one = [False]
+    row_one = subdivision._row_one
+
+    def counting(covers, stop=0, order=None):
+        walks[0] += in_row_one[0] and stop > 0
+        return _min_cover(covers, stop, order)
+
+    def flagged(state):
+        in_row_one[0] = True
+        try:
+            return row_one(state)
+        finally:
+            in_row_one[0] = False
+
+    monkeypatch.setattr(subdivision, "_min_cover", counting)
+    monkeypatch.setattr(subdivision, "_row_one", flagged)
+    assert verify.run_verification("tree-sd-eq-msd").ok
+    assert walks[0] == 1771
 
 
 _FROZEN = [
@@ -901,7 +1024,13 @@ _ONE_BATCH = ("bc-minimum", "path-cycle-formulas")
 def test_records_are_frozen(theorem, n_max, count, digest, jobs, builds, monkeypatch):
     # sha256 of every record of the sweep, one line each, the same when
     # forked workers check and format them; no sweep builds a subdivided
-    # graph (builds sees this process only)
+    # graph (builds sees this process only).  The value caches start empty,
+    # so each row, forked or not, searches every graph itself rather than
+    # replaying values an earlier row or test left in this process
+    caches = (verify._sd3, verify._sd1, verify._msd3, gamma_t_value,
+              domination._all_min_tds_masks)
+    for cache in caches:
+        cache.cache_clear()
     forks = []
     fork_map = verify._fork_map
 
@@ -915,6 +1044,9 @@ def test_records_are_frozen(theorem, n_max, count, digest, jobs, builds, monkeyp
     records = verify.run_verification(theorem, n_max, jobs, records=True).records
     lines = "\n".join(f"{r.graph6} {r.ok} {r.expected} {r.actual}" for r in records)
     assert forks == ([2] if jobs == 2 and theorem not in _ONE_BATCH else [])
+    if forks:
+        # the workers checked every graph, so this process cached no value
+        assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
     assert builds == []
     assert len(records) == count
     assert hashlib.sha256(lines.encode()).hexdigest() == digest

@@ -86,9 +86,29 @@ def test_check_reports_a_violation(theorem, binding, replacement, graph, actual,
     check = verify.THEOREMS[theorem].check
     assert check(graph).ok
     monkeypatch.setattr(verify, binding, replacement(getattr(verify, binding)))
-    record = check(graph)
+    record = verify._recorder(check, False)(graph)
     assert record.ok is False
     assert record.actual == actual
+
+
+@pytest.mark.parametrize("theorem", ["tree-sd-eq-msd", "msd-le-3", "path-cycle-formulas"])
+def test_only_recorded_graphs_have_their_values_formatted(theorem, monkeypatch):
+    # a passing graph's text is formatted only when every record is asked
+    # for, and then once for each graph
+    formatted = []
+    fmt = verify._fmt
+
+    def counting(value):
+        formatted.append(value)
+        return fmt(value)
+
+    monkeypatch.setattr(verify, "_fmt", counting)
+    n_max = {"tree-sd-eq-msd": 10, "msd-le-3": 5, "path-cycle-formulas": 10}[theorem]
+    assert verify.run_verification(theorem, n_max).ok
+    assert formatted == []
+    report = verify.run_verification(theorem, n_max, records=True)
+    per_graph = 1 if theorem == "msd-le-3" else 2
+    assert len(formatted) == per_graph * report.graphs_checked
 
 
 def test_path_cycle_violation_names_the_wrong_formula(monkeypatch):
